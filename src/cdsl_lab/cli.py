@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import protocol
@@ -31,28 +31,29 @@ class UsageError(ValueError):
     """Bad flags or config; maps to exit code 2."""
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return lowered == "true"
+
+
+def _parse_tuple(text: str) -> tuple[int, ...] | None:
+    if text.lower() == "none":
+        return None
+    return tuple(int(part) for part in text.split(","))
+
+
+# textual form per field kind; the kinds come from RunConfig's annotations
+_TEXT_PARSERS = {int: int, float: float, bool: _parse_bool, str: str, tuple: _parse_tuple}
 
 
 def parse_value(key: str, text: str):
     """One config value from its textual form, typed per RunConfig field."""
-    if key not in _FIELD_NAMES:
+    if key not in protocol.FIELD_KINDS:
         raise UsageError(f"unknown key {key!r}")
     try:
-        if key in protocol._TUPLE_FIELDS:
-            if text.lower() == "none":
-                return None
-            return tuple(int(part) for part in text.split(","))
-        if key in protocol._BOOL_FIELDS:
-            lowered = text.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(f"expected true or false, got {text!r}")
-            return lowered == "true"
-        if key in protocol._INT_FIELDS:
-            return int(text)
-        if key in protocol._FLOAT_FIELDS:
-            return float(text)
-        return text
+        return _TEXT_PARSERS[protocol.FIELD_KINDS[key]](text)
     except ValueError as exc:
         raise UsageError(f"field {key}: {exc}") from exc
 
@@ -229,17 +230,6 @@ def metrics_to_csv(metrics: MetricsReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def metrics_from_csv(text: str) -> MetricsReport:
-    lines = [line for line in text.strip().splitlines() if line]
-    body = {}
-    for line in lines[1:]:
-        name, *cells = line.split(",")
-        body[name] = [None if c == "" else float(c) for c in cells]
-    return MetricsReport(tdg=body["tdg"][:-1], tda=body["tda"][:-1],
-                         fa=body["fa"][:-1], tdg_avg=body["tdg"][-1],
-                         tda_avg=body["tda"][-1], fa_avg=body["fa"][-1])
-
-
 def render_text_report(metrics: MetricsReport) -> str:
     n = len(metrics.tda)
     header = ["metric"] + [f"domain_{j}" for j in range(n)]
@@ -258,10 +248,9 @@ def render_text_report(metrics: MetricsReport) -> str:
 
 
 def cmd_report(args) -> int:
-    metrics_path = Path(args.results_dir) / "metrics.json"
-    if not metrics_path.is_file():
+    if not (Path(args.results_dir) / "metrics.json").is_file():
         raise UsageError(f"no metrics.json under {args.results_dir}")
-    metrics = MetricsReport.from_dict(json.loads(metrics_path.read_text()))
+    metrics = protocol.load_metrics(args.results_dir)
     if args.format == "json":
         print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
     elif args.format == "csv":

@@ -208,13 +208,6 @@ def relu(a) -> Tensor:
                    lambda g: (g * mask,))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-a.values))
-    return _record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.values)
@@ -277,25 +270,6 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g / n, a.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
     return _record("reduce_mean", (a,), out, vjp)
-
-
-def dot(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
-        raise DiffcoreError(f"dot: expected equal-length vectors, got {a.shape} and {b.shape}")
-    out = a.values @ b.values
-    return _record("dot", (a, b), out, lambda g: (g * b.values, g * a.values))
-
-
-def norm(a) -> Tensor:
-    """Euclidean norm over all elements."""
-    a = as_tensor(a)
-    out = float(np.sqrt((a.values ** 2).sum()))
-    def vjp(g):
-        if out == 0.0:
-            return (np.zeros_like(a.values),)
-        return (g * a.values / out,)
-    return _record("norm", (a,), np.float64(out), vjp)
 
 
 @dataclass

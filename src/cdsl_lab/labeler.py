@@ -12,7 +12,6 @@ or class index so repeated runs agree exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +44,6 @@ class TopSet:
 
 
 @dataclass
-class Centroids:
-    vectors: np.ndarray  # [classes, feature_dim]
-
-
-@dataclass
 class PseudoLabelSet:
     labels: np.ndarray
     method: str
@@ -77,15 +71,18 @@ def top_confidence_sets(probs: np.ndarray, r_top: float) -> TopSet:
 
 
 def weighted_centroids(feats: np.ndarray, weights: np.ndarray,
-                       indices: np.ndarray | None = None) -> Centroids:
-    """Per-class weighted feature means; each pooled sample counts once."""
+                       indices: np.ndarray | None = None) -> np.ndarray:
+    """Per-class weighted feature means, [classes, feature_dim].
+
+    Each pooled sample counts once.
+    """
     if indices is not None:
         feats = feats[indices]
         weights = weights[indices]
     denom = weights.sum(axis=0)
     if np.any(denom <= 0.0):
         raise ValueError("labeler: a class has zero total weight in the centroid pool")
-    return Centroids(vectors=(weights.T @ feats) / denom[:, None])
+    return (weights.T @ feats) / denom[:, None]
 
 
 def cosine_to_centroids(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -151,7 +148,7 @@ def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     n, classes = probs.shape
     pool = top_confidence_sets(probs, cfg.r_top)
     cents = weighted_centroids(feats, probs, pool.union)
-    member_idx, member_labels = top_similarity_sets(feats, cents.vectors, cfg.r_top)
+    member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
     kappa = int(n // (cfg.r_top_prime * classes))
     labels = knn_assign(feats, member_idx, member_labels, kappa, classes)
     return PseudoLabelSet(labels=labels, method="t2pl", stage=stage)
@@ -167,7 +164,7 @@ def shot_style_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
     probs = nets.predict_probs(net, x)
     feats = nets.feature_values(net, x)
     classes = probs.shape[1]
-    cents = weighted_centroids(feats, probs).vectors
+    cents = weighted_centroids(feats, probs)
     labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
     onehot = np.eye(classes)[labels]
     counts = onehot.sum(axis=0)
@@ -184,11 +181,3 @@ def assign_labels(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoL
     if cfg.method == "softmax":
         return softmax_labels(net, x, stage)
     return shot_style_labels(net, x, stage)
-
-
-def export_labels_csv(label_set: PseudoLabelSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "label", "method", "stage"])
-        for i, label in enumerate(label_set.labels):
-            writer.writerow([i, int(label), label_set.method, label_set.stage])

@@ -8,7 +8,6 @@ class-balanced round-robin so no class dominates the bucket.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,29 +127,3 @@ def replay_batch(mem: ExemplarMemory, n: int,
     return (np.stack([e.input for e in picked]),
             np.array([e.label for e in picked], dtype=int),
             np.array([e.domain_id for e in picked], dtype=int))
-
-
-def dump_csv(mem: ExemplarMemory, path) -> None:
-    """Text dump with 17 significant digits so floats round-trip exactly."""
-    pool = mem.all_exemplars()
-    width = pool[0].input.shape[0] if pool else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain_id", "label", "distance"]
-                        + [f"x{i}" for i in range(width)])
-        for e in pool:
-            writer.writerow([e.domain_id, e.label, f"{e.distance:.17g}"]
-                            + [f"{v:.17g}" for v in e.input])
-
-
-def load_csv(path, capacity: int = 200) -> ExemplarMemory:
-    mem = ExemplarMemory(capacity)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            dom, label = int(row[0]), int(row[1])
-            e = Exemplar(input=np.array([float(v) for v in row[3:]]),
-                         label=label, domain_id=dom, distance=float(row[2]))
-            mem.buckets.setdefault(dom, []).append(e)
-    return mem

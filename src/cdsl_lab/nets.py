@@ -1,14 +1,12 @@
 """Model pieces: dense feature extractor, bottleneck, prototype classifier.
 
 The classifier is a bias-free linear layer whose weight rows act as class
-prototypes; training moves prototypes and features jointly. A ModelPair
-keeps the trainable model next to a frozen snapshot of its predecessor.
+prototypes; training moves prototypes and features jointly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +18,7 @@ from .diffcore import Tensor
 @dataclass
 class DenseLayer:
     weight: Tensor  # [out, in]
-    bias: Tensor | None  # [out]
+    bias: Tensor | None = None  # [out]
 
     def __call__(self, x: Tensor) -> Tensor:
         out = dc.matmul(x, dc.transpose(self.weight))
@@ -56,28 +54,10 @@ class Bottleneck:
 
 
 @dataclass
-class PrototypeClassifier:
-    weight: Tensor  # [classes, feature_dim], no bias
-
-    def __call__(self, feats: Tensor) -> Tensor:
-        return dc.matmul(feats, dc.transpose(self.weight))
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
-
-
-@dataclass
 class Network:
     extractor: FeatureExtractor
     bottleneck: Bottleneck | None
-    classifier: PrototypeClassifier
-
-
-@dataclass
-class ModelPair:
-    current: Network
-    previous: Network | None = None
+    classifier: DenseLayer  # bias-free; weight rows are the class prototypes
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -105,7 +85,7 @@ def build_network(input_dim: int, classes: int, rng: np.random.Generator,
             DenseLayer(Tensor(glorot_uniform(rng, out, mid), requires_grad=True),
                        Tensor(np.zeros(out), requires_grad=True)))
         d = out
-    clf = PrototypeClassifier(Tensor(glorot_uniform(rng, classes, d), requires_grad=True))
+    clf = DenseLayer(Tensor(glorot_uniform(rng, classes, d), requires_grad=True))
     return Network(FeatureExtractor(layers), neck, clf)
 
 
@@ -134,17 +114,15 @@ def predict_labels(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def named_parameters(net: Network) -> list[tuple[str, Tensor]]:
-    out = []
-    for i, layer in enumerate(net.extractor.layers):
-        out.append((f"ext.{i}.weight", layer.weight))
-        if layer.bias is not None:
-            out.append((f"ext.{i}.bias", layer.bias))
+    layers = [(f"ext.{i}", layer) for i, layer in enumerate(net.extractor.layers)]
     if net.bottleneck is not None:
-        for tag, layer in (("pre", net.bottleneck.pre), ("post", net.bottleneck.post)):
-            out.append((f"neck.{tag}.weight", layer.weight))
-            if layer.bias is not None:
-                out.append((f"neck.{tag}.bias", layer.bias))
-    out.append(("proto.weight", net.classifier.weight))
+        layers += [("neck.pre", net.bottleneck.pre), ("neck.post", net.bottleneck.post)]
+    layers.append(("proto", net.classifier))
+    out = []
+    for prefix, layer in layers:
+        out.append((f"{prefix}.weight", layer.weight))
+        if layer.bias is not None:
+            out.append((f"{prefix}.bias", layer.bias))
     return out
 
 
@@ -174,44 +152,4 @@ def snapshot(net: Network) -> Network:
     return Network(
         FeatureExtractor([copy_layer(l) for l in net.extractor.layers]),
         neck,
-        PrototypeClassifier(Tensor(net.classifier.weight.values.copy())))
-
-
-def _structure_meta(net: Network) -> dict:
-    return {
-        "extractor": [{"out": l.weight.shape[0], "in": l.weight.shape[1],
-                       "bias": l.bias is not None} for l in net.extractor.layers],
-        "bottleneck": None if net.bottleneck is None else {
-            "pre": {"out": net.bottleneck.pre.weight.shape[0],
-                    "in": net.bottleneck.pre.weight.shape[1],
-                    "bias": net.bottleneck.pre.bias is not None},
-            "post": {"out": net.bottleneck.post.weight.shape[0],
-                     "in": net.bottleneck.post.weight.shape[1],
-                     "bias": net.bottleneck.post.bias is not None}},
-        "classes": net.classifier.n_classes,
-    }
-
-
-def save_checkpoint(net: Network, path) -> None:
-    """Write all parameters to an .npz archive; float64 bytes round-trip exactly."""
-    arrays = {name: t.values for name, t in named_parameters(net)}
-    arrays["__meta__"] = np.array(json.dumps(_structure_meta(net), sort_keys=True))
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> Network:
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["__meta__"]))
-        arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
-
-    def layer_from(prefix: str, spec: dict) -> DenseLayer:
-        bias = Tensor(arrays[f"{prefix}.bias"], requires_grad=True) if spec["bias"] else None
-        return DenseLayer(Tensor(arrays[f"{prefix}.weight"], requires_grad=True), bias)
-
-    layers = [layer_from(f"ext.{i}", spec) for i, spec in enumerate(meta["extractor"])]
-    neck = None
-    if meta["bottleneck"] is not None:
-        neck = Bottleneck(layer_from("neck.pre", meta["bottleneck"]["pre"]),
-                          layer_from("neck.post", meta["bottleneck"]["post"]))
-    clf = PrototypeClassifier(Tensor(arrays["proto.weight"], requires_grad=True))
-    return Network(FeatureExtractor(layers), neck, clf)
+        copy_layer(net.classifier))

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,10 +35,6 @@ ABLATION_VARIANTS = ("no_randmix", "labeler=softmax", "labeler=shot_style", "no_
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def seedseq_for(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
 @dataclass
@@ -102,58 +100,54 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["order"] = None if self.order is None else list(self.order)
-        out["hidden"] = list(self.hidden)
-        out["bottleneck"] = list(self.bottleneck)
+        for name, kind in FIELD_KINDS.items():
+            if kind is tuple and out[name] is not None:
+                out[name] = list(out[name])
         return out
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        unknown = set(mapping) - set(FIELD_KINDS)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
         coerced = {}
-        for f in fields(cls):
-            if f.name not in mapping:
+        for name, kind in FIELD_KINDS.items():
+            if name not in mapping:
                 continue
-            value = mapping[f.name]
-            coerced[f.name] = _coerce_field(f.name, value)
+            accepts, convert, noun = _COERCE[kind]
+            value = mapping[name]
+            if not accepts(value):
+                raise ValueError(f"config: {name} must be {noun}, got {value!r}")
+            coerced[name] = convert(value)
         return cls(**coerced)
 
 
-_INT_FIELDS = {"seed", "epochs", "steps_per_epoch", "batch_size", "replay_n",
-               "n_aug", "memory_capacity"}
-_FLOAT_FIELDS = {"learning_rate", "momentum", "weight_decay", "r_con", "r_top",
-                 "r_top_prime", "source_fraction"}
-_BOOL_FIELDS = {"disable_randmix", "disable_pca", "stationary", "include_pretrain_row"}
-_TUPLE_FIELDS = {"order", "hidden", "bottleneck"}
+def _kind(hint) -> type:
+    if get_origin(hint) in (Union, UnionType):  # X | None
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    return get_origin(hint) or hint
 
 
-def _coerce_field(name: str, value):
-    if name in _TUPLE_FIELDS:
-        if value is None:
-            return None
-        if isinstance(value, (list, tuple)):
-            return tuple(int(v) for v in value)
-        raise ValueError(f"config: {name} must be a list of integers, got {value!r}")
-    if name in _BOOL_FIELDS:
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"config: {name} must be a boolean, got {value!r}")
-    if name in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config: {name} must be an integer, got {value!r}")
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"config: {name} must be an integer, got {value!r}")
-        return int(value)
-    if name in _FLOAT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config: {name} must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, str):
-        raise ValueError(f"config: {name} must be a string, got {value!r}")
-    return value
+# RunConfig field name -> int, float, bool, str or tuple, read from its annotation
+FIELD_KINDS: dict[str, type] = {name: _kind(hint)
+                                for name, hint in get_type_hints(RunConfig).items()}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# kind -> (accepts a decoded value, converts it, what an error calls the kind)
+_COERCE = {
+    int: (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int,
+          "an integer"),
+    float: (_is_number, float, "a number"),
+    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
+    str: (lambda v: isinstance(v, str), str, "a string"),
+    tuple: (lambda v: v is None or isinstance(v, (list, tuple)),
+            lambda v: None if v is None else tuple(int(x) for x in v),
+            "a list of integers"),
+}
 
 
 @dataclass
@@ -257,11 +251,11 @@ def run_cdsl(cfg: RunConfig,
     no replay memory, no distillation, contrastive term in source form.
     """
     seq = resolve_sequence(cfg) if sequence is None else sequence
-    datasets = [synthdata.generate(spec, seedseq_for(cfg.seed, STREAM_DATA, 10 + i))
+    datasets = [synthdata.generate(spec, rng_for(cfg.seed, STREAM_DATA, 10 + i))
                 for i, spec in enumerate(seq.specs)]
     src_x, src_y = datasets[0]
     tr_x, tr_y, te_x, te_y = synthdata.split_source(
-        src_x, src_y, cfg.source_fraction, seedseq_for(cfg.seed, STREAM_DATA, 1))
+        src_x, src_y, cfg.source_fraction, rng_for(cfg.seed, STREAM_DATA, 1))
 
     batch_rng = rng_for(cfg.seed, STREAM_DATA, 2)
     init_rng = rng_for(cfg.seed, STREAM_INIT)
@@ -275,7 +269,7 @@ def run_cdsl(cfg: RunConfig,
 
     model = nets.build_network(seq.input_dim, seq.classes, init_rng,
                                hidden=cfg.hidden, bottleneck=cfg.bottleneck)
-    pair = nets.ModelPair(current=model)
+    previous: nets.Network | None = None  # frozen snapshot after the last stage
     memory_enabled = not cfg.stationary
     mem = memory_mod.ExemplarMemory(cfg.memory_capacity) if memory_enabled else None
     sgd_state: dc.SgdState | None = None
@@ -290,19 +284,22 @@ def run_cdsl(cfg: RunConfig,
     def train_step(stage: int, epoch: int, step: int, batch_x, batch_y, stage_kind):
         nonlocal sgd_state
         with dc.Tape() as tape:
-            ctx = objective.build_context(model, pair.previous, batch_x, batch_y,
+            ctx = objective.build_context(model, previous, batch_x, batch_y,
                                           distill_on=cfg.distill_on)
             total, parts = objective.total_loss(
                 ctx, stage_kind,
                 disable_pca=cfg.disable_pca,
                 force_source_pca=cfg.stationary,
                 disable_distill=cfg.stationary)
+        losses = {"ce": parts.ce, "pca": parts.pca, "dis": parts.dis, "total": parts.total}
+        if not np.isfinite(list(losses.values())).all():
+            values = " ".join(f"{k}={v!r}" for k, v in losses.items())
+            raise FloatingPointError(
+                f"non-finite loss at stage {stage} epoch {epoch} step {step}: {values}")
         dc.zero_grads(params)
         dc.backward(tape, total, params=params)
         sgd_state = dc.sgd_step(params, sgd_cfg, sgd_state)
-        logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step,
-                                  "ce": parts.ce, "pca": parts.pca,
-                                  "dis": parts.dis, "total": parts.total})
+        logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 
     def draw_batch(rng, x, y, size):
         idx = rng.choice(x.shape[0], size=size, replace=size > x.shape[0])
@@ -363,12 +360,12 @@ def run_cdsl(cfg: RunConfig,
             record = memory_mod.admit_domain(mem, model, admit_x, admit_y, stage)
             record["stage"] = stage
             logs["admissions"].append(record)
-        pair.previous = nets.snapshot(model)
+        previous = nets.snapshot(model)
         row = [_accuracy(model, ex, ey) for ex, ey in eval_sets]
         matrix_rows.append(row)
         logs["stage_log"].append({
             "stage": stage, "domain": stage,
-            "snapshot_hash": nets.param_hash(pair.previous),
+            "snapshot_hash": nets.param_hash(previous),
             "memory_total": mem.total() if memory_enabled else 0,
             "bucket_sizes": {d: len(mem.buckets[d]) for d in mem.domains()}
             if memory_enabled else {}})

@@ -15,7 +15,6 @@ many classes the circle can carry.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,11 +197,3 @@ def standard_sequences() -> dict[str, DomainSequence]:
         "moons4": DomainSequence("moons4", [moons(r) for r in (0, 25, 50, 75)]),
         "bitmap5": DomainSequence("bitmap5", [bitmap(r) for r in (0, 15, 30, 45, 60)]),
     }
-
-
-def export_csv(x: np.ndarray, y: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"x{i}" for i in range(x.shape[1])])
-        for label, row in zip(y, x):
-            writer.writerow([int(label)] + [f"{v:.17g}" for v in row])

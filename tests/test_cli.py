@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -43,6 +44,40 @@ def test_parse_config_reports_line_numbers(tmp_path):
     path = write_cfg(tmp_path, "epochs = much\n")
     with pytest.raises(cli.UsageError, match="line 1.*epochs"):
         cli.parse_config_file(path)
+
+
+def render(value) -> str:
+    """A RunConfig value in its config-file text form."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+BAD_VALUE = {int: 2.5, float: "fast", bool: "yes", tuple: "64,64", str: 3}
+BAD_TEXT = {int: "2.5", float: "fast", bool: "yes", tuple: "1,x"}  # any text is a str
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_every_field_parses_its_default_from_text(field):
+    default = getattr(RunConfig(), field.name)
+    parsed = cli.parse_value(field.name, render(default))
+    assert parsed == default and type(parsed) is type(default)
+    cfg = RunConfig.from_dict({field.name: parsed})
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_every_field_rejects_a_bad_value_by_name(field):
+    kind = protocol.FIELD_KINDS[field.name]
+    with pytest.raises(ValueError, match=f"config: {field.name} must be"):
+        RunConfig.from_dict({field.name: BAD_VALUE[kind]})
+    if kind in BAD_TEXT:
+        with pytest.raises(cli.UsageError, match=f"field {field.name}:"):
+            cli.parse_value(field.name, BAD_TEXT[kind])
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -106,6 +141,16 @@ def test_run_reruns_byte_identical_except_meta(tmp_path):
     for name in ("matrix.csv", "metrics.json", "train_log.csv",
                  "config.resolved.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_run_fails_loudly_on_non_finite_loss(tmp_path, capsys):
+    # at this learning rate the rot5 PCA term overflows early in stage 0
+    out = tmp_path / "blowup"
+    assert cli.main(["run", "--set", "learning_rate=0.1", "--set", "epochs=3",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite loss at stage 0 epoch 2 step 2" in err
+    assert not (out / "matrix.csv").exists()
 
 
 def test_run_zero_epochs_rows_identical(tmp_path):
@@ -195,6 +240,18 @@ def test_ablate_rejects_unknown_variant(tmp_path):
 
 # ------------------------------------------------------------ report
 
+def metrics_from_csv(text: str) -> MetricsReport:
+    """Oracle for `report --format csv`: parse the table back into a report."""
+    lines = [line for line in text.strip().splitlines() if line]
+    body = {}
+    for line in lines[1:]:
+        name, *cells = line.split(",")
+        body[name] = [None if c == "" else float(c) for c in cells]
+    return MetricsReport(tdg=body["tdg"][:-1], tda=body["tda"][:-1],
+                         fa=body["fa"][:-1], tdg_avg=body["tdg"][-1],
+                         tda_avg=body["tda"][-1], fa_avg=body["fa"][-1])
+
+
 @pytest.fixture(scope="module")
 def results_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("res")
@@ -224,7 +281,7 @@ def test_report_csv_roundtrips(results_dir, capsys):
     text = capsys.readouterr().out
     stored = MetricsReport.from_dict(
         json.loads((results_dir / "metrics.json").read_text()))
-    assert cli.metrics_from_csv(text) == stored
+    assert metrics_from_csv(text) == stored
 
 
 def test_report_missing_dir_exits_two(tmp_path):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -53,8 +51,8 @@ def test_equal_weights_reduce_centroid_to_arithmetic_mean():
     idx = np.array([1, 4, 7])
     cents = labeler.weighted_centroids(feats, weights, idx)
     expected = feats[idx].mean(axis=0)
-    assert np.allclose(cents.vectors[0], expected, atol=1e-12)
-    assert np.allclose(cents.vectors[1], expected, atol=1e-12)
+    assert np.allclose(cents[0], expected, atol=1e-12)
+    assert np.allclose(cents[1], expected, atol=1e-12)
 
 
 def test_weighted_centroids_match_brute_force():
@@ -66,7 +64,7 @@ def test_weighted_centroids_match_brute_force():
     for k in range(3):
         num = sum(weights[i, k] * feats[i] for i in range(12))
         den = sum(weights[i, k] for i in range(12))
-        assert np.allclose(cents.vectors[k], num / den, atol=1e-12)
+        assert np.allclose(cents[k], num / den, atol=1e-12)
 
 
 def test_union_counts_each_sample_once():
@@ -190,14 +188,3 @@ def test_assign_labels_dispatches_by_method():
         cfg = labeler.LabelerConfig(r_top=2.0, r_top_prime=2.5, method=method)
         out = labeler.assign_labels(net, x, cfg, stage=3)
         assert out.method == method
-
-
-def test_export_labels_csv(tmp_path):
-    pls = labeler.PseudoLabelSet(labels=np.array([2, 0, 1]), method="t2pl", stage=4)
-    path = tmp_path / "labels.csv"
-    labeler.export_labels_csv(pls, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample_index", "label", "method", "stage"]
-    assert rows[1:] == [["0", "2", "t2pl", "4"], ["1", "0", "t2pl", "4"],
-                        ["2", "1", "t2pl", "4"]]

@@ -14,7 +14,7 @@ def test_identity_layer_without_bottleneck_passes_input_through():
     layer = nets.DenseLayer(dc.Tensor(np.eye(3), requires_grad=True),
                             dc.Tensor(np.zeros(3), requires_grad=True))
     net = nets.Network(nets.FeatureExtractor([layer]), None,
-                       nets.PrototypeClassifier(dc.Tensor(np.eye(3), requires_grad=True)))
+                       nets.DenseLayer(dc.Tensor(np.eye(3), requires_grad=True), None))
     x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
     assert np.array_equal(nets.feature_values(net, x), x)
 
@@ -22,7 +22,7 @@ def test_identity_layer_without_bottleneck_passes_input_through():
 def test_orthonormal_prototypes_give_unit_logits():
     layer = nets.DenseLayer(dc.Tensor(np.eye(4), requires_grad=True), None)
     net = nets.Network(nets.FeatureExtractor([layer]), None,
-                       nets.PrototypeClassifier(dc.Tensor(np.eye(4), requires_grad=True)))
+                       nets.DenseLayer(dc.Tensor(np.eye(4), requires_grad=True), None))
     x = np.eye(4)[2:3]
     out = nets.logits(net, x).values
     assert np.array_equal(out, np.array([[0.0, 0.0, 1.0, 0.0]]))
@@ -79,35 +79,3 @@ def test_gradients_flow_to_every_parameter():
     assert all(p.grad is not None for p in params)
     assert any(np.abs(p.grad).sum() > 0 for p in params)
     dc.zero_grads(params)
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    net = tiny_net(seed=12)
-    path = tmp_path / "model.npz"
-    nets.save_checkpoint(net, path)
-    loaded = nets.load_checkpoint(path)
-    assert nets.param_hash(loaded) == nets.param_hash(net)
-    for (na, ta), (nb, tb) in zip(nets.named_parameters(net), nets.named_parameters(loaded)):
-        assert na == nb
-        assert ta.values.tobytes() == tb.values.tobytes()
-    assert all(t.requires_grad for t in nets.parameters(loaded))
-
-
-def test_checkpoint_round_trip_without_bottleneck(tmp_path):
-    rng = np.random.default_rng(5)
-    net = nets.build_network(4, 3, rng, hidden=(5,), bottleneck=None)
-    path = tmp_path / "flat.npz"
-    nets.save_checkpoint(net, path)
-    loaded = nets.load_checkpoint(path)
-    assert loaded.bottleneck is None
-    assert nets.param_hash(loaded) == nets.param_hash(net)
-
-
-def test_model_pair_tracks_frozen_previous():
-    net = tiny_net()
-    pair = nets.ModelPair(current=net)
-    assert pair.previous is None
-    pair.previous = nets.snapshot(pair.current)
-    before = nets.param_hash(pair.previous)
-    pair.current.classifier.weight.values += 0.5
-    assert nets.param_hash(pair.previous) == before

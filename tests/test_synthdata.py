@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -120,17 +118,3 @@ def test_sequence_validation():
     g3 = DomainSpec("gauss_mix", classes=3, samples=20)
     with pytest.raises(ValueError, match="varies"):
         synthdata.DomainSequence("bad", [g, g3])
-
-
-def test_export_csv_round_trips(tmp_path):
-    spec = DomainSpec("gauss_mix", classes=2, samples=12, sigma=0.3)
-    x, y = synthdata.generate(spec, seed=13)
-    path = tmp_path / "domain.csv"
-    synthdata.export_csv(x, y, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["label", "x0", "x1"]
-    back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    labels = np.array([int(row[0]) for row in rows[1:]])
-    assert np.array_equal(back, x)
-    assert np.array_equal(labels, y)
