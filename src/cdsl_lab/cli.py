@@ -100,7 +100,8 @@ def build_config(args) -> RunConfig:
         data["seed"] = args.seed
     try:
         cfg = RunConfig.from_dict(data)
-        protocol.resolve_sequence(cfg)  # unknown preset or bad order is a usage error
+        # unknown preset, bad order or too small a memory is a usage error
+        protocol.check_capacity(cfg, protocol.resolve_sequence(cfg))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg

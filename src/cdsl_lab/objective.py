@@ -4,13 +4,14 @@ alignment across adjacent models, and soft-output distillation.
 All losses are built from diffcore primitives so one backward pass covers
 the whole objective. The alignment term treats current and previous
 prototype rows of the assigned class as positives and same-batch features
-of other classes as negatives; on the source stage (no previous model) it
-collapses to the current-prototypes-only form.
+of other classes as negatives; with no previous model in the batch context
+it collapses to the current-prototypes-only form and nothing is distilled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -57,15 +58,16 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
     """Forward the batch and collect everything the losses need.
 
     Call under an active tape when training; the frozen model's outputs are
-    plain arrays and never record.
+    plain arrays, never recorded, and only the one the distillation mode reads.
     """
     feats = nets.features(net, x)
     prev_protos = prev_probs = prev_feats = None
     if prev_net is not None:
         prev_protos = prev_net.classifier.weight.values
-        prev_probs = nets.predict_probs(prev_net, x)
         if distill_on == "representation":
             prev_feats = nets.feature_values(prev_net, x)
+        else:
+            prev_probs = nets.predict_probs(prev_net, x)
     return BatchContext(features=feats, labels=labels,
                         prototypes=net.classifier.weight,
                         prev_prototypes=prev_protos, prev_probs=prev_probs,
@@ -98,29 +100,30 @@ def _pair_term(ctx: BatchContext) -> Tensor:
     return dc.reduce_sum(masked, axis=1)
 
 
+def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
+    """Prototype alignment, with the previous prototypes' terms when given.
+    Node order: exps, numerators, denominators, pair term."""
+    onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
+    exps = [dc.exp(dc.matmul(ctx.features, dc.transpose(ctx.prototypes)))]
+    if prev_prototypes is not None:
+        exps.append(dc.exp(dc.matmul(ctx.features, Tensor(prev_prototypes.T))))
+    numerator = reduce(dc.add, [dc.reduce_sum(dc.mul(e, onehot), axis=1) for e in exps])
+    denominator = dc.add(reduce(dc.add, [dc.reduce_sum(e, axis=1) for e in exps]),
+                         _pair_term(ctx))
+    return dc.reduce_mean(dc.sub(dc.log(denominator), dc.log(numerator)))
+
+
 def pca_loss(ctx: BatchContext) -> Tensor:
     """Alignment to current and previous prototypes of the assigned class."""
     if ctx.prev_prototypes is None:
         raise ValueError("objective: pca_loss needs previous prototypes; "
                          "use source_pca_loss on the source stage")
-    onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
-    e_cur = dc.exp(dc.matmul(ctx.features, dc.transpose(ctx.prototypes)))
-    e_prev = dc.exp(dc.matmul(ctx.features, Tensor(ctx.prev_prototypes.T)))
-    numerator = dc.add(dc.reduce_sum(dc.mul(e_cur, onehot), axis=1),
-                       dc.reduce_sum(dc.mul(e_prev, onehot), axis=1))
-    denominator = dc.add(dc.add(dc.reduce_sum(e_cur, axis=1),
-                                dc.reduce_sum(e_prev, axis=1)),
-                         _pair_term(ctx))
-    return dc.reduce_mean(dc.sub(dc.log(denominator), dc.log(numerator)))
+    return _alignment(ctx, ctx.prev_prototypes)
 
 
 def source_pca_loss(ctx: BatchContext) -> Tensor:
     """Alignment with only the current prototypes (no previous model yet)."""
-    onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
-    e_cur = dc.exp(dc.matmul(ctx.features, dc.transpose(ctx.prototypes)))
-    numerator = dc.reduce_sum(dc.mul(e_cur, onehot), axis=1)
-    denominator = dc.add(dc.reduce_sum(e_cur, axis=1), _pair_term(ctx))
-    return dc.reduce_mean(dc.sub(dc.log(denominator), dc.log(numerator)))
+    return _alignment(ctx, None)
 
 
 def distill_loss(ctx: BatchContext) -> Tensor:
@@ -147,26 +150,21 @@ def _np_softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def total_loss(ctx: BatchContext, stage_kind: str, *,
-               disable_pca: bool = False,
-               force_source_pca: bool = False,
-               disable_distill: bool = False) -> tuple[Tensor, LossBreakdown]:
-    """Stage loss and its logged decomposition (total = ce + pca + dis)."""
-    if stage_kind not in ("source", "target"):
-        raise ValueError(f"objective: unknown stage kind {stage_kind!r}")
+def total_loss(ctx: BatchContext, *, disable_pca: bool = False) -> tuple[Tensor, LossBreakdown]:
+    """Stage loss and its logged decomposition (total = ce + pca + dis).
+    A previous model in the context adds its PCA terms and distillation."""
+    has_previous = ctx.prev_prototypes is not None
     ce = ce_loss(ctx)
     total = ce
 
     pca_val = 0.0
     if not disable_pca:
-        use_source_form = (stage_kind == "source" or force_source_pca
-                           or ctx.prev_prototypes is None)
-        pca = source_pca_loss(ctx) if use_source_form else pca_loss(ctx)
+        pca = pca_loss(ctx) if has_previous else source_pca_loss(ctx)
         total = dc.add(total, pca)
         pca_val = pca.item()
 
     dis_val = 0.0
-    if stage_kind == "target" and not disable_distill:
+    if has_previous:
         dis = distill_loss(ctx)
         total = dc.add(total, dis)
         dis_val = dis.item()

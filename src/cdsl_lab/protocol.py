@@ -1,15 +1,17 @@
 """Experiment protocol: staged training over a domain sequence.
 
-Stage 0 trains on the labeled source (with full-batch augmentation and the
-source-form objective), every later stage adapts to one unlabeled target
-using pseudo labels, replayed exemplars, gated augmentation, and the full
-objective against the frozen previous-stage model. After each stage the
-model is evaluated on every domain, filling one row of the accuracy matrix
-that the transfer metrics are computed from.
+Every stage runs the same loop: batches of the stage's training rows,
+replayed exemplars once the memory holds any, RandMix augmentation, and
+the objective against the frozen previous-stage model when there is one.
+Stage 0 trains on the labeled source with its true labels and augments
+every row; every later stage adapts to one unlabeled target with pseudo
+labels assigned once per epoch and augments only confident rows. After each
+stage the model is evaluated on every domain, filling one row of the
+accuracy matrix that the transfer metrics are computed from.
 
 Determinism: one root seed fans out to named streams (data, init, randmix,
-replay, labeler), so a run is a pure function of its config and disabling
-one ingredient never shifts the draws of another.
+replay), so a run is a pure function of its config and disabling one
+ingredient never shifts the draws of another.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import labeler as labeler_mod
 from . import memory as memory_mod
 from . import nets, objective, randmix, synthdata
 
-STREAM_DATA, STREAM_INIT, STREAM_RANDMIX, STREAM_REPLAY, STREAM_LABELER = range(5)
+STREAM_DATA, STREAM_INIT, STREAM_RANDMIX, STREAM_REPLAY = range(4)
 
 ABLATION_VARIANTS = ("no_randmix", "labeler=softmax", "labeler=shot_style", "no_pca")
 
@@ -50,7 +52,7 @@ class RunConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     hidden: tuple[int, ...] = (64, 64)
-    bottleneck: tuple[int, int] = (32, 16)
+    bottleneck: tuple[int, int] | None = (32, 16)
     n_aug: int = 4
     r_con: float = 0.8
     r_top: float = 2.0
@@ -62,7 +64,6 @@ class RunConfig:
     disable_randmix: bool = False
     disable_pca: bool = False
     stationary: bool = False
-    include_pretrain_row: bool = False
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -77,6 +78,13 @@ class RunConfig:
         if not 0.0 < self.source_fraction < 1.0:
             raise ValueError(
                 f"config: source_fraction must be in (0, 1), got {self.source_fraction}")
+        for name in ("hidden", "bottleneck"):
+            widths = getattr(self, name) or ()
+            if any(w < 1 for w in widths):
+                raise ValueError(f"config: {name} widths must be positive, got {widths}")
+        if self.memory_capacity < 1:
+            raise ValueError(
+                f"config: memory_capacity must be positive, got {self.memory_capacity}")
         if self.distill_on not in objective.DISTILL_MODES:
             raise ValueError(
                 f"config: distill_on must be one of {objective.DISTILL_MODES}, "
@@ -99,11 +107,7 @@ class RunConfig:
                                          method=self.labeler_method)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for name, kind in FIELD_KINDS.items():
-            if kind is tuple and out[name] is not None:
-                out[name] = list(out[name])
-        return out
+        return asdict(self)  # tuples serialize as JSON lists
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "RunConfig":
@@ -111,10 +115,10 @@ class RunConfig:
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
         coerced = {}
-        for name, kind in FIELD_KINDS.items():
+        for name, hint in get_type_hints(cls).items():
             if name not in mapping:
                 continue
-            accepts, convert, noun = _COERCE[kind]
+            accepts, convert, noun = _coercion(hint)
             value = mapping[name]
             if not accepts(value):
                 raise ValueError(f"config: {name} must be {noun}, got {value!r}")
@@ -144,10 +148,27 @@ _COERCE = {
     float: (_is_number, float, "a number"),
     bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
     str: (lambda v: isinstance(v, str), str, "a string"),
-    tuple: (lambda v: v is None or isinstance(v, (list, tuple)),
-            lambda v: None if v is None else tuple(int(x) for x in v),
-            "a list of integers"),
 }
+
+
+def _coercion(hint):
+    """The _COERCE rule of one annotation. A tuple field takes integer items,
+    the length `tuple[int, int]` fixes, and None only for `X | None`."""
+    if _kind(hint) is not tuple:
+        return _COERCE[_kind(hint)]
+    optional = type(None) in get_args(hint)
+    items = get_args(get_args(hint)[0] if optional else hint)
+    length = None if items[-1] is Ellipsis else len(items)
+
+    def accepts(v) -> bool:
+        if v is None:
+            return optional
+        return (isinstance(v, (list, tuple)) and length in (None, len(v))
+                and all(_COERCE[int][0](x) for x in v))
+
+    noun = "a list of integers" if length is None else f"a list of {length} integers"
+    return (accepts, lambda v: None if v is None else tuple(int(x) for x in v),
+            noun + (" or none" if optional else ""))
 
 
 @dataclass
@@ -162,14 +183,6 @@ class AccuracyMatrix:
             raise ValueError(f"matrix: expected 2-d values, got shape {self.values.shape}")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("matrix: accuracies must lie in [0, 1]")
-
-    @property
-    def stages(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def domains(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -236,21 +249,30 @@ def resolve_sequence(cfg: RunConfig) -> synthdata.DomainSequence:
         raise ValueError(f"config: order {cfg.order} is not a permutation of "
                          f"0..{len(seq.specs) - 1}")
     return synthdata.DomainSequence(f"{seq.name}@{','.join(map(str, cfg.order))}",
-                                    [seq.specs[i] for i in cfg.order], seq.seed)
+                                    [seq.specs[i] for i in cfg.order])
 
 
 def _accuracy(net: nets.Network, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(nets.predict_labels(net, x) == y))
 
 
+def check_capacity(cfg: RunConfig, seq: synthdata.DomainSequence) -> None:
+    """The replay memory must keep at least one exemplar of every domain."""
+    if not cfg.stationary and cfg.memory_capacity < len(seq.specs):
+        raise ValueError(f"config: memory_capacity {cfg.memory_capacity} cannot hold "
+                         f"one exemplar of each of {len(seq.specs)} domains")
+
+
 def run_cdsl(cfg: RunConfig,
              sequence: synthdata.DomainSequence | None = None) -> RunResult:
     """Train through the whole sequence and fill the accuracy matrix.
 
-    The stationary flag reduces the target stages to plain adaptation:
-    no replay memory, no distillation, contrastive term in source form.
+    One loop serves every stage (see the module docstring). The stationary
+    flag keeps no memory and hands the objective no previous model: plain
+    adaptation, no replay, no distillation, contrastive term in source form.
     """
     seq = resolve_sequence(cfg) if sequence is None else sequence
+    check_capacity(cfg, seq)
     datasets = [synthdata.generate(spec, rng_for(cfg.seed, STREAM_DATA, 10 + i))
                 for i, spec in enumerate(seq.specs)]
     src_x, src_y = datasets[0]
@@ -278,19 +300,13 @@ def run_cdsl(cfg: RunConfig,
     eval_sets = [(te_x, te_y) if i == 0 else datasets[i]
                  for i in range(len(seq.specs))]
     logs: dict = {"train_log": [], "label_log": [], "stage_log": [], "admissions": []}
-    if cfg.include_pretrain_row:
-        logs["pretrain_row"] = [_accuracy(model, ex, ey) for ex, ey in eval_sets]
 
-    def train_step(stage: int, epoch: int, step: int, batch_x, batch_y, stage_kind):
+    def train_step(stage: int, epoch: int, step: int, batch_x, batch_y):
         nonlocal sgd_state
         with dc.Tape() as tape:
-            ctx = objective.build_context(model, previous, batch_x, batch_y,
-                                          distill_on=cfg.distill_on)
-            total, parts = objective.total_loss(
-                ctx, stage_kind,
-                disable_pca=cfg.disable_pca,
-                force_source_pca=cfg.stationary,
-                disable_distill=cfg.stationary)
+            ctx = objective.build_context(model, None if cfg.stationary else previous,
+                                          batch_x, batch_y, distill_on=cfg.distill_on)
+            total, parts = objective.total_loss(ctx, disable_pca=cfg.disable_pca)
         losses = {"ce": parts.ce, "pca": parts.pca, "dis": parts.dis, "total": parts.total}
         if not np.isfinite(list(losses.values())).all():
             values = " ".join(f"{k}={v!r}" for k, v in losses.items())
@@ -301,68 +317,50 @@ def run_cdsl(cfg: RunConfig,
         sgd_state = dc.sgd_step(params, sgd_cfg, sgd_state)
         logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 
+    def pseudo_labels(stage: int, epoch: int, x, y) -> np.ndarray:
+        """One target epoch's labels, logged with the softmax baseline's once."""
+        pls = labeler_mod.assign_labels(model, x, lab_cfg, stage)
+        scored = [(pls.method, pls.labels)]
+        if epoch == 0:
+            scored.append(("softmax_baseline",
+                           labeler_mod.softmax_labels(model, x, stage).labels))
+        logs["label_log"].extend(
+            {"stage": stage, "epoch": epoch, "domain": stage, "method": method,
+             "accuracy": float(np.mean(assigned == y))}
+            for method, assigned in scored)
+        return pls.labels
+
     def draw_batch(rng, x, y, size):
         idx = rng.choice(x.shape[0], size=size, replace=size > x.shape[0])
         return x[idx], y[idx]
 
     matrix_rows = []
-    for stage, spec in enumerate(seq.specs):
-        dom_x, dom_y = datasets[stage]
-        if stage == 0:
-            for epoch in range(cfg.epochs):
-                for step in range(cfg.steps_per_epoch):
-                    bx, by = draw_batch(batch_rng, tr_x, tr_y, cfg.batch_size)
-                    px, py = bx, by
-                    if not cfg.disable_randmix:
-                        ax, ay = randmix.augment_batch(model, bx, by, rm_cfg,
-                                                       "source", randmix_rng)
-                        px = np.vstack([bx, ax])
-                        py = np.concatenate([by, ay])
-                    train_step(stage, epoch, step, px, py, "source")
-            admit_x, admit_y = tr_x, tr_y
-        else:
-            pls = None
-            for epoch in range(cfg.epochs):
-                pls = labeler_mod.assign_labels(model, dom_x, lab_cfg, stage)
-                logs["label_log"].append({
-                    "stage": stage, "epoch": epoch, "domain": stage,
-                    "method": pls.method,
-                    "accuracy": float(np.mean(pls.labels == dom_y))})
-                if epoch == 0:
-                    baseline = labeler_mod.softmax_labels(model, dom_x, stage)
-                    logs["label_log"].append({
-                        "stage": stage, "epoch": epoch, "domain": stage,
-                        "method": "softmax_baseline",
-                        "accuracy": float(np.mean(baseline.labels == dom_y))})
-                for step in range(cfg.steps_per_epoch):
-                    take_replay = (memory_enabled and cfg.replay_n > 0
-                                   and mem.total() > 0)
-                    cur_n = cfg.batch_size - (cfg.replay_n if take_replay else 0)
-                    bx, by = draw_batch(batch_rng, dom_x, pls.labels, cur_n)
-                    pieces_x, pieces_y = [bx], [by]
-                    if take_replay:
-                        rx, ry, _ = memory_mod.replay_batch(mem, cfg.replay_n, replay_rng)
-                        pieces_x.append(rx)
-                        pieces_y.append(ry)
-                    if not cfg.disable_randmix:
-                        ax, ay = randmix.augment_batch(model, bx, by, rm_cfg,
-                                                       "target", randmix_rng)
-                        if ax.shape[0]:
-                            pieces_x.append(ax)
-                            pieces_y.append(ay)
-                    train_step(stage, epoch, step,
-                               np.vstack(pieces_x), np.concatenate(pieces_y), "target")
-            if pls is None:  # zero-epoch run still needs labels for admission
-                pls = labeler_mod.assign_labels(model, dom_x, lab_cfg, stage)
-            admit_x, admit_y = dom_x, pls.labels
+    for stage in range(len(seq.specs)):
+        source = stage == 0
+        x, y = (tr_x, tr_y) if source else datasets[stage]
+        labels = y if source else None
+        augment_kind = "source" if source else "target"  # target rows are gated
+        replay_n = cfg.replay_n if memory_enabled and mem.total() > 0 else 0
+        for epoch in range(cfg.epochs):
+            if not source:
+                labels = pseudo_labels(stage, epoch, x, y)
+            for step in range(cfg.steps_per_epoch):
+                pieces = [draw_batch(batch_rng, x, labels, cfg.batch_size - replay_n)]
+                if replay_n:
+                    pieces.append(memory_mod.replay_batch(mem, replay_n, replay_rng)[:2])
+                if not cfg.disable_randmix:
+                    pieces.append(randmix.augment_batch(model, *pieces[0], rm_cfg,
+                                                        augment_kind, randmix_rng))
+                xs, ys = zip(*pieces)
+                train_step(stage, epoch, step, np.vstack(xs), np.concatenate(ys))
+        if labels is None:  # zero-epoch run still needs labels for admission
+            labels = labeler_mod.assign_labels(model, x, lab_cfg, stage).labels
 
         if memory_enabled:
-            record = memory_mod.admit_domain(mem, model, admit_x, admit_y, stage)
-            record["stage"] = stage
-            logs["admissions"].append(record)
+            logs["admissions"].append(
+                {**memory_mod.admit_domain(mem, model, x, labels, stage), "stage": stage})
         previous = nets.snapshot(model)
-        row = [_accuracy(model, ex, ey) for ex, ey in eval_sets]
-        matrix_rows.append(row)
+        matrix_rows.append([_accuracy(model, ex, ey) for ex, ey in eval_sets])
         logs["stage_log"].append({
             "stage": stage, "domain": stage,
             "snapshot_hash": nets.param_hash(previous),

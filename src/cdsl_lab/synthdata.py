@@ -86,7 +86,6 @@ class DomainSpec:
 class DomainSequence:
     name: str
     specs: list[DomainSpec] = field(default_factory=list)
-    seed: int = 2022
 
     def __post_init__(self):
         if not self.specs:

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from cdsl_lab import cli, protocol
+from cdsl_lab import cli, objective, protocol
 from cdsl_lab.cli import MetricsReport, RunConfig
 
 
@@ -115,6 +115,18 @@ def test_set_overrides_last_wins(tmp_path):
 def test_unknown_sequence_is_usage_error(tmp_path):
     assert cli.main(["run", "--out", str(tmp_path / "o"),
                      "--set", "sequence=missing"]) == 2
+
+
+@pytest.mark.parametrize("setting", ["hidden=none", "hidden=0", "bottleneck=1,2,3",
+                                     "memory_capacity=0", "memory_capacity=3"])
+def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeypatch):
+    def first_step(*_, **__):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(objective, "build_context", first_step)
+    assert cli.main(["run", "--out", str(tmp_path / "o"), "--set", setting]) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------ run command

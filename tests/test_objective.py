@@ -213,7 +213,7 @@ def test_total_loss_decomposition_on_target_stage():
     feats, labels, protos, prev = rand_instance(11)
     prev_probs = objective._np_softmax(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, prev_probs=prev_probs)
-    total, parts = objective.total_loss(ctx, "target")
+    total, parts = objective.total_loss(ctx)
     assert parts.ce >= 0.0 and parts.pca >= 0.0 and parts.dis >= 0.0
     assert parts.total == total.item()
     assert abs(parts.total - (parts.ce + parts.pca + parts.dis)) < 1e-12
@@ -223,7 +223,7 @@ def test_total_loss_decomposition_on_target_stage():
 def test_total_loss_on_source_stage_has_no_distillation():
     feats, labels, protos, _ = rand_instance(12)
     ctx = make_ctx(feats, labels, protos)
-    total, parts = objective.total_loss(ctx, "source")
+    total, parts = objective.total_loss(ctx)
     assert parts.dis == 0.0
     assert parts.pca == objective.source_pca_loss(ctx).item()
     assert abs(parts.total - (parts.ce + parts.pca)) < 1e-12
@@ -233,13 +233,10 @@ def test_total_loss_ablation_flags():
     feats, labels, protos, prev = rand_instance(13)
     prev_probs = objective._np_softmax(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, prev_probs=prev_probs)
-    _, no_pca = objective.total_loss(ctx, "target", disable_pca=True)
+    _, no_pca = objective.total_loss(ctx, disable_pca=True)
     assert no_pca.pca == 0.0
+    assert no_pca.dis > 0.0
     assert abs(no_pca.total - (no_pca.ce + no_pca.dis)) < 1e-12
-    _, stationary = objective.total_loss(ctx, "target", force_source_pca=True,
-                                         disable_distill=True)
-    assert stationary.dis == 0.0
-    assert stationary.pca == objective.source_pca_loss(ctx).item()
 
 
 def test_build_context_and_backward_through_real_network():
@@ -252,9 +249,13 @@ def test_build_context_and_backward_through_real_network():
     params = nets.parameters(net)
     with dc.Tape() as tape:
         ctx = objective.build_context(net, prev, x, labels)
-        total, parts = objective.total_loss(ctx, "target")
+        total, parts = objective.total_loss(ctx)
     dc.backward(tape, total, params=params)
     assert all(p.grad is not None for p in params)
     grads_norm = sum(float(np.abs(p.grad).sum()) for p in params)
     assert grads_norm > 0.0
     assert parts.total == pytest.approx(parts.ce + parts.pca + parts.dis, abs=1e-12)
+    # each distillation mode computes only the teacher output it reads
+    assert ctx.prev_features is None
+    repr_ctx = objective.build_context(net, prev, x, labels, distill_on="representation")
+    assert repr_ctx.prev_probs is None and repr_ctx.prev_features is not None

@@ -71,6 +71,15 @@ def test_config_validates_values():
         RunConfig(r_top=0.0)
     with pytest.raises(ValueError, match="learning_rate"):
         RunConfig(learning_rate=-0.1)
+    with pytest.raises(ValueError, match="hidden"):
+        RunConfig(hidden=(16, 0))
+    with pytest.raises(ValueError, match="bottleneck"):
+        RunConfig(bottleneck=(12, 0))
+    with pytest.raises(ValueError, match="memory_capacity"):
+        RunConfig(memory_capacity=0)
+    # every domain needs a memory slot; checked before any data or step
+    with pytest.raises(ValueError, match="memory_capacity"):
+        protocol.run_cdsl(tiny_config(memory_capacity=2), sequence=tiny_sequence(3))
 
 
 def test_config_dict_roundtrip():
@@ -84,6 +93,14 @@ def test_config_coercion_errors():
         RunConfig.from_dict({"epochs": 2.5})
     with pytest.raises(ValueError, match="stationary"):
         RunConfig.from_dict({"stationary": "yes"})
+    for value in ([1.7, 2], ["a"], None, [True]):
+        with pytest.raises(ValueError, match="hidden must be a list of integers"):
+            RunConfig.from_dict({"hidden": value})
+    for value in ([1, 2, 3], [8]):
+        with pytest.raises(ValueError, match="bottleneck must be a list of 2 integers"):
+            RunConfig.from_dict({"bottleneck": value})
+    assert RunConfig.from_dict({"bottleneck": None, "order": None}).bottleneck is None
+    assert RunConfig.from_dict({"hidden": [16.0, 8]}).hidden == (16, 8)
 
 
 def test_unknown_sequence_name_lists_presets():
@@ -132,12 +149,11 @@ def test_seed_changes_run():
 
 
 def test_zero_epochs_rows_equal_untrained_accuracy():
-    cfg = tiny_config(epochs=0, include_pretrain_row=True)
+    cfg = tiny_config(epochs=0)
     res = protocol.run_cdsl(cfg, sequence=tiny_sequence())
     assert len(res.logs["train_log"]) == 0
-    pre = np.array(res.logs["pretrain_row"])
     for row in res.matrix.values:
-        assert np.array_equal(row, pre)
+        assert np.array_equal(row, res.matrix.values[0])
 
 
 def test_memory_grows_only_when_enabled():
