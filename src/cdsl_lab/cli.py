@@ -100,8 +100,8 @@ def build_config(args) -> RunConfig:
         data["seed"] = args.seed
     try:
         cfg = RunConfig.from_dict(data)
-        # unknown preset, bad order or too small a memory is a usage error
-        protocol.check_capacity(cfg, protocol.resolve_sequence(cfg))
+        # unknown preset, bad order, too small a memory or split is a usage error
+        protocol.check_sequence(cfg, protocol.resolve_sequence(cfg))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg
@@ -159,7 +159,10 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     payloads = []
     for value in values:
-        swept = RunConfig.from_dict({**cfg.to_dict(), args.param: value})
+        try:
+            swept = RunConfig.from_dict({**cfg.to_dict(), args.param: value})
+        except ValueError as exc:
+            raise UsageError(f"--values: {exc}") from exc
         for seed in SWEEP_SEEDS:
             sub = out / f"{args.param}={value:g}" / f"seed{seed}"
             payloads.append((replace(swept, seed=seed).to_dict(), str(sub)))

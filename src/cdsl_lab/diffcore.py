@@ -93,17 +93,12 @@ def evaluate(fn: Callable[..., Tensor], *inputs: Tensor) -> tuple[Tensor, Tape]:
     return out, tape
 
 
-def backward(tape: Tape, output: Tensor | None = None,
-             params: list[Tensor] | None = None) -> None:
+def backward(tape: Tape, output: Tensor, params: list[Tensor] | None = None) -> None:
     """Accumulate gradients of a scalar output into requires_grad tensors.
 
     Tensors in `params` that the output does not depend on receive zero
     gradients of their own shape.
     """
-    if output is None:
-        if not tape.nodes:
-            raise DiffcoreError("backward: empty tape and no output given")
-        output = tape.nodes[-1].output
     if output.values.size != 1:
         raise DiffcoreError(f"backward: output has shape {output.shape}, not scalar")
     adjoint: dict[int, np.ndarray] = {id(output): np.ones_like(output.values)}
@@ -139,44 +134,25 @@ def zero_grads(params: list[Tensor]) -> None:
         p.grad = None
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def _binary(op: str, a, b, forward, vjp_builder) -> Tensor:
+    """Elementwise op on two tensors of one shape; nothing broadcasts."""
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = forward(a.values, b.values)
-    except ValueError as err:
-        raise DiffcoreError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from err
-    return _record(op, (a, b), out, vjp_builder(a, b))
+    if a.shape != b.shape:
+        raise DiffcoreError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    return _record(op, (a, b), forward(a.values, b.values), vjp_builder(a, b))
 
 
 def add(a, b) -> Tensor:
-    def vjp(a, b):
-        return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-    return _binary("add", a, b, np.add, vjp)
+    return _binary("add", a, b, np.add, lambda a, b: lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    def vjp(a, b):
-        return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-    return _binary("sub", a, b, np.subtract, vjp)
+    return _binary("sub", a, b, np.subtract, lambda a, b: lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    def vjp(a, b):
-        return lambda g: (_unbroadcast(g * b.values, a.shape),
-                          _unbroadcast(g * a.values, b.shape))
-    return _binary("mul", a, b, np.multiply, vjp)
+    return _binary("mul", a, b, np.multiply,
+                   lambda a, b: lambda g: (g * b.values, g * a.values))
 
 
 def scale(a, c: float) -> Tensor:
@@ -194,11 +170,24 @@ def matmul(a, b) -> Tensor:
                    lambda g: (g @ b.values.T, a.values.T @ g))
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise DiffcoreError(f"transpose: expected 2-d, got shape {a.shape}")
-    return _record("transpose", (a,), a.values.T.copy(), lambda g: (g.T,))
+def linear(x, w, b=None) -> Tensor:
+    """Dense map x @ w.T (+ b) as one node; w is [out, in], b is [out]."""
+    x, w = as_tensor(x), as_tensor(w)
+    inputs = (x, w) if b is None else (x, w, as_tensor(b))
+    if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[1]
+            or (b is not None and inputs[2].shape != (w.shape[0],))):
+        shapes = " and ".join(str(t.shape) for t in inputs)
+        raise DiffcoreError(f"linear: incompatible shapes {shapes}")
+    # a C-ordered copy of w.T: BLAS gives other bits for the transposed view
+    wt = w.values.T.copy()
+    out = x.values @ wt
+    if b is not None:
+        out = out + inputs[2].values
+
+    def vjp(g):
+        grads = (g @ wt.T, (x.values.T @ g).T)
+        return grads if b is None else grads + (g.sum(axis=0),)
+    return _record("linear", inputs, out, vjp)
 
 
 def relu(a) -> Tensor:

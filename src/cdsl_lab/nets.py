@@ -21,10 +21,7 @@ class DenseLayer:
     bias: Tensor | None = None  # [out]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = dc.matmul(x, dc.transpose(self.weight))
-        if self.bias is not None:
-            out = dc.add(out, self.bias)
-        return out
+        return dc.linear(x, self.weight, self.bias)
 
 
 @dataclass

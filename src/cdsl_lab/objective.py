@@ -80,7 +80,7 @@ def _onehot(labels: np.ndarray, classes: int) -> np.ndarray:
 
 def ce_loss(ctx: BatchContext) -> Tensor:
     """Mean negative log softmax score of the assigned class (bias-free logits)."""
-    scores = dc.matmul(ctx.features, dc.transpose(ctx.prototypes))
+    scores = dc.linear(ctx.features, ctx.prototypes)
     probs = dc.softmax_rows(scores)
     onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
     picked = dc.reduce_sum(dc.mul(probs, onehot), axis=1)
@@ -95,7 +95,7 @@ def _negative_pair_mask(labels: np.ndarray) -> np.ndarray:
 
 def _pair_term(ctx: BatchContext) -> Tensor:
     """Row sums of exp feature-feature scores over cross-class pairs."""
-    gram = dc.matmul(ctx.features, dc.transpose(ctx.features))
+    gram = dc.linear(ctx.features, ctx.features)
     masked = dc.mul(dc.exp(gram), Tensor(_negative_pair_mask(ctx.labels)))
     return dc.reduce_sum(masked, axis=1)
 
@@ -104,8 +104,9 @@ def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
     """Prototype alignment, with the previous prototypes' terms when given.
     Node order: exps, numerators, denominators, pair term."""
     onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
-    exps = [dc.exp(dc.matmul(ctx.features, dc.transpose(ctx.prototypes)))]
+    exps = [dc.exp(dc.linear(ctx.features, ctx.prototypes))]
     if prev_prototypes is not None:
+        # a matmul, not linear: the C-ordered copy in linear changes the bits here
         exps.append(dc.exp(dc.matmul(ctx.features, Tensor(prev_prototypes.T))))
     numerator = reduce(dc.add, [dc.reduce_sum(dc.mul(e, onehot), axis=1) for e in exps])
     denominator = dc.add(reduce(dc.add, [dc.reduce_sum(e, axis=1) for e in exps]),
@@ -132,7 +133,7 @@ def distill_loss(ctx: BatchContext) -> Tensor:
         if ctx.prev_probs is None:
             raise ValueError("objective: distill_loss needs previous-model outputs")
         target = ctx.prev_probs
-        current = dc.softmax_rows(dc.matmul(ctx.features, dc.transpose(ctx.prototypes)))
+        current = dc.softmax_rows(dc.linear(ctx.features, ctx.prototypes))
     else:
         if ctx.prev_features is None:
             raise ValueError("objective: distill_loss needs previous-model representations")

@@ -256,11 +256,16 @@ def _accuracy(net: nets.Network, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(nets.predict_labels(net, x) == y))
 
 
-def check_capacity(cfg: RunConfig, seq: synthdata.DomainSequence) -> None:
-    """The replay memory must keep at least one exemplar of every domain."""
+def check_sequence(cfg: RunConfig, seq: synthdata.DomainSequence) -> None:
+    """The replay memory must keep at least one exemplar of every domain, and
+    the source split at least one training row."""
     if not cfg.stationary and cfg.memory_capacity < len(seq.specs):
         raise ValueError(f"config: memory_capacity {cfg.memory_capacity} cannot hold "
                          f"one exemplar of each of {len(seq.specs)} domains")
+    rows = seq.specs[0].samples
+    if int(rows * cfg.source_fraction) < 1:
+        raise ValueError(f"config: source_fraction {cfg.source_fraction} leaves no "
+                         f"training row of the {rows} source rows")
 
 
 def run_cdsl(cfg: RunConfig,
@@ -272,7 +277,7 @@ def run_cdsl(cfg: RunConfig,
     adaptation, no replay, no distillation, contrastive term in source form.
     """
     seq = resolve_sequence(cfg) if sequence is None else sequence
-    check_capacity(cfg, seq)
+    check_sequence(cfg, seq)
     datasets = [synthdata.generate(spec, rng_for(cfg.seed, STREAM_DATA, 10 + i))
                 for i, spec in enumerate(seq.specs)]
     src_x, src_y = datasets[0]

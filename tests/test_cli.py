@@ -118,7 +118,8 @@ def test_unknown_sequence_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["hidden=none", "hidden=0", "bottleneck=1,2,3",
-                                     "memory_capacity=0", "memory_capacity=3"])
+                                     "memory_capacity=0", "memory_capacity=3",
+                                     "source_fraction=0.004"])
 def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeypatch):
     def first_step(*_, **__):
         raise AssertionError("training started")
@@ -212,6 +213,20 @@ def test_sweep_rejects_bad_param_and_values(tmp_path):
                      "--param", "epochs", "--values", "1,2"]) == 2
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--param", "r_con", "--values", "0.5,high"]) == 2
+
+
+@pytest.mark.parametrize("param,value", [("r_top", "0.5"), ("r_top_prime", "1")])
+def test_sweep_rejects_invalid_swept_value_before_any_run(param, value, tmp_path,
+                                                          capsys, monkeypatch):
+    def any_run(*_, **__):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(protocol, "run_cdsl", any_run)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                     "--param", param, "--values", f"2,{value}"]) == 2
+    assert param in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_parallel_equals_serial(tmp_path):

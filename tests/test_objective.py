@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -259,3 +260,25 @@ def test_build_context_and_backward_through_real_network():
     assert ctx.prev_features is None
     repr_ctx = objective.build_context(net, prev, x, labels, distill_on="representation")
     assert repr_ctx.prev_probs is None and repr_ctx.prev_features is not None
+
+
+def test_tape_of_one_step_has_one_linear_node_per_product():
+    # every dense layer and every features @ prototypes.T or features @
+    # features.T product is one linear node; only the frozen previous
+    # prototypes go through matmul, and nothing is transposed on the tape
+    rng = np.random.default_rng(16)
+    net = nets.build_network(3, 2, rng, hidden=(6, 6), bottleneck=(5, 4))
+    x = rng.normal(size=(8, 3))
+    labels = rng.integers(0, 2, size=8)
+    ops = []
+    for prev in (None, nets.snapshot(net)):
+        with dc.Tape() as tape:
+            objective.total_loss(objective.build_context(net, prev, x, labels))
+        ops.append(Counter(node.op for node in tape.nodes))
+    source, target = ops
+    assert source == Counter(linear=7, relu=2, standardize_rows=1, softmax_rows=1,
+                             mul=3, reduce_sum=4, log=3, reduce_mean=2, scale=1,
+                             exp=2, add=2, sub=1)
+    assert target == Counter(linear=8, matmul=1, relu=3, standardize_rows=1,
+                             softmax_rows=2, mul=5, reduce_sum=7, log=4,
+                             reduce_mean=3, scale=1, exp=3, add=5, sub=2)
