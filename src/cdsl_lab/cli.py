@@ -18,6 +18,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import protocol
 from .protocol import MetricsReport, RunConfig
@@ -44,16 +46,24 @@ def _parse_tuple(text: str) -> tuple[int, ...] | None:
     return tuple(int(part) for part in text.split(","))
 
 
-# textual form per field kind; the kinds come from RunConfig's annotations
+def _kind(hint) -> type:
+    if get_origin(hint) is UnionType:  # X | None
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    return get_origin(hint) or hint
+
+
+# RunConfig field name -> int, float, bool, str or tuple, read from its annotation
+FIELD_KINDS: dict[str, type] = {name: _kind(hint)
+                                for name, hint in get_type_hints(RunConfig).items()}
 _TEXT_PARSERS = {int: int, float: float, bool: _parse_bool, str: str, tuple: _parse_tuple}
 
 
 def parse_value(key: str, text: str):
     """One config value from its textual form, typed per RunConfig field."""
-    if key not in protocol.FIELD_KINDS:
+    if key not in FIELD_KINDS:
         raise UsageError(f"unknown key {key!r}")
     try:
-        return _TEXT_PARSERS[protocol.FIELD_KINDS[key]](text)
+        return _TEXT_PARSERS[FIELD_KINDS[key]](text)
     except ValueError as exc:
         raise UsageError(f"field {key}: {exc}") from exc
 
@@ -99,7 +109,7 @@ def build_config(args) -> RunConfig:
     if args.seed is not None:
         data["seed"] = args.seed
     try:
-        cfg = RunConfig.from_dict(data)
+        cfg = RunConfig(**data)
         # unknown preset, bad order, too small a memory or split is a usage error
         protocol.check_sequence(cfg, protocol.resolve_sequence(cfg))
     except ValueError as exc:
@@ -113,18 +123,22 @@ def write_run_meta(out_dir, started: float, elapsed: float) -> None:
     (Path(out_dir) / "run.meta").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def _execute_run(payload: tuple[dict, str]) -> dict:
+def _execute_run(payload: tuple[RunConfig, str]) -> dict:
     """Worker for process pools: one run, written to its own directory."""
-    cfg_dict, out_dir = payload
-    result = protocol.run_cdsl(RunConfig.from_dict(cfg_dict))
+    cfg, out_dir = payload
+    result = protocol.run_cdsl(cfg)
     protocol.write_results(result, out_dir)
     return result.metrics.to_dict()
 
 
-def _run_many(payloads: list[tuple[dict, str]], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(payloads) <= 1:
+def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int) -> list[dict]:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    # the fork start method starts every worker at the first submit
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
         return [_execute_run(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_execute_run, payloads))
 
 
@@ -149,8 +163,9 @@ def cmd_sweep(args) -> int:
     cfg = build_config(args)
     if args.param not in SWEEP_PARAMS:
         raise UsageError(f"--param must be one of {SWEEP_PARAMS}, got {args.param!r}")
+    texts = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [float(t) for t in texts]
     except ValueError as exc:
         raise UsageError(f"--values: {exc}") from exc
     if not values:
@@ -158,14 +173,20 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     payloads = []
-    for value in values:
+    first_text = {}  # directory label -> the value text first written under it
+    for text, value in zip(texts, values):
+        label = f"{value:g}"
+        if label in first_text:
+            raise UsageError(f"--values: {first_text[label]} and {text} would share "
+                             f"the directory {args.param}={label}")
+        first_text[label] = text
         try:
-            swept = RunConfig.from_dict({**cfg.to_dict(), args.param: value})
+            swept = replace(cfg, **{args.param: value})
         except ValueError as exc:
             raise UsageError(f"--values: {exc}") from exc
         for seed in SWEEP_SEEDS:
-            sub = out / f"{args.param}={value:g}" / f"seed{seed}"
-            payloads.append((replace(swept, seed=seed).to_dict(), str(sub)))
+            sub = out / f"{args.param}={label}" / f"seed{seed}"
+            payloads.append((replace(swept, seed=seed), str(sub)))
     started = time.time()
     reports = _run_many(payloads, args.jobs)
     write_run_meta(out, started, time.time() - started)
@@ -193,8 +214,8 @@ def cmd_ablate(args) -> int:
     payloads = []
     for seed in SWEEP_SEEDS:
         seeded = replace(cfg, seed=seed)
-        payloads.append((seeded.to_dict(), str(out / "full" / f"seed{seed}")))
-        payloads.append((protocol.variant_config(seeded, args.variant).to_dict(),
+        payloads.append((seeded, str(out / "full" / f"seed{seed}")))
+        payloads.append((protocol.variant_config(seeded, args.variant),
                          str(out / args.variant / f"seed{seed}")))
     started = time.time()
     reports = _run_many(payloads, args.jobs)

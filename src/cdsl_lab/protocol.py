@@ -20,8 +20,6 @@ import csv
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -78,6 +76,11 @@ class RunConfig:
         if not 0.0 < self.source_fraction < 1.0:
             raise ValueError(
                 f"config: source_fraction must be in (0, 1), got {self.source_fraction}")
+        if self.hidden is None:
+            raise ValueError("config: hidden must be a list of integers, got None")
+        if self.bottleneck is not None and len(self.bottleneck) != 2:
+            raise ValueError("config: bottleneck must be a list of 2 integers or none, "
+                             f"got {self.bottleneck}")
         for name in ("hidden", "bottleneck"):
             widths = getattr(self, name) or ()
             if any(w < 1 for w in widths):
@@ -108,67 +111,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)  # tuples serialize as JSON lists
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "RunConfig":
-        unknown = set(mapping) - set(FIELD_KINDS)
-        if unknown:
-            raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        coerced = {}
-        for name, hint in get_type_hints(cls).items():
-            if name not in mapping:
-                continue
-            accepts, convert, noun = _coercion(hint)
-            value = mapping[name]
-            if not accepts(value):
-                raise ValueError(f"config: {name} must be {noun}, got {value!r}")
-            coerced[name] = convert(value)
-        return cls(**coerced)
-
-
-def _kind(hint) -> type:
-    if get_origin(hint) in (Union, UnionType):  # X | None
-        (hint,) = (a for a in get_args(hint) if a is not type(None))
-    return get_origin(hint) or hint
-
-
-# RunConfig field name -> int, float, bool, str or tuple, read from its annotation
-FIELD_KINDS: dict[str, type] = {name: _kind(hint)
-                                for name, hint in get_type_hints(RunConfig).items()}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# kind -> (accepts a decoded value, converts it, what an error calls the kind)
-_COERCE = {
-    int: (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int,
-          "an integer"),
-    float: (_is_number, float, "a number"),
-    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
-    str: (lambda v: isinstance(v, str), str, "a string"),
-}
-
-
-def _coercion(hint):
-    """The _COERCE rule of one annotation. A tuple field takes integer items,
-    the length `tuple[int, int]` fixes, and None only for `X | None`."""
-    if _kind(hint) is not tuple:
-        return _COERCE[_kind(hint)]
-    optional = type(None) in get_args(hint)
-    items = get_args(get_args(hint)[0] if optional else hint)
-    length = None if items[-1] is Ellipsis else len(items)
-
-    def accepts(v) -> bool:
-        if v is None:
-            return optional
-        return (isinstance(v, (list, tuple)) and length in (None, len(v))
-                and all(_COERCE[int][0](x) for x in v))
-
-    noun = "a list of integers" if length is None else f"a list of {length} integers"
-    return (accepts, lambda v: None if v is None else tuple(int(x) for x in v),
-            noun + (" or none" if optional else ""))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -57,8 +58,7 @@ def render(value) -> str:
     return str(value)
 
 
-BAD_VALUE = {int: 2.5, float: "fast", bool: "yes", tuple: "64,64", str: 3}
-BAD_TEXT = {int: "2.5", float: "fast", bool: "yes", tuple: "1,x"}  # any text is a str
+BAD_TEXT = {int: "2.5", float: "fast", bool: "yes", tuple: "1,x"}
 
 
 @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
@@ -66,18 +66,25 @@ def test_every_field_parses_its_default_from_text(field):
     default = getattr(RunConfig(), field.name)
     parsed = cli.parse_value(field.name, render(default))
     assert parsed == default and type(parsed) is type(default)
-    cfg = RunConfig.from_dict({field.name: parsed})
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert RunConfig(**{field.name: parsed}) == RunConfig()
 
 
 @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
 def test_every_field_rejects_a_bad_value_by_name(field):
-    kind = protocol.FIELD_KINDS[field.name]
-    with pytest.raises(ValueError, match=f"config: {field.name} must be"):
-        RunConfig.from_dict({field.name: BAD_VALUE[kind]})
-    if kind in BAD_TEXT:
-        with pytest.raises(cli.UsageError, match=f"field {field.name}:"):
-            cli.parse_value(field.name, BAD_TEXT[kind])
+    kind = cli.FIELD_KINDS[field.name]
+    if kind is str:  # any text is a str; RunConfig checks the value itself
+        assert cli.parse_value(field.name, "any text") == "any text"
+        return
+    with pytest.raises(cli.UsageError, match=f"field {field.name}:"):
+        cli.parse_value(field.name, BAD_TEXT[kind])
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_preset_config_files_restate_the_defaults(path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    args = cli.build_parser().parse_args(["run", "--config", str(path), "--out", "x"])
+    assert cli.build_config(args) == RunConfig(sequence=path.stem)
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -133,16 +140,18 @@ def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeyp
 # ------------------------------------------------------------ run command
 
 def test_run_writes_layout_and_exits_zero(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
     out = tmp_path / "results"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    argv = ["run", "--config", write_cfg(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == 0
     for name in ("matrix.csv", "metrics.json", "train_log.csv",
                  "config.resolved.json", "run.meta"):
         assert (out / name).is_file(), name
     lines = (out / "matrix.csv").read_text().strip().splitlines()
     assert len(lines) == 6  # header plus five stage rows
-    echoed = RunConfig.from_dict(json.loads((out / "config.resolved.json").read_text()))
-    assert echoed.batch_size == 16
+    cfg = cli.build_config(cli.build_parser().parse_args(argv))
+    assert cfg.batch_size == 16
+    echoed = json.loads((out / "config.resolved.json").read_text())
+    assert echoed == json.loads(json.dumps(cfg.to_dict()))
     assert "tdg_avg=" in capsys.readouterr().out
 
 
@@ -227,6 +236,62 @@ def test_sweep_rejects_invalid_swept_value_before_any_run(param, value, tmp_path
                      "--param", param, "--values", f"2,{value}"]) == 2
     assert param in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param,values", [("r_con", "0.5,0.5000001"), ("r_top", "2,2.0")])
+def test_sweep_rejects_values_that_share_a_directory(param, values, tmp_path, capsys,
+                                                     monkeypatch):
+    def any_run(*_, **__):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(protocol, "run_cdsl", any_run)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                     "--param", param, "--values", values]) == 2
+    first, second = values.split(",")
+    assert f"{first} and {second} would share" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [["sweep", "--param", "r_con", "--values", "0.5"],
+                                     ["ablate", "--variant", "no_pca"]],
+                         ids=["sweep", "ablate"])
+def test_jobs_below_one_exits_two_before_any_run(command, jobs, tmp_path, capsys,
+                                                 monkeypatch):
+    def any_run(*_, **__):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(protocol, "run_cdsl", any_run)
+    out = tmp_path / "s"
+    assert cli.main([*command, "--config", write_cfg(tmp_path), "--out", str(out),
+                     "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size, starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for jobs in ("64", "2"):
+        assert cli.main(["sweep", "--config", write_cfg(tmp_path),
+                         "--out", str(tmp_path / f"jobs{jobs}"), "--param", "r_con",
+                         "--values", "0.5", "--jobs", jobs]) == 0
+    assert started == [len(cli.SWEEP_SEEDS), 2]
 
 
 def test_sweep_parallel_equals_serial(tmp_path):
