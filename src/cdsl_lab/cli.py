@@ -182,6 +182,7 @@ def cmd_sweep(args) -> int:
         first_text[label] = text
         try:
             swept = replace(cfg, **{args.param: value})
+            protocol.check_sequence(swept, protocol.resolve_sequence(swept))
         except ValueError as exc:
             raise UsageError(f"--values: {exc}") from exc
         for seed in SWEEP_SEEDS:

@@ -85,14 +85,6 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_values: np.ndarray, vjp) ->
     return out
 
 
-def evaluate(fn: Callable[..., Tensor], *inputs: Tensor) -> tuple[Tensor, Tape]:
-    """Run fn under a fresh tape; returns (output tensor, recorded tape)."""
-    tape = Tape()
-    with tape:
-        out = fn(*inputs)
-    return out, tape
-
-
 def backward(tape: Tape, output: Tensor, params: list[Tensor] | None = None) -> None:
     """Accumulate gradients of a scalar output into requires_grad tensors.
 

@@ -142,6 +142,11 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     return labels
 
 
+def t2pl_kappa(n: int, classes: int, r_top_prime: float) -> int:
+    """Neighbours in t2pl's kNN vote over a domain of n samples."""
+    return int(n // (r_top_prime * classes))
+
+
 def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     probs = nets.predict_probs(net, x)
     feats = nets.feature_values(net, x)
@@ -149,7 +154,7 @@ def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     pool = top_confidence_sets(probs, cfg.r_top)
     cents = weighted_centroids(feats, probs, pool.union)
     member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
-    kappa = int(n // (cfg.r_top_prime * classes))
+    kappa = t2pl_kappa(n, classes, cfg.r_top_prime)
     labels = knn_assign(feats, member_idx, member_labels, kappa, classes)
     return PseudoLabelSet(labels=labels, method="t2pl", stage=stage)
 

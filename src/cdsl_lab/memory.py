@@ -4,23 +4,16 @@ Capacity is fixed; every admitted domain gets an equal share, so older
 buckets shrink as new domains arrive. Within a domain, exemplars are the
 samples nearest their own class centroid in feature space, picked in a
 class-balanced round-robin so no class dominates the bucket.
+
+Each domain's bucket is one (inputs, labels, distances) tuple of arrays
+with rows in admission order; only this module reads that layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nets
-
-
-@dataclass
-class Exemplar:
-    input: np.ndarray
-    label: int
-    domain_id: int
-    distance: float
 
 
 class ExemplarMemory:
@@ -28,43 +21,23 @@ class ExemplarMemory:
         if capacity < 1:
             raise ValueError(f"memory: capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.buckets: dict[int, list[Exemplar]] = {}
+        self.buckets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def sizes(self) -> dict[int, int]:
+        """Rows held per domain, in admission order."""
+        return {dom: labels.shape[0] for dom, (_, labels, _) in self.buckets.items()}
 
     def total(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
-
-    def domains(self) -> list[int]:
-        return sorted(self.buckets)
-
-    def quota(self) -> int:
-        if not self.buckets:
-            return self.capacity
-        return self.capacity // len(self.buckets)
-
-    def all_exemplars(self) -> list[Exemplar]:
-        """Flat view in deterministic order: domain id, then bucket order."""
-        out = []
-        for dom in self.domains():
-            out.extend(self.buckets[dom])
-        return out
-
-
-def _keep_nearest(bucket: list[Exemplar], quota: int) -> list[Exemplar]:
-    """Smallest-distance exemplars, preserving stored order; stable on ties."""
-    if len(bucket) <= quota:
-        return bucket
-    ranked = sorted(range(len(bucket)), key=lambda i: (bucket[i].distance, i))
-    keep = sorted(ranked[:quota])
-    return [bucket[i] for i in keep]
+        return sum(self.sizes().values())
 
 
 def rebalance(mem: ExemplarMemory) -> None:
-    quota = mem.quota()
-    if quota < 1:
-        raise ValueError(
-            f"memory: capacity {mem.capacity} cannot hold {len(mem.buckets)} domains")
-    for dom in mem.buckets:
-        mem.buckets[dom] = _keep_nearest(mem.buckets[dom], quota)
+    """Shrink every bucket to its equal share, keeping its nearest rows in
+    stored order; the earlier row wins a distance tie."""
+    quota = mem.capacity // len(mem.buckets)
+    for dom, (inputs, labels, distances) in mem.buckets.items():
+        keep = np.sort(np.lexsort((distances,))[:quota])
+        mem.buckets[dom] = (inputs[keep], labels[keep], distances[keep])
 
 
 def select_round_robin(distances: np.ndarray, labels: np.ndarray, quota: int) -> list[int]:
@@ -102,28 +75,26 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
             f"memory: capacity {mem.capacity} cannot hold {new_count} domains")
     feats = nets.feature_values(net, x)
     labels = np.asarray(labels, dtype=int)
-    centroids = {k: feats[labels == k].mean(axis=0) for k in np.unique(labels)}
-    distances = np.array([np.linalg.norm(feats[i] - centroids[labels[i]])
-                          for i in range(x.shape[0])])
+    classes, row_class = np.unique(labels, return_inverse=True)
+    centroids = np.stack([feats[row_class == j].mean(axis=0)
+                          for j in range(classes.shape[0])])
+    diff = feats - centroids[row_class]
+    # the same bits as np.linalg.norm of each row; norm(diff, axis=1) differs
+    distances = np.sqrt(np.vecdot(diff, diff))
     chosen = select_round_robin(distances, labels, quota)
-    mem.buckets[domain_id] = [
-        Exemplar(input=x[i].copy(), label=int(labels[i]), domain_id=domain_id,
-                 distance=float(distances[i]))
-        for i in chosen]
+    mem.buckets[domain_id] = (x[chosen], labels[chosen], distances[chosen])
     rebalance(mem)
     return {"domain_id": domain_id, "quota": quota,
             "distances": distances, "labels": labels.copy(),
-            "chosen": list(chosen)}
+            "chosen": chosen}
 
 
 def replay_batch(mem: ExemplarMemory, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform draw of n exemplars; without replacement when possible."""
-    pool = mem.all_exemplars()
-    if not pool:
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draw of n exemplars from all buckets, in admission order;
+    without replacement when possible."""
+    if mem.total() == 0:
         raise ValueError("memory: replay from empty memory")
-    idx = rng.choice(len(pool), size=n, replace=n > len(pool))
-    picked = [pool[i] for i in idx]
-    return (np.stack([e.input for e in picked]),
-            np.array([e.label for e in picked], dtype=int),
-            np.array([e.domain_id for e in picked], dtype=int))
+    inputs, labels, _ = (np.concatenate(parts) for parts in zip(*mem.buckets.values()))
+    idx = rng.choice(labels.shape[0], size=n, replace=n > labels.shape[0])
+    return inputs[idx], labels[idx]

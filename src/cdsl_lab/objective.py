@@ -36,8 +36,9 @@ class BatchContext:
     labels: np.ndarray  # [n] int, true on source / pseudo on target
     prototypes: Tensor  # current classifier weight [classes, d]
     prev_prototypes: np.ndarray | None = None  # frozen [classes, d]
-    prev_probs: np.ndarray | None = None  # frozen softmax outputs [n, classes]
-    prev_features: np.ndarray | None = None  # frozen representations [n, d]
+    # frozen row softmax of the previous model's logits, or of its
+    # representations in "representation" mode
+    distill_target: np.ndarray | None = None
     distill_on: str = "logits"
 
     def __post_init__(self):
@@ -61,17 +62,17 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
     plain arrays, never recorded, and only the one the distillation mode reads.
     """
     feats = nets.features(net, x)
-    prev_protos = prev_probs = prev_feats = None
+    prev_protos = target = None
     if prev_net is not None:
         prev_protos = prev_net.classifier.weight.values
         if distill_on == "representation":
-            prev_feats = nets.feature_values(prev_net, x)
+            target = dc.softmax_rows(nets.feature_values(prev_net, x)).values
         else:
-            prev_probs = nets.predict_probs(prev_net, x)
+            target = nets.predict_probs(prev_net, x)
     return BatchContext(features=feats, labels=labels,
                         prototypes=net.classifier.weight,
-                        prev_prototypes=prev_protos, prev_probs=prev_probs,
-                        prev_features=prev_feats, distill_on=distill_on)
+                        prev_prototypes=prev_protos, distill_target=target,
+                        distill_on=distill_on)
 
 
 def _onehot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -129,26 +130,17 @@ def source_pca_loss(ctx: BatchContext) -> Tensor:
 
 def distill_loss(ctx: BatchContext) -> Tensor:
     """Mean KL from the frozen model's soft outputs to the current ones."""
-    if ctx.distill_on == "logits":
-        if ctx.prev_probs is None:
-            raise ValueError("objective: distill_loss needs previous-model outputs")
-        target = ctx.prev_probs
-        current = dc.softmax_rows(dc.linear(ctx.features, ctx.prototypes))
-    else:
-        if ctx.prev_features is None:
-            raise ValueError("objective: distill_loss needs previous-model representations")
-        target = _np_softmax(ctx.prev_features)
-        current = dc.softmax_rows(ctx.features)
+    target = ctx.distill_target
+    if target is None:
+        raise ValueError("objective: distill_loss needs previous-model outputs")
+    scores = (dc.linear(ctx.features, ctx.prototypes) if ctx.distill_on == "logits"
+              else ctx.features)
+    current = dc.softmax_rows(scores)
     entropy = (target * np.log(np.maximum(target, dc.LOG_CLAMP))).sum(axis=1)
     cross = dc.reduce_sum(dc.mul(Tensor(target), dc.log(current)), axis=1)
     kl = dc.reduce_mean(dc.sub(Tensor(entropy), cross))
     # exact KL is non-negative; relu only strips float artifacts near zero
     return dc.relu(kl)
-
-
-def _np_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def total_loss(ctx: BatchContext, *, disable_pca: bool = False) -> tuple[Tensor, LossBreakdown]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,10 @@ class RunConfig:
     stationary: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config: {f.name} must be finite, got {value}")
         if self.epochs < 0:
             raise ValueError(f"config: epochs must be non-negative, got {self.epochs}")
         if self.steps_per_epoch < 1:
@@ -92,6 +97,10 @@ class RunConfig:
             raise ValueError(
                 f"config: distill_on must be one of {objective.DISTILL_MODES}, "
                 f"got {self.distill_on!r}")
+        if self.labeler_method not in labeler_mod.METHODS:
+            raise ValueError(
+                f"config: labeler_method must be one of {labeler_mod.METHODS}, "
+                f"got {self.labeler_method!r}")
         # eager sub-config construction surfaces bad values before a run starts
         self.sgd_config()
         self.randmix_config(image_side=None)
@@ -199,8 +208,9 @@ def _accuracy(net: nets.Network, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def check_sequence(cfg: RunConfig, seq: synthdata.DomainSequence) -> None:
-    """The replay memory must keep at least one exemplar of every domain, and
-    the source split at least one training row."""
+    """The replay memory must keep at least one exemplar of every domain, the
+    source split at least one training row, and t2pl at least one neighbour
+    on every target domain."""
     if not cfg.stationary and cfg.memory_capacity < len(seq.specs):
         raise ValueError(f"config: memory_capacity {cfg.memory_capacity} cannot hold "
                          f"one exemplar of each of {len(seq.specs)} domains")
@@ -208,6 +218,11 @@ def check_sequence(cfg: RunConfig, seq: synthdata.DomainSequence) -> None:
     if int(rows * cfg.source_fraction) < 1:
         raise ValueError(f"config: source_fraction {cfg.source_fraction} leaves no "
                          f"training row of the {rows} source rows")
+    if cfg.labeler_method == "t2pl":
+        for spec in seq.specs[1:]:
+            if labeler_mod.t2pl_kappa(spec.samples, spec.classes, cfg.r_top_prime) < 1:
+                raise ValueError(f"config: r_top_prime {cfg.r_top_prime} leaves t2pl no "
+                                 f"neighbour on a target domain of {spec.samples} rows")
 
 
 def run_cdsl(cfg: RunConfig,
@@ -294,7 +309,7 @@ def run_cdsl(cfg: RunConfig,
             for step in range(cfg.steps_per_epoch):
                 pieces = [draw_batch(batch_rng, x, labels, cfg.batch_size - replay_n)]
                 if replay_n:
-                    pieces.append(memory_mod.replay_batch(mem, replay_n, replay_rng)[:2])
+                    pieces.append(memory_mod.replay_batch(mem, replay_n, replay_rng))
                 if not cfg.disable_randmix:
                     pieces.append(randmix.augment_batch(model, *pieces[0], rm_cfg,
                                                         augment_kind, randmix_rng))
@@ -312,8 +327,7 @@ def run_cdsl(cfg: RunConfig,
             "stage": stage, "domain": stage,
             "snapshot_hash": nets.param_hash(previous),
             "memory_total": mem.total() if memory_enabled else 0,
-            "bucket_sizes": {d: len(mem.buckets[d]) for d in mem.domains()}
-            if memory_enabled else {}})
+            "bucket_sizes": mem.sizes() if memory_enabled else {}})
 
     matrix = AccuracyMatrix(np.array(matrix_rows))
     return RunResult(config=cfg, matrix=matrix, metrics=compute_metrics(matrix),

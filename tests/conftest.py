@@ -1,10 +1,18 @@
-"""Shared test helpers: finite-difference oracle and error measures."""
+"""Shared test helpers: taped evaluation, finite-difference oracle and error
+measures."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cdsl_lab.diffcore import Tensor
+from cdsl_lab.diffcore import Tape, Tensor
+
+
+def evaluate(fn, *inputs: Tensor) -> tuple[Tensor, Tape]:
+    """Run fn under a fresh tape; returns (output tensor, recorded tape)."""
+    with Tape() as tape:
+        out = fn(*inputs)
+    return out, tape
 
 
 def call_scalar(fn, arrays) -> float:

@@ -126,7 +126,9 @@ def test_unknown_sequence_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("setting", ["hidden=none", "hidden=0", "bottleneck=1,2,3",
                                      "memory_capacity=0", "memory_capacity=3",
-                                     "source_fraction=0.004"])
+                                     "source_fraction=0.004", "learning_rate=nan",
+                                     "weight_decay=nan", "r_top=nan", "r_top_prime=inf",
+                                     "r_top_prime=101", "labeler_method=bogus"])
 def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeypatch):
     def first_step(*_, **__):
         raise AssertionError("training started")
@@ -224,7 +226,8 @@ def test_sweep_rejects_bad_param_and_values(tmp_path):
                      "--param", "r_con", "--values", "0.5,high"]) == 2
 
 
-@pytest.mark.parametrize("param,value", [("r_top", "0.5"), ("r_top_prime", "1")])
+@pytest.mark.parametrize("param,value", [("r_top", "0.5"), ("r_top_prime", "1"),
+                                         ("r_top_prime", "101")])
 def test_sweep_rejects_invalid_swept_value_before_any_run(param, value, tmp_path,
                                                           capsys, monkeypatch):
     def any_run(*_, **__):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, max_rel_err
+from conftest import evaluate, fd_gradient, max_rel_err
 
 from cdsl_lab import diffcore as dc
 
@@ -20,7 +20,7 @@ def test_evaluate_matches_straight_line_recomputation():
         h = dc.relu(dc.linear(xt, wt, bt))
         return dc.reduce_mean(dc.mul(h, h))
 
-    out, tape = dc.evaluate(f, *wrap(x, w, b))
+    out, tape = evaluate(f, *wrap(x, w, b))
     direct = np.mean(np.maximum(x @ w.T + b, 0.0) ** 2)
     assert abs(out.item() - direct) < 1e-12
     assert len(tape) > 0
@@ -33,8 +33,8 @@ def test_evaluate_is_deterministic_bitwise():
     def f(xt):
         return dc.reduce_sum(dc.softmax_rows(dc.matmul(xt, xt)))
 
-    a, _ = dc.evaluate(f, *wrap(x))
-    b, _ = dc.evaluate(f, *wrap(x))
+    a, _ = evaluate(f, *wrap(x))
+    b, _ = evaluate(f, *wrap(x))
     assert a.item() == b.item()
 
 
@@ -52,7 +52,7 @@ def test_composite_gradient_matches_finite_differences(seed):
         return dc.reduce_mean(dc.mul(dc.log(p), dc.Tensor(probe)))
 
     xt, w1t, w2t = wrap(x, w1, w2)
-    out, tape = dc.evaluate(loss, xt, w1t, w2t)
+    out, tape = evaluate(loss, xt, w1t, w2t)
     dc.backward(tape, out)
     for i, t in enumerate([xt, w1t, w2t]):
         num = fd_gradient(loss, [x, w1, w2], wrt=i)
@@ -78,7 +78,7 @@ def test_binary_primitive_gradients(name, op, shapes):
         return dc.reduce_sum(dc.mul(op(dc.as_tensor(a), dc.as_tensor(b)), dc.Tensor(probe)))
 
     ts = wrap(*arrays)
-    out, tape = dc.evaluate(loss, *ts)
+    out, tape = evaluate(loss, *ts)
     dc.backward(tape, out)
     for i, t in enumerate(ts):
         num = fd_gradient(loss, arrays, wrt=i)
@@ -97,7 +97,7 @@ def test_linear_gradients_match_finite_differences(with_bias):
         return dc.reduce_sum(dc.mul(dc.linear(*map(dc.as_tensor, xs)), dc.Tensor(probe)))
 
     ts = wrap(*arrays)
-    out, tape = dc.evaluate(loss, *ts)
+    out, tape = evaluate(loss, *ts)
     dc.backward(tape, out)
     assert [n.op for n in tape.nodes] == ["linear", "mul", "reduce_sum"]
     for i, t in enumerate(ts):
@@ -127,7 +127,7 @@ def test_unary_primitive_gradients(name, op):
         return dc.reduce_sum(dc.mul(op(dc.as_tensor(a)), dc.Tensor(probe)))
 
     (t,) = wrap(x)
-    out, tape = dc.evaluate(loss, t)
+    out, tape = evaluate(loss, t)
     dc.backward(tape, out)
     num = fd_gradient(loss, [x], wrt=0)
     assert max_rel_err(t.grad, num) < 1e-4, name
@@ -141,7 +141,7 @@ def test_log_gradient_matches_fd_on_positive_input():
         return dc.reduce_sum(dc.log(dc.as_tensor(a)))
 
     (t,) = wrap(x)
-    out, tape = dc.evaluate(loss, t)
+    out, tape = evaluate(loss, t)
     dc.backward(tape, out)
     num = fd_gradient(loss, [x], wrt=0)
     assert max_rel_err(t.grad, num) < 1e-4
@@ -149,7 +149,7 @@ def test_log_gradient_matches_fd_on_positive_input():
 
 def test_log_clamps_at_zero_and_kills_gradient_below_clamp():
     (t,) = wrap(np.array([[0.0, 1.0]]))
-    out, tape = dc.evaluate(lambda a: dc.reduce_sum(dc.log(a)), t)
+    out, tape = evaluate(lambda a: dc.reduce_sum(dc.log(a)), t)
     assert np.isfinite(out.item())
     assert out.item() == pytest.approx(np.log(dc.LOG_CLAMP))
     dc.backward(tape, out)
@@ -159,14 +159,14 @@ def test_log_clamps_at_zero_and_kills_gradient_below_clamp():
 
 def test_gradient_of_elementwise_sum_is_ones_exactly():
     (t,) = wrap(np.arange(12.0).reshape(3, 4))
-    out, tape = dc.evaluate(lambda a: dc.reduce_sum(a), t)
+    out, tape = evaluate(lambda a: dc.reduce_sum(a), t)
     dc.backward(tape, out)
     assert np.array_equal(t.grad, np.ones((3, 4)))
 
 
 def test_unused_input_gets_zero_gradient():
     used, unused = wrap(np.ones((2, 2)), np.ones(3))
-    out, tape = dc.evaluate(lambda a, b: dc.reduce_sum(a), used, unused)
+    out, tape = evaluate(lambda a, b: dc.reduce_sum(a), used, unused)
     dc.backward(tape, out, params=[used, unused])
     assert np.array_equal(unused.grad, np.zeros(3))
     assert np.array_equal(used.grad, np.ones((2, 2)))
@@ -175,7 +175,7 @@ def test_unused_input_gets_zero_gradient():
 def test_gradients_accumulate_until_zeroed():
     (t,) = wrap(np.array([2.0, 3.0]))
 
-    out, tape = dc.evaluate(lambda a: dc.reduce_sum(dc.mul(a, a)), t)
+    out, tape = evaluate(lambda a: dc.reduce_sum(dc.mul(a, a)), t)
     dc.backward(tape, out)
     first = t.grad.copy()
     dc.backward(tape, out)
@@ -216,7 +216,7 @@ def test_shape_mismatch_raises_structured_error():
 
 def test_backward_rejects_non_scalar_output():
     (t,) = wrap(np.ones((2, 2)))
-    out, tape = dc.evaluate(lambda a: dc.mul(a, a), t)
+    out, tape = evaluate(lambda a: dc.mul(a, a), t)
     with pytest.raises(dc.DiffcoreError, match="scalar"):
         dc.backward(tape, out)
 

@@ -12,9 +12,13 @@ def identity_net(dim=2):
     return nets.Network(nets.FeatureExtractor([layer]), None, clf)
 
 
-def exemplar(dom, dist, label=0):
-    return memory.Exemplar(input=np.zeros(2), label=label, domain_id=dom,
-                           distance=dist)
+def bucket(distances, labels=None, first_input=0):
+    """A stored bucket whose rows are told apart by their first input."""
+    m = len(distances)
+    inputs = np.stack([np.arange(first_input, first_input + m, dtype=float),
+                       np.zeros(m)], axis=1)
+    labels = np.zeros(m, dtype=int) if labels is None else np.asarray(labels)
+    return inputs, labels, np.asarray(distances, dtype=float)
 
 
 def test_capacity_validation():
@@ -24,19 +28,25 @@ def test_capacity_validation():
 
 def test_rebalance_keeps_smallest_distances():
     mem = memory.ExemplarMemory(capacity=4)
-    mem.buckets[0] = [exemplar(0, d) for d in (0.5, 0.1, 0.9, 0.3)]
-    mem.buckets[1] = [exemplar(1, d) for d in (0.2, 0.8, 0.4)]
+    mem.buckets[0] = bucket((0.3, 0.9, 0.1, 0.5))
+    mem.buckets[1] = bucket((0.2, 0.8, 0.4), first_input=10)
     memory.rebalance(mem)
-    assert [e.distance for e in mem.buckets[0]] == [0.1, 0.3]
-    assert [e.distance for e in mem.buckets[1]] == [0.2, 0.4]
+    # the nearest rows, still in stored order, with their inputs and labels
+    inputs, labels, distances = mem.buckets[0]
+    assert list(distances) == [0.3, 0.1]
+    assert list(inputs[:, 0]) == [0.0, 2.0]
+    assert labels.shape == (2,)
+    assert list(mem.buckets[1][2]) == [0.2, 0.4]
+    assert list(mem.buckets[1][0][:, 0]) == [10.0, 12.0]
+    assert mem.sizes() == {0: 2, 1: 2}
     assert mem.total() == 4
 
 
 def test_rebalance_is_stable_on_distance_ties():
     mem = memory.ExemplarMemory(capacity=2)
-    mem.buckets[0] = [exemplar(0, 0.5, label=i) for i in range(4)]
+    mem.buckets[0] = bucket([0.5] * 4, labels=range(4))
     memory.rebalance(mem)
-    assert [e.label for e in mem.buckets[0]] == [0, 1]
+    assert list(mem.buckets[0][1]) == [0, 1]
 
 
 def test_round_robin_takes_nearest_from_each_class_in_turn():
@@ -65,10 +75,28 @@ def test_admit_picks_nearest_to_class_centroids():
     mem = memory.ExemplarMemory(capacity=4)
     record = memory.admit_domain(mem, net, x, labels, domain_id=0)
     assert record["quota"] == 4
-    kept = {tuple(e.input) for e in mem.buckets[0]}
+    inputs, kept_labels, distances = mem.buckets[0]
+    kept = {tuple(row) for row in inputs}
     assert (3.0, 3.0) not in kept
     assert (7.0, 7.0) not in kept
     assert len(kept) == 4
+    assert np.array_equal(inputs, x[record["chosen"]])
+    assert np.array_equal(kept_labels, labels[record["chosen"]])
+    assert np.array_equal(distances, record["distances"][record["chosen"]])
+
+
+def test_admit_distances_match_a_per_row_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    net = identity_net(dim=16)
+    x = rng.normal(size=(500, 16))
+    labels = rng.integers(0, 4, size=500)
+    record = memory.admit_domain(memory.ExemplarMemory(capacity=20), net, x, labels,
+                                 domain_id=0)
+    feats = nets.feature_values(net, x)
+    centroids = {k: feats[labels == k].mean(axis=0) for k in np.unique(labels)}
+    oracle = np.array([np.linalg.norm(feats[i] - centroids[labels[i]])
+                       for i in range(x.shape[0])])
+    assert np.array_equal(record["distances"], oracle)
 
 
 def test_admit_rejects_duplicate_domains_and_overflow():
@@ -95,7 +123,7 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
         record = memory.admit_domain(mem, net, x, labels, domain_id=dom)
         t = dom + 1
         assert mem.total() <= 20
-        assert all(len(b) <= 20 // t for b in mem.buckets.values())
+        assert all(size <= 20 // t for size in mem.sizes().values())
 
         # oracle: replay the round robin from a full (distance, index) sort
         expected = []
@@ -113,24 +141,23 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
 def test_replay_is_uniform_over_memory():
     mem = memory.ExemplarMemory(capacity=10)
     for dom in range(2):
-        mem.buckets[dom] = [exemplar(dom, 0.1 * i, label=i) for i in range(5)]
+        mem.buckets[dom] = bucket([0.1 * i for i in range(5)], first_input=5 * dom)
     rng = np.random.default_rng(1)
     counts = np.zeros(10)
     for _ in range(2500):
-        _, labels, doms = memory.replay_batch(mem, 4, rng)
-        for lab, dom in zip(labels, doms):
-            counts[dom * 5 + lab] += 1
+        x, _ = memory.replay_batch(mem, 4, rng)
+        np.add.at(counts, x[:, 0].astype(int), 1)
     assert counts.sum() == 10000
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_replay_without_replacement_when_batch_fits():
     mem = memory.ExemplarMemory(capacity=10)
-    mem.buckets[0] = [memory.Exemplar(np.array([float(i), 0.0]), i, 0, 0.0)
-                      for i in range(6)]
-    x, labels, _ = memory.replay_batch(mem, 6, np.random.default_rng(2))
+    mem.buckets[0] = bucket([0.0] * 6, labels=range(6))
+    x, labels = memory.replay_batch(mem, 6, np.random.default_rng(2))
     assert sorted(labels) == list(range(6))
-    x2, _, _ = memory.replay_batch(mem, 9, np.random.default_rng(3))
+    assert sorted(x[:, 0]) == list(range(6))
+    x2, _ = memory.replay_batch(mem, 9, np.random.default_rng(3))
     assert x2.shape == (9, 2)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import evaluate
+
 from cdsl_lab import diffcore as dc
 from cdsl_lab import nets
 
@@ -73,7 +75,7 @@ def test_gradients_flow_to_every_parameter():
     net = tiny_net()
     x = np.random.default_rng(3).normal(size=(6, 3))
     params = nets.parameters(net)
-    out, tape = dc.evaluate(lambda: dc.reduce_mean(dc.mul(nets.logits(net, x),
+    out, tape = evaluate(lambda: dc.reduce_mean(dc.mul(nets.logits(net, x),
                                                           nets.logits(net, x))))
     dc.backward(tape, out, params=params)
     assert all(p.grad is not None for p in params)

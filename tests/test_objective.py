@@ -4,21 +4,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import max_rel_err
+from conftest import evaluate, max_rel_err
 
 from cdsl_lab import diffcore as dc
 from cdsl_lab import nets, objective
 from cdsl_lab.diffcore import Tensor
 
 
-def make_ctx(feats, labels, protos, prev_protos=None, prev_probs=None,
-             prev_feats=None, mode="logits"):
+def make_ctx(feats, labels, protos, prev_protos=None, target=None, mode="logits"):
     return objective.BatchContext(
         features=Tensor(feats, requires_grad=True),
         labels=np.asarray(labels, dtype=int),
         prototypes=Tensor(protos, requires_grad=True),
-        prev_prototypes=prev_protos, prev_probs=prev_probs,
-        prev_features=prev_feats, distill_on=mode)
+        prev_prototypes=prev_protos, distill_target=target, distill_on=mode)
+
+
+def softmax(z):
+    return dc.softmax_rows(z).values
 
 
 def fd_inplace(fn, array, h=1e-5):
@@ -64,7 +66,7 @@ def test_ce_vanishes_with_growing_margin():
 def test_ce_gradient_matches_finite_differences():
     feats, labels, protos, _ = rand_instance(0)
     ctx = make_ctx(feats, labels, protos)
-    out, tape = dc.evaluate(lambda: objective.ce_loss(ctx))
+    out, tape = evaluate(lambda: objective.ce_loss(ctx))
     dc.backward(tape, out)
 
     def value():
@@ -114,7 +116,7 @@ def test_pca_is_permutation_invariant():
 def test_pca_nonnegative_and_gradient_checks():
     feats, labels, protos, prev = rand_instance(4)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev)
-    out, tape = dc.evaluate(lambda: objective.pca_loss(ctx))
+    out, tape = evaluate(lambda: objective.pca_loss(ctx))
     assert out.item() >= 0.0
     dc.backward(tape, out)
 
@@ -138,7 +140,7 @@ def test_source_pca_equals_ce_without_cross_class_pairs():
 def test_source_pca_gradient_matches_finite_differences():
     feats, labels, protos, _ = rand_instance(6)
     ctx = make_ctx(feats, labels, protos)
-    out, tape = dc.evaluate(lambda: objective.source_pca_loss(ctx))
+    out, tape = evaluate(lambda: objective.source_pca_loss(ctx))
     dc.backward(tape, out)
 
     def value():
@@ -152,28 +154,28 @@ def test_distill_hard_previous_vs_uniform_current_is_log_two():
     feats = np.zeros((1, 2))  # zero logits -> uniform current softmax
     protos = np.zeros((2, 2))
     prev_probs = np.array([[1.0, 0.0]])
-    ctx = make_ctx(feats, [0], protos, prev_probs=prev_probs)
+    ctx = make_ctx(feats, [0], protos, target=prev_probs)
     assert objective.distill_loss(ctx).item() == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_distill_zero_when_outputs_match():
     feats, labels, protos, _ = rand_instance(7)
-    probs = objective._np_softmax(feats @ protos.T)
-    ctx = make_ctx(feats, labels, protos, prev_probs=probs)
+    probs = softmax(feats @ protos.T)
+    ctx = make_ctx(feats, labels, protos, target=probs)
     assert objective.distill_loss(ctx).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distill_nonnegative_and_gradient():
     feats, labels, protos, prev = rand_instance(8)
-    prev_probs = objective._np_softmax(feats @ prev.T)
-    ctx = make_ctx(feats, labels, protos, prev_probs=prev_probs)
-    out, tape = dc.evaluate(lambda: objective.distill_loss(ctx))
+    prev_probs = softmax(feats @ prev.T)
+    ctx = make_ctx(feats, labels, protos, target=prev_probs)
+    out, tape = evaluate(lambda: objective.distill_loss(ctx))
     assert out.item() >= 0.0
     dc.backward(tape, out)
 
     def value():
         return objective.distill_loss(
-            make_ctx(feats, labels, protos, prev_probs=prev_probs)).item()
+            make_ctx(feats, labels, protos, target=prev_probs)).item()
 
     assert max_rel_err(ctx.features.grad, fd_inplace(value, feats)) < 1e-4
     assert max_rel_err(ctx.prototypes.grad, fd_inplace(value, protos)) < 1e-4
@@ -182,18 +184,18 @@ def test_distill_nonnegative_and_gradient():
 def test_distill_on_representations():
     feats, labels, protos, _ = rand_instance(9)
     prev_feats = feats + np.random.default_rng(10).normal(size=feats.shape) * 0.1
-    ctx = make_ctx(feats, labels, protos, prev_feats=prev_feats, mode="representation")
-    out, tape = dc.evaluate(lambda: objective.distill_loss(ctx))
+    target = softmax(prev_feats)
+    ctx = make_ctx(feats, labels, protos, target=target, mode="representation")
+    out, tape = evaluate(lambda: objective.distill_loss(ctx))
     assert out.item() >= 0.0
     dc.backward(tape, out)
 
     def value():
         return objective.distill_loss(
-            make_ctx(feats, labels, protos, prev_feats=prev_feats,
-                     mode="representation")).item()
+            make_ctx(feats, labels, protos, target=target, mode="representation")).item()
 
     assert max_rel_err(ctx.features.grad, fd_inplace(value, feats)) < 1e-4
-    same = make_ctx(feats, labels, protos, prev_feats=feats.copy(), mode="representation")
+    same = make_ctx(feats, labels, protos, target=softmax(feats), mode="representation")
     assert objective.distill_loss(same).item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -212,8 +214,8 @@ def test_context_validation():
 
 def test_total_loss_decomposition_on_target_stage():
     feats, labels, protos, prev = rand_instance(11)
-    prev_probs = objective._np_softmax(feats @ prev.T)
-    ctx = make_ctx(feats, labels, protos, prev_protos=prev, prev_probs=prev_probs)
+    prev_probs = softmax(feats @ prev.T)
+    ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
     total, parts = objective.total_loss(ctx)
     assert parts.ce >= 0.0 and parts.pca >= 0.0 and parts.dis >= 0.0
     assert parts.total == total.item()
@@ -232,8 +234,8 @@ def test_total_loss_on_source_stage_has_no_distillation():
 
 def test_total_loss_ablation_flags():
     feats, labels, protos, prev = rand_instance(13)
-    prev_probs = objective._np_softmax(feats @ prev.T)
-    ctx = make_ctx(feats, labels, protos, prev_protos=prev, prev_probs=prev_probs)
+    prev_probs = softmax(feats @ prev.T)
+    ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
     _, no_pca = objective.total_loss(ctx, disable_pca=True)
     assert no_pca.pca == 0.0
     assert no_pca.dis > 0.0
@@ -256,10 +258,11 @@ def test_build_context_and_backward_through_real_network():
     grads_norm = sum(float(np.abs(p.grad).sum()) for p in params)
     assert grads_norm > 0.0
     assert parts.total == pytest.approx(parts.ce + parts.pca + parts.dis, abs=1e-12)
-    # each distillation mode computes only the teacher output it reads
-    assert ctx.prev_features is None
+    # the frozen target is the teacher output the distillation mode reads
+    assert np.array_equal(ctx.distill_target, nets.predict_probs(prev, x))
     repr_ctx = objective.build_context(net, prev, x, labels, distill_on="representation")
-    assert repr_ctx.prev_probs is None and repr_ctx.prev_features is not None
+    assert np.array_equal(repr_ctx.distill_target,
+                          softmax(nets.feature_values(prev, x)))
 
 
 def test_tape_of_one_step_has_one_linear_node_per_product():

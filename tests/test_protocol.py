@@ -149,7 +149,10 @@ def test_memory_grows_only_when_enabled():
     res = protocol.run_cdsl(tiny_config(), sequence=tiny_sequence())
     assert res.memory is not None
     assert res.memory.total() <= 40
-    assert res.memory.domains() == [0, 1, 2]
+    assert list(res.memory.sizes()) == [0, 1, 2]
+    for entry in res.logs["stage_log"]:
+        assert list(entry["bucket_sizes"]) == list(range(entry["stage"] + 1))
+        assert sum(entry["bucket_sizes"].values()) == entry["memory_total"]
     flat = protocol.run_cdsl(tiny_config(stationary=True), sequence=tiny_sequence())
     assert flat.memory is None
 
