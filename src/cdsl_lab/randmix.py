@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import nets
 
@@ -80,12 +79,32 @@ def make_autoencoder(dim: int, rng: np.random.Generator,
                            image_side=image_side)
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c at or above n."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _apply_map(weights: np.ndarray, x: np.ndarray, side: int | None) -> np.ndarray:
     if side is None:
         return x @ weights
-    imgs = x.reshape(-1, side, side)
-    out = fftconvolve(imgs, weights[None, :, :], mode="same", axes=(1, 2))
-    return out.reshape(x.shape[0], -1)
+    # "Same" 2-D convolution of every image with the kernel by real FFT. The
+    # 5-smooth padded length, the unscaled inverse and one 1 / n^2 scale keep
+    # the bits the presets have always produced; other lengths or numpy's
+    # per-axis scaling move most outputs by an ulp or so.
+    k = weights.shape[0]
+    n = _fft_len(side + k - 1)
+    spectrum = (np.fft.rfftn(x.reshape(-1, side, side), s=(n, n), axes=(1, 2))
+                * np.fft.rfftn(weights, s=(n, n), axes=(0, 1)))
+    full = np.fft.irfftn(spectrum, s=(n, n), axes=(1, 2), norm="forward") * (1.0 / (n * n))
+    lo = (k - 1) // 2
+    return full[:, lo:lo + side, lo:lo + side].reshape(x.shape[0], -1)
 
 
 def autoencode(ae: RandAutoencoder, x: np.ndarray) -> np.ndarray:

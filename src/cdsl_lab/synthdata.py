@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 GENERATORS = ("gauss_mix", "two_moons", "bitmap8")
 
@@ -30,6 +29,9 @@ MOON_SHIFT = np.array([0.5, 0.25])  # centers the standard two-moon layout
 MOON_SCALE = 0.4
 MOON_CENTER = np.array([0.5, 0.5])
 BITMAP_SIDE = 8
+# At quarter turns cos or sin of the angle is not exactly 0, and rounding can
+# put a source coordinate just past the image edge.
+_EDGE_TOL = 1e-9
 
 
 def _glyph(rows: list[str]) -> np.ndarray:
@@ -112,6 +114,26 @@ def rotation_matrix(deg: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def rotate_image(img: np.ndarray, deg: float) -> np.ndarray:
+    """Turn a square image by deg about its centre, bilinearly.
+
+    Output pixel p reads the input at R(deg).T @ (p - mid) + mid. A source
+    coordinate outside [0, side - 1] reads 0; nothing is interpolated from
+    beyond the edge.
+    """
+    side = img.shape[0]
+    mid = (side - 1) / 2.0
+    out = np.indices((side, side)).reshape(2, -1) - mid
+    src = rotation_matrix(deg).T @ out + mid
+    inside = np.all((src >= -_EDGE_TOL) & (src <= side - 1 + _EDGE_TOL), axis=0)
+    src = np.clip(src, 0.0, side - 1.0)
+    r, q = np.minimum(np.floor(src), side - 2).astype(int)
+    fr, fq = src - (r, q)
+    val = ((1.0 - fr) * ((1.0 - fq) * img[r, q] + fq * img[r, q + 1])
+           + fr * ((1.0 - fq) * img[r + 1, q] + fq * img[r + 1, q + 1]))
+    return np.where(inside, val, 0.0).reshape(side, side)
+
+
 def _balanced_labels(n: int, classes: int) -> np.ndarray:
     return np.arange(n) % classes
 
@@ -142,8 +164,7 @@ def _bitmap8(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np
     y = _balanced_labels(spec.samples, spec.classes)
     prototypes = []
     for k in range(spec.classes):
-        img = ndimage.rotate(BITMAP_TEMPLATES[k], spec.rotation_deg % 360.0,
-                             reshape=False, order=1)
+        img = rotate_image(BITMAP_TEMPLATES[k], spec.rotation_deg)
         img = np.roll(img, (round(spec.translation[0]), round(spec.translation[1])),
                       axis=(0, 1))
         prototypes.append((img > 0.5).astype(np.float64).reshape(-1))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import pytest
 from cdsl_lab import cli, objective, protocol
 from cdsl_lab.cli import MetricsReport, RunConfig
 
+
+REPO = Path(__file__).parents[1]
 
 TINY = ("sequence = rot5\n"
         "epochs = 1\n"
@@ -79,7 +84,7 @@ def test_every_field_rejects_a_bad_value_by_name(field):
         cli.parse_value(field.name, BAD_TEXT[kind])
 
 
-@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")),
                          ids=lambda p: p.stem)
 def test_preset_config_files_restate_the_defaults(path, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
@@ -165,6 +170,29 @@ def test_run_reruns_byte_identical_except_meta(tmp_path):
     for name in ("matrix.csv", "metrics.json", "train_log.csv",
                  "config.resolved.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+NO_SCIPY_RUN = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import cdsl_lab
+for module in pkgutil.iter_modules(cdsl_lab.__path__):
+    importlib.import_module("cdsl_lab." + module.name)
+from cdsl_lab import cli
+sys.exit(cli.main(["run", "--config", "configs/bitmap5.cfg", "--set", "epochs=1",
+                   "--out", sys.argv[1]]))
+"""
+
+
+def test_package_imports_and_runs_without_scipy(tmp_path):
+    out = tmp_path / "results"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(out)], cwd=REPO,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "matrix.csv").is_file()
 
 
 def test_run_fails_loudly_on_non_finite_loss(tmp_path, capsys):

@@ -143,3 +143,38 @@ def test_augmentation_is_seed_deterministic():
     a, _ = randmix.augment_batch(net, x, labels, cfg, "source", np.random.default_rng(21))
     b, _ = randmix.augment_batch(net, x, labels, cfg, "source", np.random.default_rng(21))
     assert np.array_equal(a, b)
+
+
+def _same_conv_by_taps(imgs, w):
+    """Direct "same" 2-D convolution: one shifted, weighted copy per kernel tap."""
+    side, k = imgs.shape[1], w.shape[0]
+    h = k // 2
+    padded = np.pad(imgs, ((0, 0), (h, h), (h, h)))
+    out = np.zeros_like(imgs)
+    for a in range(k):
+        for b in range(k):
+            out += w[a, b] * padded[:, 2 * h - a:2 * h - a + side, 2 * h - b:2 * h - b + side]
+    return out
+
+
+@pytest.mark.parametrize("size", randmix.KERNEL_SIZES)
+def test_bitmap_map_is_a_same_convolution(size):
+    rng = np.random.default_rng(size)
+    k = randmix.effective_kernel(size, 8)
+    w = rng.normal(size=(k, k))
+    for rows in (1, 7, 64, 160):
+        x = rng.normal(size=(rows, 64))
+        want = _same_conv_by_taps(x.reshape(rows, 8, 8), w).reshape(rows, 64)
+        assert np.allclose(randmix._apply_map(w, x, 8), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", randmix.KERNEL_SIZES)
+def test_bitmap_map_equals_fftconvolve_bit_for_bit(size):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(100 + size)
+    k = randmix.effective_kernel(size, 8)
+    w = rng.normal(size=(k, k))
+    for rows in (1, 7, 64, 160):
+        x = rng.normal(size=(rows, 64))
+        want = signal.fftconvolve(x.reshape(rows, 8, 8), w[None], mode="same", axes=(1, 2))
+        assert np.array_equal(randmix._apply_map(w, x, 8), want.reshape(rows, 64))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdsl_lab import synthdata
+from cdsl_lab import protocol, synthdata
 from cdsl_lab.synthdata import DomainSpec
 
 
@@ -118,3 +118,37 @@ def test_sequence_validation():
     g3 = DomainSpec("gauss_mix", classes=3, samples=20)
     with pytest.raises(ValueError, match="varies"):
         synthdata.DomainSequence("bad", [g, g3])
+
+
+def test_rotated_glyphs_match_ndimage_on_a_quarter_degree_grid():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for template in synthdata.BITMAP_TEMPLATES:
+        for deg in np.arange(0.0, 360.0, 0.25):  # includes 90, 180 and 270
+            want = ndimage.rotate(template, deg, reshape=False, order=1) > 0.5
+            assert np.array_equal(synthdata.rotate_image(template, deg) > 0.5, want), deg
+
+
+def _ndimage_bitmap8(spec, rng):
+    """_bitmap8 with ndimage.rotate for the turn, as the reference."""
+    from scipy import ndimage
+    y = np.arange(spec.samples) % spec.classes
+    glyphs = []
+    for template in synthdata.BITMAP_TEMPLATES[:spec.classes]:
+        img = ndimage.rotate(template, spec.rotation_deg % 360.0, reshape=False, order=1)
+        img = np.roll(img, (round(spec.translation[0]), round(spec.translation[1])),
+                      axis=(0, 1))
+        glyphs.append((img > 0.5).astype(np.float64).reshape(-1))
+    base = np.stack(glyphs)[y]
+    flips = rng.random(size=base.shape) < spec.sigma
+    return np.abs(base - flips.astype(np.float64)), y
+
+
+@pytest.mark.parametrize("seed", [2022, 2023, 2024])
+def test_bitmap5_domains_match_an_ndimage_reference(seed):
+    pytest.importorskip("scipy.ndimage")
+    for i, spec in enumerate(synthdata.standard_sequences()["bitmap5"].specs):
+        key = (seed, protocol.STREAM_DATA, 10 + i)  # the stream run_cdsl draws it from
+        x, y = synthdata.generate(spec, protocol.rng_for(*key))
+        want_x, want_y = _ndimage_bitmap8(spec, protocol.rng_for(*key))
+        assert np.array_equal(x, want_x), i
+        assert np.array_equal(y, want_y), i
