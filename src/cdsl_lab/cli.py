@@ -117,6 +117,14 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
+def make_out_dir(path) -> None:
+    """Create the output directory before any run, so a bad --out costs no training."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path}: {exc}") from exc
+
+
 def write_run_meta(out_dir, started: float, elapsed: float) -> None:
     meta = {"started_unix": started, "elapsed_seconds": elapsed,
             "argv": sys.argv[1:]}
@@ -131,9 +139,10 @@ def _execute_run(payload: tuple[RunConfig, str]) -> dict:
     return result.metrics.to_dict()
 
 
-def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int) -> list[dict]:
+def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int, out: Path) -> list[dict]:
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    make_out_dir(out)
     # the fork start method starts every worker at the first submit
     workers = min(jobs, len(payloads))
     if workers <= 1:
@@ -148,6 +157,7 @@ def _fmt(value) -> str:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
+    make_out_dir(args.out)
     started = time.time()
     result = protocol.run_cdsl(cfg)
     protocol.write_results(result, args.out)
@@ -189,7 +199,7 @@ def cmd_sweep(args) -> int:
             sub = out / f"{args.param}={label}" / f"seed{seed}"
             payloads.append((replace(swept, seed=seed), str(sub)))
     started = time.time()
-    reports = _run_many(payloads, args.jobs)
+    reports = _run_many(payloads, args.jobs, out)
     write_run_meta(out, started, time.time() - started)
 
     per_value = [reports[i:i + len(SWEEP_SEEDS)]
@@ -219,7 +229,7 @@ def cmd_ablate(args) -> int:
         payloads.append((protocol.variant_config(seeded, args.variant),
                          str(out / args.variant / f"seed{seed}")))
     started = time.time()
-    reports = _run_many(payloads, args.jobs)
+    reports = _run_many(payloads, args.jobs, out)
     write_run_meta(out, started, time.time() - started)
 
     lines = ["seed,full_tdg,ablated_tdg,delta_tdg,full_tda,ablated_tda,delta_tda,"

@@ -53,7 +53,8 @@ class TapeNode:
     op: str
     inputs: tuple[Tensor, ...]
     output: Tensor
-    vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    # one gradient per input; None where that input needs none
+    vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
 @dataclass
@@ -144,7 +145,8 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     return _binary("mul", a, b, np.multiply,
-                   lambda a, b: lambda g: (g * b.values, g * a.values))
+                   lambda a, b: lambda g: (g * b.values if a.requires_grad else None,
+                                           g * a.values if b.requires_grad else None))
 
 
 def scale(a, c: float) -> Tensor:
@@ -159,7 +161,8 @@ def matmul(a, b) -> Tensor:
         raise DiffcoreError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.values @ b.values
     return _record("matmul", (a, b), out,
-                   lambda g: (g @ b.values.T, a.values.T @ g))
+                   lambda g: (g @ b.values.T if a.requires_grad else None,
+                              a.values.T @ g if b.requires_grad else None))
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -177,7 +180,7 @@ def linear(x, w, b=None) -> Tensor:
         out = out + inputs[2].values
 
     def vjp(g):
-        grads = (g @ wt.T, (x.values.T @ g).T)
+        grads = (g @ wt.T if x.requires_grad else None, (x.values.T @ g).T)
         return grads if b is None else grads + (g.sum(axis=0),)
     return _record("linear", inputs, out, vjp)
 

@@ -1,7 +1,10 @@
-"""Model pieces: dense feature extractor, bottleneck, prototype classifier.
+"""The model: dense trunk, optional bottleneck, class prototypes.
 
-The classifier is a bias-free linear layer whose weight rows act as class
-prototypes; training moves prototypes and features jointly.
+A `Network` is plain weights. The trunk is a stack of dense layers with a
+ReLU between consecutive layers; the neck (the bottleneck) is a dense
+reduction, per-row standardization, ReLU and a second dense layer. Logits
+are bias-free scores against the prototypes, one weight row per class;
+training moves prototypes and features jointly.
 """
 
 from __future__ import annotations
@@ -14,47 +17,14 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 
-
-@dataclass
-class DenseLayer:
-    weight: Tensor  # [out, in]
-    bias: Tensor | None = None  # [out]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return dc.linear(x, self.weight, self.bias)
-
-
-@dataclass
-class FeatureExtractor:
-    """Stack of dense layers with ReLU between consecutive layers."""
-
-    layers: list[DenseLayer]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x
-        for i, layer in enumerate(self.layers):
-            if i > 0:
-                out = dc.relu(out)
-            out = layer(out)
-        return out
-
-
-@dataclass
-class Bottleneck:
-    """Dense reduction with per-row standardization and ReLU in between."""
-
-    pre: DenseLayer
-    post: DenseLayer
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.post(dc.relu(dc.standardize_rows(self.pre(x))))
+Dense = tuple[Tensor, Tensor]  # (weight [out, in], bias [out])
 
 
 @dataclass
 class Network:
-    extractor: FeatureExtractor
-    bottleneck: Bottleneck | None
-    classifier: DenseLayer  # bias-free; weight rows are the class prototypes
+    trunk: list[Dense]
+    neck: list[Dense]  # empty, or the [pre, post] pair of the bottleneck
+    prototypes: Tensor  # [classes, d]
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -62,40 +32,34 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def build_network(input_dim: int, classes: int, rng: np.random.Generator,
-                  hidden: tuple[int, ...] = (64, 64),
-                  bottleneck: tuple[int, int] | None = (32, 16)) -> Network:
+def build_network(input_dim: int, classes: int, rng: np.random.Generator, *,
+                  hidden: tuple[int, ...],
+                  bottleneck: tuple[int, int] | None) -> Network:
     """Fresh trainable network; weights Glorot-uniform, biases zero."""
-    layers = []
-    d = input_dim
-    for width in hidden:
-        layers.append(DenseLayer(
-            Tensor(glorot_uniform(rng, width, d), requires_grad=True),
-            Tensor(np.zeros(width), requires_grad=True)))
-        d = width
-    neck = None
-    if bottleneck is not None:
-        mid, out = bottleneck
-        neck = Bottleneck(
-            DenseLayer(Tensor(glorot_uniform(rng, mid, d), requires_grad=True),
-                       Tensor(np.zeros(mid), requires_grad=True)),
-            DenseLayer(Tensor(glorot_uniform(rng, out, mid), requires_grad=True),
-                       Tensor(np.zeros(out), requires_grad=True)))
-        d = out
-    clf = DenseLayer(Tensor(glorot_uniform(rng, classes, d), requires_grad=True))
-    return Network(FeatureExtractor(layers), neck, clf)
+    widths = [input_dim, *hidden, *(bottleneck or ())]
+    layers = [(Tensor(glorot_uniform(rng, out, d), requires_grad=True),
+               Tensor(np.zeros(out), requires_grad=True))
+              for d, out in zip(widths, widths[1:])]
+    protos = Tensor(glorot_uniform(rng, classes, widths[-1]), requires_grad=True)
+    return Network(layers[:len(hidden)], layers[len(hidden):], protos)
 
 
 def features(net: Network, x) -> Tensor:
-    """Representation after extractor and bottleneck (the prototype space)."""
-    out = net.extractor(dc.as_tensor(x))
-    if net.bottleneck is not None:
-        out = net.bottleneck(out)
+    """Representation after trunk and bottleneck (the prototype space)."""
+    out = dc.as_tensor(x)
+    for i, (w, b) in enumerate(net.trunk):
+        if i > 0:
+            out = dc.relu(out)
+        out = dc.linear(out, w, b)
+    if net.neck:
+        (w_pre, b_pre), (w_post, b_post) = net.neck
+        out = dc.relu(dc.standardize_rows(dc.linear(out, w_pre, b_pre)))
+        out = dc.linear(out, w_post, b_post)
     return out
 
 
 def logits(net: Network, x) -> Tensor:
-    return net.classifier(features(net, x))
+    return dc.linear(features(net, x), net.prototypes)
 
 
 def feature_values(net: Network, x: np.ndarray) -> np.ndarray:
@@ -111,16 +75,13 @@ def predict_labels(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def named_parameters(net: Network) -> list[tuple[str, Tensor]]:
-    layers = [(f"ext.{i}", layer) for i, layer in enumerate(net.extractor.layers)]
-    if net.bottleneck is not None:
-        layers += [("neck.pre", net.bottleneck.pre), ("neck.post", net.bottleneck.post)]
-    layers.append(("proto", net.classifier))
+    prefixes = [f"ext.{i}" for i in range(len(net.trunk))]
+    if net.neck:
+        prefixes += ["neck.pre", "neck.post"]
     out = []
-    for prefix, layer in layers:
-        out.append((f"{prefix}.weight", layer.weight))
-        if layer.bias is not None:
-            out.append((f"{prefix}.bias", layer.bias))
-    return out
+    for prefix, (w, b) in zip(prefixes, net.trunk + net.neck):
+        out += [(f"{prefix}.weight", w), (f"{prefix}.bias", b)]
+    return out + [("proto.weight", net.prototypes)]
 
 
 def parameters(net: Network) -> list[Tensor]:
@@ -139,14 +100,7 @@ def param_hash(net: Network) -> str:
 def snapshot(net: Network) -> Network:
     """Frozen deep copy: same values, requires_grad off everywhere."""
 
-    def copy_layer(layer: DenseLayer) -> DenseLayer:
-        bias = Tensor(layer.bias.values.copy()) if layer.bias is not None else None
-        return DenseLayer(Tensor(layer.weight.values.copy()), bias)
+    def copy(layers: list[Dense]) -> list[Dense]:
+        return [(Tensor(w.values.copy()), Tensor(b.values.copy())) for w, b in layers]
 
-    neck = None
-    if net.bottleneck is not None:
-        neck = Bottleneck(copy_layer(net.bottleneck.pre), copy_layer(net.bottleneck.post))
-    return Network(
-        FeatureExtractor([copy_layer(l) for l in net.extractor.layers]),
-        neck,
-        copy_layer(net.classifier))
+    return Network(copy(net.trunk), copy(net.neck), Tensor(net.prototypes.values.copy()))

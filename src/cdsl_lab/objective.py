@@ -34,7 +34,7 @@ class LossBreakdown:
 class BatchContext:
     features: Tensor  # [n, d], tape-attached
     labels: np.ndarray  # [n] int, true on source / pseudo on target
-    prototypes: Tensor  # current classifier weight [classes, d]
+    prototypes: Tensor  # current model's prototypes [classes, d]
     prev_prototypes: np.ndarray | None = None  # frozen [classes, d]
     # frozen row softmax of the previous model's logits, or of its
     # representations in "representation" mode
@@ -64,13 +64,13 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
     feats = nets.features(net, x)
     prev_protos = target = None
     if prev_net is not None:
-        prev_protos = prev_net.classifier.weight.values
+        prev_protos = prev_net.prototypes.values
         if distill_on == "representation":
             target = dc.softmax_rows(nets.feature_values(prev_net, x)).values
         else:
             target = nets.predict_probs(prev_net, x)
     return BatchContext(features=feats, labels=labels,
-                        prototypes=net.classifier.weight,
+                        prototypes=net.prototypes,
                         prev_prototypes=prev_protos, distill_target=target,
                         distill_on=distill_on)
 

@@ -69,6 +69,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"config: {f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"config: seed must be non-negative, got {self.seed}")
         if self.epochs < 0:
             raise ValueError(f"config: epochs must be non-negative, got {self.epochs}")
         if self.steps_per_epoch < 1:

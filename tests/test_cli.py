@@ -133,7 +133,8 @@ def test_unknown_sequence_is_usage_error(tmp_path):
                                      "memory_capacity=0", "memory_capacity=3",
                                      "source_fraction=0.004", "learning_rate=nan",
                                      "weight_decay=nan", "r_top=nan", "r_top_prime=inf",
-                                     "r_top_prime=101", "labeler_method=bogus"])
+                                     "r_top_prime=101", "labeler_method=bogus",
+                                     "seed=-1"])
 def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeypatch):
     def first_step(*_, **__):
         raise AssertionError("training started")
@@ -142,6 +143,22 @@ def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeyp
     assert cli.main(["run", "--out", str(tmp_path / "o"), "--set", setting]) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["run"],
+                                     ["sweep", "--param", "r_con", "--values", "0.5"],
+                                     ["ablate", "--variant", "no_pca"]],
+                         ids=["run", "sweep", "ablate"])
+def test_unusable_out_exits_two_before_training(command, tmp_path, capsys, monkeypatch):
+    def first_step(*_, **__):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(objective, "build_context", first_step)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    argv = command + ["--config", write_cfg(tmp_path), "--out", str(taken)]
+    assert cli.main(argv) == 2
+    assert "--out" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ run command

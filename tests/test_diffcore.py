@@ -59,6 +59,30 @@ def test_composite_gradient_matches_finite_differences(seed):
         assert max_rel_err(t.grad, num) < 1e-4
 
 
+CONSTANT_INPUT_CASES = [
+    ("mul", lambda const, var: dc.mul(const, var), 0),
+    ("mul", lambda const, var: dc.mul(var, const), 1),
+    ("matmul", lambda const, var: dc.matmul(const, var), 0),
+    ("matmul", lambda const, var: dc.matmul(var, const), 1),
+    ("linear", lambda const, var: dc.linear(const, var), 0),
+]
+
+
+@pytest.mark.parametrize("op,apply,const_at", CONSTANT_INPUT_CASES,
+                         ids=["mul-a", "mul-b", "matmul-a", "matmul-b", "linear-x"])
+def test_vjp_skips_inputs_without_requires_grad(op, apply, const_at):
+    rng = np.random.default_rng(11)
+    const = dc.Tensor(rng.normal(size=(3, 3)))
+    var = dc.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    with dc.Tape() as tape:
+        out = apply(const, var)
+    (node,) = tape.nodes
+    assert node.op == op
+    grads = node.vjp(np.ones(out.shape))
+    assert grads[const_at] is None
+    assert grads[1 - const_at].shape == (3, 3)
+
+
 BINARY_CASES = [
     ("add", dc.add, [(3, 4), (3, 4)]),
     ("sub", dc.sub, [(3, 4), (3, 4)]),

@@ -7,9 +7,9 @@ from cdsl_lab.diffcore import Tensor
 
 
 def identity_net(dim=2):
-    layer = nets.DenseLayer(Tensor(np.eye(dim), requires_grad=True), None)
-    clf = nets.DenseLayer(Tensor(np.eye(dim), requires_grad=True), None)
-    return nets.Network(nets.FeatureExtractor([layer]), None, clf)
+    layer = (Tensor(np.eye(dim), requires_grad=True),
+             Tensor(np.zeros(dim), requires_grad=True))
+    return nets.Network([layer], [], Tensor(np.eye(dim), requires_grad=True))
 
 
 def bucket(distances, labels=None, first_input=0):

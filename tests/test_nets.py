@@ -12,22 +12,58 @@ def tiny_net(seed=0, input_dim=3, classes=2):
     return nets.build_network(input_dim, classes, rng, hidden=(6, 5), bottleneck=(4, 4))
 
 
+def eye_layer(n):
+    return (dc.Tensor(np.eye(n), requires_grad=True),
+            dc.Tensor(np.zeros(n), requires_grad=True))
+
+
 def test_identity_layer_without_bottleneck_passes_input_through():
-    layer = nets.DenseLayer(dc.Tensor(np.eye(3), requires_grad=True),
-                            dc.Tensor(np.zeros(3), requires_grad=True))
-    net = nets.Network(nets.FeatureExtractor([layer]), None,
-                       nets.DenseLayer(dc.Tensor(np.eye(3), requires_grad=True), None))
+    net = nets.Network([eye_layer(3)], [], dc.Tensor(np.eye(3), requires_grad=True))
     x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
     assert np.array_equal(nets.feature_values(net, x), x)
 
 
 def test_orthonormal_prototypes_give_unit_logits():
-    layer = nets.DenseLayer(dc.Tensor(np.eye(4), requires_grad=True), None)
-    net = nets.Network(nets.FeatureExtractor([layer]), None,
-                       nets.DenseLayer(dc.Tensor(np.eye(4), requires_grad=True), None))
+    net = nets.Network([eye_layer(4)], [], dc.Tensor(np.eye(4), requires_grad=True))
     x = np.eye(4)[2:3]
     out = nets.logits(net, x).values
     assert np.array_equal(out, np.array([[0.0, 0.0, 1.0, 0.0]]))
+
+
+# (hidden, bottleneck) -> parameter names and shapes in order for 3 inputs and
+# 2 classes, and param_hash at rng seed 0; stage_log's snapshot_hash rests on both
+LAYOUTS = [
+    ((6, 5), (4, 4),
+     [("ext.0.weight", (6, 3)), ("ext.0.bias", (6,)),
+      ("ext.1.weight", (5, 6)), ("ext.1.bias", (5,)),
+      ("neck.pre.weight", (4, 5)), ("neck.pre.bias", (4,)),
+      ("neck.post.weight", (4, 4)), ("neck.post.bias", (4,)),
+      ("proto.weight", (2, 4))],
+     "78ebedae8d9679c32408dc641a3b2e52413eac90e7f7f1e710d9999f99e9cec1"),
+    ((6,), None,
+     [("ext.0.weight", (6, 3)), ("ext.0.bias", (6,)), ("proto.weight", (2, 6))],
+     "d137dcc3070304818aa90ae2e86f995a4be7f614e58bfa566341a7b2b36fdaa1"),
+    ((), (4, 3),
+     [("neck.pre.weight", (4, 3)), ("neck.pre.bias", (4,)),
+      ("neck.post.weight", (3, 4)), ("neck.post.bias", (3,)),
+      ("proto.weight", (2, 3))],
+     "13949ea7fb175e428dea8584ecb7045eda80ee093c646cf4ced053ce4d15c3be"),
+]
+
+
+@pytest.mark.parametrize("hidden,bottleneck,layout,digest", LAYOUTS,
+                         ids=["trunk-and-neck", "no-neck", "empty-trunk"])
+def test_parameter_layout(hidden, bottleneck, layout, digest):
+    net = nets.build_network(3, 2, np.random.default_rng(0),
+                             hidden=hidden, bottleneck=bottleneck)
+    assert [(name, t.shape) for name, t in nets.named_parameters(net)] == layout
+    assert nets.param_hash(net) == digest
+    x = np.random.default_rng(1).normal(size=(5, 3))
+    assert nets.feature_values(net, x).shape == (5, layout[-1][1][1])
+    frozen = nets.snapshot(net)
+    assert nets.param_hash(frozen) == digest
+    assert not any(t.requires_grad for t in nets.parameters(frozen))
+    assert all(t.requires_grad for t in nets.parameters(net))
 
 
 def test_feature_dim_and_logit_shape():
@@ -60,7 +96,7 @@ def test_snapshot_is_frozen_and_detached():
     frozen = nets.snapshot(net)
     assert nets.param_hash(frozen) == nets.param_hash(net)
     assert all(not t.requires_grad for t in nets.parameters(frozen))
-    net.classifier.weight.values[0, 0] += 1.0
+    net.prototypes.values[0, 0] += 1.0
     assert nets.param_hash(frozen) != nets.param_hash(net)
 
 
