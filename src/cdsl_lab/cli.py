@@ -1,11 +1,12 @@
 """Command-line front end: run experiments, sweeps, ablations, and reports.
 
 Config files are flat key=value lines mirroring RunConfig; `--set key=value`
-overrides apply after the file, last one wins, and `--seed` wins over both.
-The CDSL_LAB_SEED environment variable supplies a default seed when nothing
-else sets one. Exit codes: 0 success, 1 runtime failure, 2 usage or config
-error. Timestamps live only in run.meta so every other output byte is a
-pure function of the config.
+overrides apply after the file, last one wins, and `run --seed` wins over
+both. The CDSL_LAB_SEED environment variable supplies a default seed when
+nothing else sets one; `sweep` and `ablate` always run SWEEP_SEEDS instead.
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+Timestamps and the command line live only in run.meta so every other output
+byte is a pure function of the config.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def build_config(args) -> RunConfig:
         if not sep:
             raise UsageError(f"--set {item!r}: expected key=value")
         data[key.strip()] = parse_value(key.strip(), value.strip())
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # only `run` has --seed
         data["seed"] = args.seed
     try:
         cfg = RunConfig(**data)
@@ -125,12 +126,6 @@ def make_out_dir(path) -> None:
         raise UsageError(f"--out {path}: {exc}") from exc
 
 
-def write_run_meta(out_dir, started: float, elapsed: float) -> None:
-    meta = {"started_unix": started, "elapsed_seconds": elapsed,
-            "argv": sys.argv[1:]}
-    (Path(out_dir) / "run.meta").write_text(json.dumps(meta, indent=2) + "\n")
-
-
 def _execute_run(payload: tuple[RunConfig, str]) -> dict:
     """Worker for process pools: one run, written to its own directory."""
     cfg, out_dir = payload
@@ -139,16 +134,25 @@ def _execute_run(payload: tuple[RunConfig, str]) -> dict:
     return result.metrics.to_dict()
 
 
-def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int, out: Path) -> list[dict]:
+def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int, out: Path,
+              argv: list[str]) -> list[dict]:
+    """Every run's metrics, in payload order; run.meta under `out` records
+    when they started, how long they took and the command line."""
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     make_out_dir(out)
+    started = time.time()
     # the fork start method starts every worker at the first submit
     workers = min(jobs, len(payloads))
     if workers <= 1:
-        return [_execute_run(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_run, payloads))
+        reports = [_execute_run(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_execute_run, payloads))
+    meta = {"started_unix": started, "elapsed_seconds": time.time() - started,
+            "argv": argv}
+    (out / "run.meta").write_text(json.dumps(meta, indent=2) + "\n")
+    return reports
 
 
 def _fmt(value) -> str:
@@ -157,15 +161,10 @@ def _fmt(value) -> str:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
-    make_out_dir(args.out)
-    started = time.time()
-    result = protocol.run_cdsl(cfg)
-    protocol.write_results(result, args.out)
-    write_run_meta(args.out, started, time.time() - started)
-    m = result.metrics
+    (m,) = _run_many([(cfg, args.out)], 1, Path(args.out), args.argv)
     print(f"wrote {args.out}")
-    print(f"tdg_avg={_fmt(m.tdg_avg)} tda_avg={_fmt(m.tda_avg)} "
-          f"fa_avg={_fmt(m.fa_avg)}")
+    print(f"tdg_avg={_fmt(m['tdg_avg'])} tda_avg={_fmt(m['tda_avg'])} "
+          f"fa_avg={_fmt(m['fa_avg'])}")
     return 0
 
 
@@ -198,9 +197,7 @@ def cmd_sweep(args) -> int:
         for seed in SWEEP_SEEDS:
             sub = out / f"{args.param}={label}" / f"seed{seed}"
             payloads.append((replace(swept, seed=seed), str(sub)))
-    started = time.time()
-    reports = _run_many(payloads, args.jobs, out)
-    write_run_meta(out, started, time.time() - started)
+    reports = _run_many(payloads, args.jobs, out, args.argv)
 
     per_value = [reports[i:i + len(SWEEP_SEEDS)]
                  for i in range(0, len(reports), len(SWEEP_SEEDS))]
@@ -228,9 +225,7 @@ def cmd_ablate(args) -> int:
         payloads.append((seeded, str(out / "full" / f"seed{seed}")))
         payloads.append((protocol.variant_config(seeded, args.variant),
                          str(out / args.variant / f"seed{seed}")))
-    started = time.time()
-    reports = _run_many(payloads, args.jobs, out)
-    write_run_meta(out, started, time.time() - started)
+    reports = _run_many(payloads, args.jobs, out, args.argv)
 
     lines = ["seed,full_tdg,ablated_tdg,delta_tdg,full_tda,ablated_tda,delta_tda,"
              "full_fa,ablated_fa,delta_fa"]
@@ -284,9 +279,10 @@ def render_text_report(metrics: MetricsReport) -> str:
 
 
 def cmd_report(args) -> int:
-    if not (Path(args.results_dir) / "metrics.json").is_file():
+    path = Path(args.results_dir) / "metrics.json"
+    if not path.is_file():
         raise UsageError(f"no metrics.json under {args.results_dir}")
-    metrics = protocol.load_metrics(args.results_dir)
+    metrics = MetricsReport(**json.loads(path.read_text()))  # keys are the field names
     if args.format == "json":
         print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
     elif args.format == "csv":
@@ -307,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="root seed (wins over config)")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="config override, repeatable, last wins")
 
     p_run = sub.add_parser("run", help="single experiment")
     common(p_run)
+    p_run.add_argument("--seed", type=int, help="root seed (wins over config)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="one hyperparameter over fixed seeds")
@@ -342,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # run.meta records the command that ran
     try:
         return args.func(args)
     except UsageError as exc:

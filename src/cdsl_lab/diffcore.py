@@ -271,21 +271,18 @@ class SgdConfig:
             raise DiffcoreError(f"sgd: weight_decay must be non-negative, got {self.weight_decay}")
 
 
-@dataclass
-class SgdState:
-    velocities: list[np.ndarray]
-
-
-def sgd_step(params: list[Tensor], cfg: SgdConfig, state: SgdState | None = None) -> SgdState:
-    """One momentum-SGD update in place: v <- m*v + (g + wd*p); p <- p - lr*v."""
-    if state is None:
-        state = SgdState([np.zeros_like(p.values) for p in params])
-    if len(state.velocities) != len(params):
-        raise DiffcoreError("sgd: state does not match parameter list")
-    for p, v in zip(params, state.velocities):
+def sgd_step(params: list[Tensor], cfg: SgdConfig,
+             velocities: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """One momentum-SGD update in place: v <- m*v + (g + wd*p); p <- p - lr*v.
+    Returns the velocities, one array per parameter, for the next step."""
+    if velocities is None:
+        velocities = [np.zeros_like(p.values) for p in params]
+    if len(velocities) != len(params):
+        raise DiffcoreError("sgd: velocities do not match parameter list")
+    for p, v in zip(params, velocities):
         if p.grad is None:
             raise DiffcoreError("sgd: parameter has no gradient; run backward first")
         v *= cfg.momentum
         v += p.grad + cfg.weight_decay * p.values
         p.values -= cfg.learning_rate * v
-    return state
+    return velocities

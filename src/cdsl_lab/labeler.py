@@ -38,12 +38,6 @@ class LabelerConfig:
 
 
 @dataclass
-class TopSet:
-    per_class: list[np.ndarray]  # selected sample indices, one array per class
-    union: np.ndarray  # sorted unique indices across classes
-
-
-@dataclass
 class PseudoLabelSet:
     labels: np.ndarray
     method: str
@@ -62,12 +56,11 @@ def _top_by_score(scores: np.ndarray, m: int) -> np.ndarray:
     return order[:m]
 
 
-def top_confidence_sets(probs: np.ndarray, r_top: float) -> TopSet:
+def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
+    """Sorted unique indices of each class's most confident samples."""
     n, classes = probs.shape
     m = _class_list_size(n, classes, r_top)
-    per_class = [_top_by_score(probs[:, k], m) for k in range(classes)]
-    union = np.unique(np.concatenate(per_class))
-    return TopSet(per_class=per_class, union=union)
+    return np.unique(np.concatenate([_top_by_score(probs[:, k], m) for k in range(classes)]))
 
 
 def weighted_centroids(feats: np.ndarray, weights: np.ndarray,
@@ -151,8 +144,8 @@ def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     probs = nets.predict_probs(net, x)
     feats = nets.feature_values(net, x)
     n, classes = probs.shape
-    pool = top_confidence_sets(probs, cfg.r_top)
-    cents = weighted_centroids(feats, probs, pool.union)
+    pool = top_confidence_pool(probs, cfg.r_top)
+    cents = weighted_centroids(feats, probs, pool)
     member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
     kappa = t2pl_kappa(n, classes, cfg.r_top_prime)
     labels = knn_assign(feats, member_idx, member_labels, kappa, classes)

@@ -23,14 +23,6 @@ DISTILL_MODES = ("logits", "representation")
 
 
 @dataclass
-class LossBreakdown:
-    ce: float
-    pca: float
-    dis: float
-    total: float
-
-
-@dataclass
 class BatchContext:
     features: Tensor  # [n, d], tape-attached
     labels: np.ndarray  # [n] int, true on source / pseudo on target
@@ -143,8 +135,8 @@ def distill_loss(ctx: BatchContext) -> Tensor:
     return dc.relu(kl)
 
 
-def total_loss(ctx: BatchContext, *, disable_pca: bool = False) -> tuple[Tensor, LossBreakdown]:
-    """Stage loss and its logged decomposition (total = ce + pca + dis).
+def total_loss(ctx: BatchContext, *, disable_pca: bool = False) -> tuple[Tensor, dict]:
+    """Stage loss and its logged parts {ce, pca, dis, total}, total = ce + pca + dis.
     A previous model in the context adds its PCA terms and distillation."""
     has_previous = ctx.prev_prototypes is not None
     ce = ce_loss(ctx)
@@ -162,5 +154,4 @@ def total_loss(ctx: BatchContext, *, disable_pca: bool = False) -> tuple[Tensor,
         total = dc.add(total, dis)
         dis_val = dis.item()
 
-    return total, LossBreakdown(ce=ce.item(), pca=pca_val, dis=dis_val,
-                                total=total.item())
+    return total, {"ce": ce.item(), "pca": pca_val, "dis": dis_val, "total": total.item()}

@@ -152,19 +152,13 @@ class MetricsReport:
                 "tdg_avg": self.tdg_avg, "tda_avg": self.tda_avg,
                 "fa_avg": self.fa_avg}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(tdg=list(d["tdg"]), tda=list(d["tda"]), fa=list(d["fa"]),
-                   tdg_avg=d["tdg_avg"], tda_avg=d["tda_avg"], fa_avg=d["fa_avg"])
 
-
-def compute_metrics(matrix: AccuracyMatrix | np.ndarray) -> MetricsReport:
+def compute_metrics(values: np.ndarray) -> MetricsReport:
     """Per-domain transfer metrics from the stage-by-domain accuracy matrix.
 
     Generalization to a domain averages the rows before its stage, adaptation
     is the diagonal entry, and forgetting averages the rows after.
     """
-    values = matrix.values if isinstance(matrix, AccuracyMatrix) else np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"metrics: need a square stage-by-domain matrix, got {values.shape}")
     n = values.shape[0]
@@ -248,8 +242,7 @@ def run_cdsl(cfg: RunConfig,
     randmix_rng = rng_for(cfg.seed, STREAM_RANDMIX)
     replay_rng = rng_for(cfg.seed, STREAM_REPLAY)
 
-    image_side = synthdata.BITMAP_SIDE if seq.specs[0].kind == "bitmap8" else None
-    rm_cfg = cfg.randmix_config(image_side)
+    rm_cfg = cfg.randmix_config(seq.specs[0].image_side)
     lab_cfg = cfg.labeler_config()
     sgd_cfg = cfg.sgd_config()
 
@@ -258,7 +251,7 @@ def run_cdsl(cfg: RunConfig,
     previous: nets.Network | None = None  # frozen snapshot after the last stage
     memory_enabled = not cfg.stationary
     mem = memory_mod.ExemplarMemory(cfg.memory_capacity) if memory_enabled else None
-    sgd_state: dc.SgdState | None = None
+    velocities: list[np.ndarray] | None = None
     params = nets.parameters(model)
 
     eval_sets = [(te_x, te_y) if i == 0 else datasets[i]
@@ -266,19 +259,18 @@ def run_cdsl(cfg: RunConfig,
     logs: dict = {"train_log": [], "label_log": [], "stage_log": [], "admissions": []}
 
     def train_step(stage: int, epoch: int, step: int, batch_x, batch_y):
-        nonlocal sgd_state
+        nonlocal velocities
         with dc.Tape() as tape:
             ctx = objective.build_context(model, None if cfg.stationary else previous,
                                           batch_x, batch_y, distill_on=cfg.distill_on)
-            total, parts = objective.total_loss(ctx, disable_pca=cfg.disable_pca)
-        losses = {"ce": parts.ce, "pca": parts.pca, "dis": parts.dis, "total": parts.total}
+            total, losses = objective.total_loss(ctx, disable_pca=cfg.disable_pca)
         if not np.isfinite(list(losses.values())).all():
             values = " ".join(f"{k}={v!r}" for k, v in losses.items())
             raise FloatingPointError(
                 f"non-finite loss at stage {stage} epoch {epoch} step {step}: {values}")
         dc.zero_grads(params)
         dc.backward(tape, total, params=params)
-        sgd_state = dc.sgd_step(params, sgd_cfg, sgd_state)
+        velocities = dc.sgd_step(params, sgd_cfg, velocities)
         logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 
     def pseudo_labels(stage: int, epoch: int, x, y) -> np.ndarray:
@@ -332,7 +324,7 @@ def run_cdsl(cfg: RunConfig,
             "bucket_sizes": mem.sizes() if memory_enabled else {}})
 
     matrix = AccuracyMatrix(np.array(matrix_rows))
-    return RunResult(config=cfg, matrix=matrix, metrics=compute_metrics(matrix),
+    return RunResult(config=cfg, matrix=matrix, metrics=compute_metrics(matrix.values),
                      logs=logs, model=model, memory=mem)
 
 
@@ -382,8 +374,3 @@ def write_results(result: RunResult, out_dir) -> None:
                              f"{row['dis']:.17g}", f"{row['total']:.17g}"])
     (out / "config.resolved.json").write_text(
         json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_metrics(results_dir) -> MetricsReport:
-    payload = json.loads((Path(results_dir) / "metrics.json").read_text())
-    return MetricsReport.from_dict(payload)

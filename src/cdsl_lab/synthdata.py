@@ -80,8 +80,14 @@ class DomainSpec:
             raise ValueError(f"synthdata: sigma must be non-negative, got {self.sigma}")
 
     @property
+    def image_side(self) -> int | None:
+        """Side of the square image a bitmap row flattens; None for points."""
+        return BITMAP_SIDE if self.kind == "bitmap8" else None
+
+    @property
     def input_dim(self) -> int:
-        return BITMAP_SIDE * BITMAP_SIDE if self.kind == "bitmap8" else 2
+        side = self.image_side
+        return 2 if side is None else side * side
 
 
 @dataclass

@@ -189,6 +189,13 @@ def test_run_reruns_byte_identical_except_meta(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_run_meta_records_the_argv_main_was_given(tmp_path):
+    out = tmp_path / "o"
+    argv = ["run", "--config", write_cfg(tmp_path), "--set", "epochs=0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads((out / "run.meta").read_text())["argv"] == argv
+
+
 NO_SCIPY_RUN = """
 import importlib, pkgutil, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
@@ -212,6 +219,7 @@ def test_package_imports_and_runs_without_scipy(tmp_path):
     assert (out / "matrix.csv").is_file()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_run_fails_loudly_on_non_finite_loss(tmp_path, capsys):
     # at this learning rate the rot5 PCA term overflows early in stage 0
     out = tmp_path / "blowup"
@@ -283,6 +291,24 @@ def test_sweep_rejects_invalid_swept_value_before_any_run(param, value, tmp_path
     assert cli.main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
                      "--param", param, "--values", f"2,{value}"]) == 2
     assert param in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep", "--param", "r_con", "--values", "0.5"],
+                                     ["ablate", "--variant", "no_pca"]],
+                         ids=["sweep", "ablate"])
+def test_seed_flag_is_rejected_where_fixed_seeds_run(command, tmp_path, capsys,
+                                                     monkeypatch):
+    def any_run(*_, **__):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(protocol, "run_cdsl", any_run)
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--config", write_cfg(tmp_path), "--seed", "7",
+                            "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -419,8 +445,7 @@ def test_report_json_parses(results_dir, capsys):
 def test_report_csv_roundtrips(results_dir, capsys):
     assert cli.main(["report", str(results_dir), "--format", "csv"]) == 0
     text = capsys.readouterr().out
-    stored = MetricsReport.from_dict(
-        json.loads((results_dir / "metrics.json").read_text()))
+    stored = MetricsReport(**json.loads((results_dir / "metrics.json").read_text()))
     assert metrics_from_csv(text) == stored
 
 

@@ -254,13 +254,13 @@ def test_sgd_two_steps_match_hand_derivation():
 
     th0 = 2.0
     theta.grad = np.array([grad_of(th0)])
-    state = dc.sgd_step([theta], cfg)
+    velocities = dc.sgd_step([theta], cfg)
     v1 = grad_of(th0) + 0.01 * th0
     th1 = th0 - 0.1 * v1
     assert theta.values[0] == th1
 
     theta.grad = np.array([grad_of(th1)])
-    dc.sgd_step([theta], cfg, state)
+    assert dc.sgd_step([theta], cfg, velocities) is velocities  # updated in place
     v2 = 0.9 * v1 + (grad_of(th1) + 0.01 * th1)
     th2 = th1 - 0.1 * v2
     assert theta.values[0] == th2
@@ -287,3 +287,10 @@ def test_sgd_requires_gradients():
     p = dc.Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(dc.DiffcoreError, match="gradient"):
         dc.sgd_step([p], dc.SgdConfig(learning_rate=0.1))
+
+
+def test_sgd_rejects_velocities_of_another_parameter_list():
+    p = dc.Tensor(np.ones(2), requires_grad=True)
+    p.grad = np.ones(2)
+    with pytest.raises(dc.DiffcoreError, match="velocities"):
+        dc.sgd_step([p], dc.SgdConfig(learning_rate=0.1), [np.zeros(2), np.zeros(2)])

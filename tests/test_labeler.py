@@ -24,24 +24,24 @@ def test_top_confidence_default_keeps_half_per_class():
         [0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4],
         [0.4, 0.6], [0.3, 0.7], [0.2, 0.8], [0.1, 0.9],
     ])
-    ts = labeler.top_confidence_sets(probs, r_top=2.0)
-    assert [list(a) for a in ts.per_class] == [[0, 1], [7, 6]]
-    assert list(ts.union) == [0, 1, 6, 7]
+    assert [list(labeler._top_by_score(probs[:, k], 2)) for k in range(2)] == [[0, 1], [7, 6]]
+    assert list(labeler.top_confidence_pool(probs, r_top=2.0)) == [0, 1, 6, 7]
 
 
 def test_top_selection_breaks_ties_by_ascending_index():
     probs = np.array([[0.5, 0.5]] * 6)
-    ts = labeler.top_confidence_sets(probs, r_top=1.0)
-    assert list(ts.per_class[0]) == [0, 1, 2]
-    assert list(ts.per_class[1]) == [0, 1, 2]
+    assert list(labeler._top_by_score(probs[:, 0], 3)) == [0, 1, 2]
+    assert list(labeler._top_by_score(probs[:, 1], 3)) == [0, 1, 2]
+    assert list(labeler.top_confidence_pool(probs, r_top=1.0)) == [0, 1, 2]
 
 
 def test_list_size_clamps_to_one():
+    assert labeler._class_list_size(4, 2, 4.0) == 1  # floor(4/8) = 0 -> 1
     probs = np.full((4, 2), 0.5)
-    ts = labeler.top_confidence_sets(probs, r_top=4.0)  # floor(4/8) = 0 -> 1
-    assert all(a.shape[0] == 1 for a in ts.per_class)
+    # both classes keep only their top sample, the tied sample 0
+    assert list(labeler.top_confidence_pool(probs, r_top=4.0)) == [0]
     with pytest.raises(ValueError, match="samples"):
-        labeler.top_confidence_sets(np.full((1, 2), 0.5), r_top=2.0)
+        labeler.top_confidence_pool(np.full((1, 2), 0.5), r_top=2.0)
 
 
 def test_equal_weights_reduce_centroid_to_arithmetic_mean():
@@ -70,10 +70,9 @@ def test_weighted_centroids_match_brute_force():
 def test_union_counts_each_sample_once():
     # sample 0 tops both classes; the centroid pool must hold it once
     probs = np.array([[0.9, 0.9], [0.8, 0.1], [0.1, 0.8], [0.5, 0.5]])
-    ts = labeler.top_confidence_sets(probs, r_top=2.0)
-    assert list(ts.per_class[0]) == [0]
-    assert list(ts.per_class[1]) == [0]
-    assert list(ts.union) == [0]
+    assert list(labeler._top_by_score(probs[:, 0], 1)) == [0]
+    assert list(labeler._top_by_score(probs[:, 1], 1)) == [0]
+    assert list(labeler.top_confidence_pool(probs, r_top=2.0)) == [0]
 
 
 def test_cosine_ranking_and_duplicate_membership():

@@ -217,19 +217,20 @@ def test_total_loss_decomposition_on_target_stage():
     prev_probs = softmax(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
     total, parts = objective.total_loss(ctx)
-    assert parts.ce >= 0.0 and parts.pca >= 0.0 and parts.dis >= 0.0
-    assert parts.total == total.item()
-    assert abs(parts.total - (parts.ce + parts.pca + parts.dis)) < 1e-12
-    assert parts.dis > 0.0  # previous model differs, so some drift exists
+    assert list(parts) == ["ce", "pca", "dis", "total"]  # train_log.csv's column order
+    assert parts["ce"] >= 0.0 and parts["pca"] >= 0.0 and parts["dis"] >= 0.0
+    assert parts["total"] == total.item()
+    assert abs(parts["total"] - (parts["ce"] + parts["pca"] + parts["dis"])) < 1e-12
+    assert parts["dis"] > 0.0  # previous model differs, so some drift exists
 
 
 def test_total_loss_on_source_stage_has_no_distillation():
     feats, labels, protos, _ = rand_instance(12)
     ctx = make_ctx(feats, labels, protos)
     total, parts = objective.total_loss(ctx)
-    assert parts.dis == 0.0
-    assert parts.pca == objective.source_pca_loss(ctx).item()
-    assert abs(parts.total - (parts.ce + parts.pca)) < 1e-12
+    assert parts["dis"] == 0.0
+    assert parts["pca"] == objective.source_pca_loss(ctx).item()
+    assert abs(parts["total"] - (parts["ce"] + parts["pca"])) < 1e-12
 
 
 def test_total_loss_ablation_flags():
@@ -237,9 +238,9 @@ def test_total_loss_ablation_flags():
     prev_probs = softmax(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
     _, no_pca = objective.total_loss(ctx, disable_pca=True)
-    assert no_pca.pca == 0.0
-    assert no_pca.dis > 0.0
-    assert abs(no_pca.total - (no_pca.ce + no_pca.dis)) < 1e-12
+    assert no_pca["pca"] == 0.0
+    assert no_pca["dis"] > 0.0
+    assert abs(no_pca["total"] - (no_pca["ce"] + no_pca["dis"])) < 1e-12
 
 
 def test_build_context_and_backward_through_real_network():
@@ -257,7 +258,7 @@ def test_build_context_and_backward_through_real_network():
     assert all(p.grad is not None for p in params)
     grads_norm = sum(float(np.abs(p.grad).sum()) for p in params)
     assert grads_norm > 0.0
-    assert parts.total == pytest.approx(parts.ce + parts.pca + parts.dis, abs=1e-12)
+    assert parts["total"] == pytest.approx(parts["ce"] + parts["pca"] + parts["dis"], abs=1e-12)
     # the frozen target is the teacher output the distillation mode reads
     assert np.array_equal(ctx.distill_target, nets.predict_probs(prev, x))
     repr_ctx = objective.build_context(net, prev, x, labels, distill_on="representation")

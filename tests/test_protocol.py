@@ -46,7 +46,7 @@ def test_metrics_rejects_non_square():
 
 def test_metrics_roundtrip_through_dict():
     rep = protocol.compute_metrics(np.eye(3) * 0.5 + 0.25)
-    again = MetricsReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+    again = MetricsReport(**json.loads(json.dumps(rep.to_dict())))
     assert again == rep
 
 
@@ -205,7 +205,7 @@ def test_write_results_files(tmp_path):
         assert line == ",".join(f"{v:.6f}" for v in row)
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics == res.metrics.to_dict()
-    assert protocol.load_metrics(tmp_path) == res.metrics
+    assert MetricsReport(**metrics) == res.metrics
     log_lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
     assert log_lines[0] == "stage,epoch,step,ce,pca,dis,total"
     assert len(log_lines) == 1 + len(res.logs["train_log"])

@@ -108,6 +108,13 @@ def test_standard_sequences_layout():
     assert seqs["bitmap5"].input_dim == 64
 
 
+def test_image_side_sets_input_dim():
+    seqs = synthdata.standard_sequences()
+    bitmap, points = seqs["bitmap5"].specs[0], seqs["rot5"].specs[0]
+    assert (bitmap.image_side, bitmap.input_dim) == (8, 64)
+    assert (points.image_side, points.input_dim) == (None, 2)
+
+
 def test_sequence_validation():
     g = DomainSpec("gauss_mix", classes=2, samples=20)
     m = DomainSpec("two_moons", classes=2, samples=20)
