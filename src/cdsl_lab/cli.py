@@ -282,7 +282,10 @@ def cmd_report(args) -> int:
     path = Path(args.results_dir) / "metrics.json"
     if not path.is_file():
         raise UsageError(f"no metrics.json under {args.results_dir}")
-    metrics = MetricsReport(**json.loads(path.read_text()))  # keys are the field names
+    try:
+        metrics = MetricsReport(**json.loads(path.read_text()))  # keys are the field names
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"{path} is not a metrics report: {exc}") from exc
     if args.format == "json":
         print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
     elif args.format == "csv":
@@ -299,10 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "domain sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="key=value config file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="config override, repeatable, last wins")
 

@@ -94,28 +94,25 @@ def backward(tape: Tape, output: Tensor, params: list[Tensor] | None = None) -> 
     """
     if output.values.size != 1:
         raise DiffcoreError(f"backward: output has shape {output.shape}, not scalar")
-    adjoint: dict[int, np.ndarray] = {id(output): np.ones_like(output.values)}
-    keepalive = {id(output): output}
+    # id -> (tensor, gradient so far); the tape holds every node's tensors,
+    # so no id is reused while the pass runs
+    adjoint: dict[int, tuple[Tensor, np.ndarray]] = {
+        id(output): (output, np.ones_like(output.values))}
     for node in reversed(tape.nodes):
-        g = adjoint.pop(id(node.output), None)
-        keepalive.pop(id(node.output), None)
-        if g is None:
+        entry = adjoint.pop(id(node.output), None)
+        if entry is None:
             continue
-        grads = node.vjp(g)
+        grads = node.vjp(entry[1])
         for inp, gi in zip(node.inputs, grads):
             if not inp.requires_grad or gi is None:
                 continue
             key = id(inp)
             if key in adjoint:
-                adjoint[key] = adjoint[key] + gi
+                adjoint[key] = (inp, adjoint[key][1] + gi)
             else:
-                adjoint[key] = gi
-                keepalive[key] = inp
-    for key, t in keepalive.items():
-        if t.grad is None:
-            t.grad = adjoint[key]
-        else:
-            t.grad = t.grad + adjoint[key]
+                adjoint[key] = (inp, gi)
+    for t, g in adjoint.values():
+        t.grad = g if t.grad is None else t.grad + g
     if params is not None:
         for p in params:
             if p.grad is None:
@@ -219,14 +216,14 @@ def softmax_rows(a) -> Tensor:
     return _record("softmax_rows", (a,), s, vjp)
 
 
-def standardize_rows(a, eps: float = STANDARDIZE_EPS) -> Tensor:
+def standardize_rows(a) -> Tensor:
     """Per-row shift to zero mean and scale to unit variance."""
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise DiffcoreError(f"standardize_rows: expected 2-d, got shape {a.shape}")
     mu = a.values.mean(axis=1, keepdims=True)
     var = a.values.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + STANDARDIZE_EPS)
     y = (a.values - mu) * inv
     def vjp(g):
         gm = g.mean(axis=1, keepdims=True)
@@ -245,15 +242,12 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
     return _record("reduce_sum", (a,), out, vjp)
 
 
-def reduce_mean(a, axis: int | None = None) -> Tensor:
+def reduce_mean(a) -> Tensor:
+    """Mean of every entry, as a scalar."""
     a = as_tensor(a)
-    out = a.values.mean(axis=axis)
-    n = a.values.size if axis is None else a.shape[axis]
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
-    return _record("reduce_mean", (a,), out, vjp)
+    n = a.values.size
+    return _record("reduce_mean", (a,), a.values.mean(),
+                   lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
 @dataclass

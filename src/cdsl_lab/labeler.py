@@ -52,8 +52,7 @@ def _class_list_size(n: int, classes: int, ratio: float) -> int:
 
 def _top_by_score(scores: np.ndarray, m: int) -> np.ndarray:
     """Indices of the m largest scores, descending, ascending index on ties."""
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:m]
+    return np.argsort(-scores, kind="stable")[:m]
 
 
 def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
@@ -63,15 +62,9 @@ def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
     return np.unique(np.concatenate([_top_by_score(probs[:, k], m) for k in range(classes)]))
 
 
-def weighted_centroids(feats: np.ndarray, weights: np.ndarray,
-                       indices: np.ndarray | None = None) -> np.ndarray:
-    """Per-class weighted feature means, [classes, feature_dim].
-
-    Each pooled sample counts once.
-    """
-    if indices is not None:
-        feats = feats[indices]
-        weights = weights[indices]
+def weighted_centroids(feats: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-class weighted feature means, [classes, feature_dim]; class k
+    weights row i of feats by weights[i, k]."""
     denom = weights.sum(axis=0)
     if np.any(denom <= 0.0):
         raise ValueError("labeler: a class has zero total weight in the centroid pool")
@@ -98,12 +91,8 @@ def top_similarity_sets(feats: np.ndarray, centroids: np.ndarray,
     classes = centroids.shape[0]
     m = _class_list_size(n, classes, r_top)
     sims = cosine_to_centroids(feats, centroids)
-    idx_parts, label_parts = [], []
-    for k in range(classes):
-        chosen = _top_by_score(sims[:, k], m)
-        idx_parts.append(chosen)
-        label_parts.append(np.full(chosen.shape[0], k, dtype=int))
-    return np.concatenate(idx_parts), np.concatenate(label_parts)
+    idx = np.concatenate([_top_by_score(sims[:, k], m) for k in range(classes)])
+    return idx, np.repeat(np.arange(classes), m)  # m <= n, so every class gives m
 
 
 def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndarray,
@@ -119,10 +108,11 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     kappa = min(kappa, member_idx.shape[0])
     member_feats = feats[member_idx]
     labels = np.empty(feats.shape[0], dtype=int)
-    entry_order = np.arange(member_idx.shape[0])
     for i in range(feats.shape[0]):
         dists = np.linalg.norm(member_feats - feats[i], axis=1)
-        nearest = np.lexsort((entry_order, dists))[:kappa]
+        # a stable sort; for float keys of this size lexsort's is faster
+        # than argsort(kind="stable")
+        nearest = np.lexsort((dists,))[:kappa]
         votes = np.bincount(member_labels[nearest], minlength=classes)
         best = votes.max()
         tied = np.flatnonzero(votes == best)
@@ -145,7 +135,7 @@ def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     feats = nets.feature_values(net, x)
     n, classes = probs.shape
     pool = top_confidence_pool(probs, cfg.r_top)
-    cents = weighted_centroids(feats, probs, pool)
+    cents = weighted_centroids(feats[pool], probs[pool])
     member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
     kappa = t2pl_kappa(n, classes, cfg.r_top_prime)
     labels = knn_assign(feats, member_idx, member_labels, kappa, classes)

@@ -36,7 +36,7 @@ def rebalance(mem: ExemplarMemory) -> None:
     stored order; the earlier row wins a distance tie."""
     quota = mem.capacity // len(mem.buckets)
     for dom, (inputs, labels, distances) in mem.buckets.items():
-        keep = np.sort(np.lexsort((distances,))[:quota])
+        keep = np.sort(np.argsort(distances, kind="stable")[:quota])
         mem.buckets[dom] = (inputs[keep], labels[keep], distances[keep])
 
 
@@ -44,19 +44,14 @@ def select_round_robin(distances: np.ndarray, labels: np.ndarray, quota: int) ->
     """Class-balanced nearest-first selection of sample indices.
 
     Classes take turns (ascending class id) contributing their next-nearest
-    unused sample until the quota is filled or every sample is taken.
+    unused sample until the quota is filled or every sample is taken. That is
+    the first `quota` rows ordered by rank within their class, then class id,
+    where a row's rank comes from its distance, then its index.
     """
-    per_class = {}
-    for k in sorted(set(int(v) for v in labels)):
-        members = np.flatnonzero(labels == k)
-        order = members[np.lexsort((members, distances[members]))]
-        per_class[k] = list(order)
-    chosen: list[int] = []
-    while len(chosen) < quota and any(per_class.values()):
-        for k in sorted(per_class):
-            if per_class[k] and len(chosen) < quota:
-                chosen.append(int(per_class[k].pop(0)))
-    return chosen
+    by_class = np.lexsort((distances, labels))
+    sorted_labels = labels[by_class]
+    rank = np.arange(labels.shape[0]) - np.searchsorted(sorted_labels, sorted_labels)
+    return by_class[np.lexsort((sorted_labels, rank))][:quota].tolist()
 
 
 def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,

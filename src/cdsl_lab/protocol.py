@@ -148,9 +148,7 @@ class MetricsReport:
     fa_avg: float | None
 
     def to_dict(self) -> dict:
-        return {"tdg": self.tdg, "tda": self.tda, "fa": self.fa,
-                "tdg_avg": self.tdg_avg, "tda_avg": self.tda_avg,
-                "fa_avg": self.fa_avg}
+        return asdict(self)
 
 
 def compute_metrics(values: np.ndarray) -> MetricsReport:

@@ -51,10 +51,10 @@ def effective_kernel(size: int, side: int) -> int:
     return max(k, 1)
 
 
-def instance_norm(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+def instance_norm(x: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return (x - mu) / np.sqrt(var + NORM_EPS)
 
 
 def make_autoencoder(dim: int, rng: np.random.Generator,

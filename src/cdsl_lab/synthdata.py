@@ -2,8 +2,8 @@
 
 Three generator families: Gaussian blobs evenly placed on a circle,
 interleaved half-moons, and 8x8 binary glyphs. A domain is a generator plus
-shift parameters (rotation, translation, noise); a sequence is an ordered
-list of domains whose first entry is the labeled source.
+shift parameters (rotation, noise); a sequence is an ordered list of domains
+whose first entry is the labeled source.
 
 Preset constants were calibrated once so a source-only model lands between
 chance and 70% accuracy on each preset's last domain, then frozen. For
@@ -59,7 +59,6 @@ class DomainSpec:
     classes: int
     samples: int
     rotation_deg: float = 0.0
-    translation: tuple[float, float] = (0.0, 0.0)
     sigma: float = 0.0  # coordinate noise std; pixel flip probability for bitmap8
 
     def __post_init__(self):
@@ -150,7 +149,7 @@ def _gauss_mix(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, 
     centers = GAUSS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     pts = centers[y] + rng.normal(size=(spec.samples, 2)) * spec.sigma
     pts = pts @ rotation_matrix(spec.rotation_deg).T  # spin about the circle center
-    return pts + GAUSS_CENTER + np.asarray(spec.translation), y
+    return pts + GAUSS_CENTER, y
 
 
 def _two_moons(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +160,7 @@ def _two_moons(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, 
     pts = np.where((y == 0)[:, None], upper, lower) - MOON_SHIFT
     pts = pts + rng.normal(size=(spec.samples, 2)) * spec.sigma
     pts = pts @ rotation_matrix(spec.rotation_deg).T * MOON_SCALE
-    return pts + MOON_CENTER + np.asarray(spec.translation), y
+    return pts + MOON_CENTER, y
 
 
 def _bitmap8(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +170,6 @@ def _bitmap8(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np
     prototypes = []
     for k in range(spec.classes):
         img = rotate_image(BITMAP_TEMPLATES[k], spec.rotation_deg)
-        img = np.roll(img, (round(spec.translation[0]), round(spec.translation[1])),
-                      axis=(0, 1))
         prototypes.append((img > 0.5).astype(np.float64).reshape(-1))
     base = np.stack(prototypes)[y]
     flips = rng.random(size=base.shape) < spec.sigma

@@ -453,6 +453,21 @@ def test_report_missing_dir_exits_two(tmp_path):
     assert cli.main(["report", str(tmp_path / "absent")]) == 2
 
 
+GOOD_METRICS = {"tdg": [None, 0.5], "tda": [0.9, 0.8], "fa": [0.85, None],
+                "tdg_avg": 0.5, "tda_avg": 0.85, "fa_avg": 0.85}
+
+
+@pytest.mark.parametrize("text", [
+    "{",
+    json.dumps({**GOOD_METRICS, "extra": 1}),
+    json.dumps({k: v for k, v in GOOD_METRICS.items() if k != "fa_avg"}),
+], ids=["bad_json", "unknown_key", "missing_key"])
+def test_report_on_a_file_that_is_no_metrics_report_exits_two(tmp_path, capsys, text):
+    (tmp_path / "metrics.json").write_text(text)
+    assert cli.main(["report", str(tmp_path)]) == 2
+    assert str(tmp_path / "metrics.json") in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ parser plumbing
 
 def test_help_exits_zero(capsys):

@@ -136,7 +136,6 @@ UNARY_CASES = [
     ("standardize_rows", dc.standardize_rows),
     ("scale", lambda a: dc.scale(a, -2.5)),
     ("sum_axis0", lambda a: dc.reduce_sum(a, axis=0)),
-    ("mean_axis1", lambda a: dc.reduce_mean(a, axis=1)),
 ]
 
 

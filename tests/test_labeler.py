@@ -49,7 +49,7 @@ def test_equal_weights_reduce_centroid_to_arithmetic_mean():
     feats = rng.normal(size=(10, 3))
     weights = np.full((10, 2), 0.5)
     idx = np.array([1, 4, 7])
-    cents = labeler.weighted_centroids(feats, weights, idx)
+    cents = labeler.weighted_centroids(feats[idx], weights[idx])
     expected = feats[idx].mean(axis=0)
     assert np.allclose(cents[0], expected, atol=1e-12)
     assert np.allclose(cents[1], expected, atol=1e-12)
@@ -59,8 +59,7 @@ def test_weighted_centroids_match_brute_force():
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(12, 5))
     weights = rng.dirichlet(np.ones(3), size=12)
-    idx = np.arange(12)
-    cents = labeler.weighted_centroids(feats, weights, idx)
+    cents = labeler.weighted_centroids(feats, weights)
     for k in range(3):
         num = sum(weights[i, k] * feats[i] for i in range(12))
         den = sum(weights[i, k] for i in range(12))
@@ -122,6 +121,36 @@ def test_knn_full_tie_breaks_by_class_index():
     member_labels = np.array([1, 0])
     got = labeler.knn_assign(feats, member_idx, member_labels, kappa=2, classes=2)
     assert got[0] == 0
+
+
+def knn_oracle(feats, member_idx, member_labels, kappa, classes):
+    """Brute force: the kappa nearest pool entries by (distance, entry), a
+    vote, then the smaller cumulative distance and the smaller class."""
+    labels = []
+    for i in range(feats.shape[0]):
+        dist = [float(np.linalg.norm(feats[m] - feats[i])) for m in member_idx]
+        nearest = sorted(range(len(member_idx)), key=lambda e: (dist[e], e))[:kappa]
+        votes = [0] * classes
+        cum = [0.0] * classes
+        for e in nearest:
+            votes[member_labels[e]] += 1
+            cum[member_labels[e]] += dist[e]
+        tied = [k for k in range(classes) if votes[k] == max(votes)]
+        labels.append(min(tied, key=lambda k: (cum[k], k)))
+    return labels
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_knn_matches_brute_force_on_exact_ties(seed):
+    # integer 1-d features: distances and their sums are exact, so ties are real
+    rng = np.random.default_rng(seed)
+    feats = rng.integers(0, 5, size=(14, 1)).astype(float)
+    member_idx = rng.integers(0, 14, size=7)  # repeats put one sample in twice
+    member_labels = rng.integers(0, 3, size=7)
+    for kappa in range(1, 10):
+        got = labeler.knn_assign(feats, member_idx, member_labels, kappa, classes=3)
+        want = knn_oracle(feats, member_idx, member_labels, kappa, classes=3)
+        assert got.tolist() == want, kappa
 
 
 def test_knn_rejects_zero_kappa():

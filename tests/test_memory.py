@@ -49,6 +49,20 @@ def test_rebalance_is_stable_on_distance_ties():
     assert list(mem.buckets[0][1]) == [0, 1]
 
 
+def round_robin_oracle(distances, labels, quota):
+    """Per-class queues sorted by (distance, index), popped in turn by
+    ascending class id."""
+    queues = {k: sorted(np.flatnonzero(labels == k).tolist(),
+                        key=lambda i: (distances[i], i))
+              for k in sorted(set(labels.tolist()))}
+    chosen = []
+    while len(chosen) < quota and any(queues.values()):
+        for k in queues:
+            if queues[k] and len(chosen) < quota:
+                chosen.append(queues[k].pop(0))
+    return chosen
+
+
 def test_round_robin_takes_nearest_from_each_class_in_turn():
     # two classes, quota 4 -> two nearest of each
     distances = np.array([0.9, 0.1, 0.5, 0.2, 0.8, 0.3])
@@ -62,6 +76,18 @@ def test_round_robin_spills_over_when_a_class_runs_dry():
     labels = np.array([0, 1, 1, 1])
     chosen = memory.select_round_robin(distances, labels, quota=3)
     assert chosen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_round_robin_matches_queue_oracle_on_exact_ties(seed):
+    # distances on a quarter grid tie often; class ids are sparse
+    rng = np.random.default_rng(seed)
+    n = 13
+    distances = rng.integers(0, 4, n) / 4
+    labels = rng.choice([0, 3, 7], size=n)
+    for quota in range(1, n + 3):
+        assert memory.select_round_robin(distances, labels, quota) == \
+            round_robin_oracle(distances, labels, quota), quota
 
 
 def test_admit_picks_nearest_to_class_centroids():
@@ -125,17 +151,8 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
         assert mem.total() <= 20
         assert all(size <= 20 // t for size in mem.sizes().values())
 
-        # oracle: replay the round robin from a full (distance, index) sort
-        expected = []
-        pools = {}
-        for k in sorted(set(record["labels"])):
-            members = [i for i in range(30) if record["labels"][i] == k]
-            pools[k] = sorted(members, key=lambda i: (record["distances"][i], i))
-        while len(expected) < record["quota"] and any(pools.values()):
-            for k in sorted(pools):
-                if pools[k] and len(expected) < record["quota"]:
-                    expected.append(pools[k].pop(0))
-        assert record["chosen"] == expected
+        assert record["chosen"] == round_robin_oracle(
+            record["distances"], record["labels"], record["quota"])
 
 
 def test_replay_is_uniform_over_memory():

@@ -37,13 +37,13 @@ def test_shapes_balance_and_determinism(kind, classes, dim):
 
 def test_gauss_mix_class_means_obey_law_of_large_numbers():
     spec = DomainSpec("gauss_mix", classes=3, samples=600, sigma=0.2,
-                      rotation_deg=30.0, translation=(0.5, -1.0))
+                      rotation_deg=30.0)
     x, y = synthdata.generate(spec, seed=7)
     rot = synthdata.rotation_matrix(30.0)
     angles = 2.0 * np.pi * np.arange(3) / 3
     centers = synthdata.GAUSS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     for k in range(3):
-        expected = rot @ centers[k] + synthdata.GAUSS_CENTER + np.array([0.5, -1.0])
+        expected = rot @ centers[k] + synthdata.GAUSS_CENTER
         empirical = x[y == k].mean(axis=0)
         bound = 3.0 * 0.2 / np.sqrt((y == k).sum())
         assert np.all(np.abs(empirical - expected) <= bound)
@@ -142,8 +142,6 @@ def _ndimage_bitmap8(spec, rng):
     glyphs = []
     for template in synthdata.BITMAP_TEMPLATES[:spec.classes]:
         img = ndimage.rotate(template, spec.rotation_deg % 360.0, reshape=False, order=1)
-        img = np.roll(img, (round(spec.translation[0]), round(spec.translation[1])),
-                      axis=(0, 1))
         glyphs.append((img > 0.5).astype(np.float64).reshape(-1))
     base = np.stack(glyphs)[y]
     flips = rng.random(size=base.shape) < spec.sigma
