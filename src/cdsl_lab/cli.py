@@ -1,12 +1,12 @@
 """Command-line front end: run experiments, sweeps, ablations, and reports.
 
-Config files are flat key=value lines mirroring RunConfig; `--set key=value`
-overrides apply after the file, last one wins, and `run --seed` wins over
-both. The CDSL_LAB_SEED environment variable supplies a default seed when
-nothing else sets one; `sweep` and `ablate` always run SWEEP_SEEDS instead.
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
-Timestamps and the command line live only in run.meta so every other output
-byte is a pure function of the config.
+Config-file lines and `--set` items share one key=value grammar, typed per
+RunConfig field; `--set` overrides apply after the file, last one wins, and
+`run --seed` wins over both. The CDSL_LAB_SEED environment variable supplies a
+default seed when nothing else sets one; `sweep` and `ablate` run every config
+over the SWEEP_SEEDS panel instead. Exit codes: 0 success, 1 runtime failure,
+2 usage or config error. Timestamps and the command line live only in run.meta
+so every other output byte is a pure function of the config.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .protocol import MetricsReport, RunConfig
 SWEEP_PARAMS = ("r_con", "r_top", "r_top_prime")
 SWEEP_SEEDS = (2022, 2023, 2024)
 SEED_ENV_VAR = "CDSL_LAB_SEED"
+AVERAGES = ("tdg_avg", "tda_avg", "fa_avg")
 
 
 class UsageError(ValueError):
@@ -69,6 +70,17 @@ def parse_value(key: str, text: str):
         raise UsageError(f"field {key}: {exc}") from exc
 
 
+def parse_item(text: str, where: str) -> tuple[str, object]:
+    """One `key=value` item as (key, typed value); errors start with `where`."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise UsageError(f"{where}: expected key=value, got {text!r}")
+    try:
+        return key.strip(), parse_value(key.strip(), value.strip())
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
+
+
 def parse_config_file(path) -> dict:
     """Flat key=value document; # comments and blank lines allowed."""
     try:
@@ -78,17 +90,9 @@ def parse_config_file(path) -> dict:
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config {path} line {lineno}: expected key=value, "
-                             f"got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            out[key] = parse_value(key, value)
-        except UsageError as exc:
-            raise UsageError(f"config {path} line {lineno}: {exc}") from exc
+        if line and not line.startswith("#"):
+            key, value = parse_item(line, f"config {path} line {lineno}")
+            out[key] = value
     return out
 
 
@@ -103,10 +107,8 @@ def build_config(args) -> RunConfig:
     if args.config is not None:
         data.update(parse_config_file(args.config))
     for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise UsageError(f"--set {item!r}: expected key=value")
-        data[key.strip()] = parse_value(key.strip(), value.strip())
+        key, value = parse_item(item, f"--set {item!r}")
+        data[key] = value
     if getattr(args, "seed", None) is not None:  # only `run` has --seed
         data["seed"] = args.seed
     try:
@@ -116,14 +118,6 @@ def build_config(args) -> RunConfig:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg
-
-
-def make_out_dir(path) -> None:
-    """Create the output directory before any run, so a bad --out costs no training."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"--out {path}: {exc}") from exc
 
 
 def _execute_run(payload: tuple[RunConfig, str]) -> dict:
@@ -140,7 +134,10 @@ def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int, out: Path,
     when they started, how long they took and the command line."""
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
-    make_out_dir(out)
+    try:  # before any run, so a bad --out costs no training
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out}: {exc}") from exc
     started = time.time()
     # the fork start method starts every worker at the first submit
     workers = min(jobs, len(payloads))
@@ -163,15 +160,34 @@ def cmd_run(args) -> int:
     cfg = build_config(args)
     (m,) = _run_many([(cfg, args.out)], 1, Path(args.out), args.argv)
     print(f"wrote {args.out}")
-    print(f"tdg_avg={_fmt(m['tdg_avg'])} tda_avg={_fmt(m['tda_avg'])} "
-          f"fa_avg={_fmt(m['fa_avg'])}")
+    print(" ".join(f"{key}={_fmt(m[key])}" for key in AVERAGES))
     return 0
+
+
+def _run_panel(cfgs: dict[str, RunConfig], args) -> dict[str, list[dict]]:
+    """Run every config at every SWEEP_SEEDS seed into out/<name>/seed<seed>;
+    returns each name's metrics in seed order."""
+    out = Path(args.out)
+    payloads = [(replace(cfg, seed=seed), str(out / name / f"seed{seed}"))
+                for name, cfg in cfgs.items() for seed in SWEEP_SEEDS]
+    reports = iter(_run_many(payloads, args.jobs, out, args.argv))
+    return {name: [next(reports) for _ in SWEEP_SEEDS] for name in cfgs}
+
+
+def _means(rows: list[list[float]]) -> list[float]:
+    """Column means: each column's plain sum divided by the row count."""
+    return [sum(column) / len(rows) for column in zip(*rows)]
+
+
+def _write_table(path: Path, header: str, rows: list[tuple[str, list[float]]]) -> None:
+    lines = [header] + [f"{label}," + ",".join(f"{c:.6f}" for c in cells)
+                        for label, cells in rows]
+    path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
-    if args.param not in SWEEP_PARAMS:
-        raise UsageError(f"--param must be one of {SWEEP_PARAMS}, got {args.param!r}")
     texts = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     try:
         values = [float(t) for t in texts]
@@ -180,102 +196,92 @@ def cmd_sweep(args) -> int:
     if not values:
         raise UsageError("--values: empty list")
 
-    out = Path(args.out)
-    payloads = []
-    first_text = {}  # directory label -> the value text first written under it
+    swept = {}  # directory name -> config
+    first_text = {}  # directory name -> the value text first written under it
     for text, value in zip(texts, values):
-        label = f"{value:g}"
-        if label in first_text:
-            raise UsageError(f"--values: {first_text[label]} and {text} would share "
-                             f"the directory {args.param}={label}")
-        first_text[label] = text
+        name = f"{args.param}={value:g}"
+        if name in first_text:
+            raise UsageError(f"--values: {first_text[name]} and {text} would share "
+                             f"the directory {name}")
+        first_text[name] = text
         try:
-            swept = replace(cfg, **{args.param: value})
-            protocol.check_sequence(swept, protocol.resolve_sequence(swept))
+            swept[name] = replace(cfg, **{args.param: value})
+            protocol.check_sequence(swept[name], protocol.resolve_sequence(swept[name]))
         except ValueError as exc:
             raise UsageError(f"--values: {exc}") from exc
-        for seed in SWEEP_SEEDS:
-            sub = out / f"{args.param}={label}" / f"seed{seed}"
-            payloads.append((replace(swept, seed=seed), str(sub)))
-    reports = _run_many(payloads, args.jobs, out, args.argv)
+    panel = _run_panel(swept, args)
 
-    per_value = [reports[i:i + len(SWEEP_SEEDS)]
-                 for i in range(0, len(reports), len(SWEEP_SEEDS))]
-    lines = ["value,tdg_mean,tda_mean,fa_mean"]
+    table = [(f"{value:g}", _means([[r[k] for k in AVERAGES] for r in reports]))
+             for value, reports in zip(values, panel.values())]
     print(f"{args.param:>12}  tdg_mean  tda_mean  fa_mean")
-    for value, group in zip(values, per_value):
-        means = [sum(r[k] for r in group) / len(group)
-                 for k in ("tdg_avg", "tda_avg", "fa_avg")]
-        lines.append(f"{value:g}," + ",".join(f"{m:.6f}" for m in means))
-        print(f"{value:>12g}  " + "  ".join(f"{m:.6f}" for m in means))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'summary.csv'}")
+    for label, cells in table:
+        print(f"{label:>12}  " + "  ".join(f"{m:.6f}" for m in cells))
+    _write_table(Path(args.out) / "summary.csv", "value,tdg_mean,tda_mean,fa_mean", table)
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
-    if args.variant not in protocol.ABLATION_VARIANTS:
-        raise UsageError(f"--variant must be one of {protocol.ABLATION_VARIANTS}, "
-                         f"got {args.variant!r}")
-    out = Path(args.out)
-    payloads = []
-    for seed in SWEEP_SEEDS:
-        seeded = replace(cfg, seed=seed)
-        payloads.append((seeded, str(out / "full" / f"seed{seed}")))
-        payloads.append((protocol.variant_config(seeded, args.variant),
-                         str(out / args.variant / f"seed{seed}")))
-    reports = _run_many(payloads, args.jobs, out, args.argv)
+    panel = _run_panel({"full": cfg,
+                        args.variant: protocol.variant_config(cfg, args.variant)}, args)
 
-    lines = ["seed,full_tdg,ablated_tdg,delta_tdg,full_tda,ablated_tda,delta_tda,"
-             "full_fa,ablated_fa,delta_fa"]
+    rows = [[x for k in AVERAGES for x in (full[k], abl[k], full[k] - abl[k])]
+            for full, abl in zip(panel["full"], panel[args.variant])]
+    table = [*zip(map(str, SWEEP_SEEDS), rows), ("mean", _means(rows))]
     print(f"variant: {args.variant}   (delta = full - ablated)")
     print("seed      d_tdg      d_tda      d_fa")
-    sums = [0.0] * 9
-    for i, seed in enumerate(SWEEP_SEEDS):
-        full, abl = reports[2 * i], reports[2 * i + 1]
-        cells = []
-        for key in ("tdg_avg", "tda_avg", "fa_avg"):
-            cells.extend([full[key], abl[key], full[key] - abl[key]])
-        sums = [s + c for s, c in zip(sums, cells)]
-        lines.append(f"{seed}," + ",".join(f"{c:.6f}" for c in cells))
-        print(f"{seed}  {cells[2]:+9.6f}  {cells[5]:+9.6f}  {cells[8]:+9.6f}")
-    means = [s / len(SWEEP_SEEDS) for s in sums]
-    lines.append("mean," + ",".join(f"{m:.6f}" for m in means))
-    print(f"mean  {means[2]:+9.6f}  {means[5]:+9.6f}  {means[8]:+9.6f}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'ablation.csv'}")
+    for label, cells in table:
+        print(f"{label:<4}  " + "  ".join(f"{d:+9.6f}" for d in cells[2::3]))
+    _write_table(Path(args.out) / "ablation.csv",
+                 "seed,full_tdg,ablated_tdg,delta_tdg,full_tda,ablated_tda,delta_tda,"
+                 "full_fa,ablated_fa,delta_fa", table)
     return 0
+
+
+def _metric_rows(metrics: MetricsReport) -> list[tuple[str, list, float | None]]:
+    """The (name, per-domain cells, average) rows that both report formats print."""
+    return [("tdg", metrics.tdg, metrics.tdg_avg), ("tda", metrics.tda, metrics.tda_avg),
+            ("fa", metrics.fa, metrics.fa_avg)]
+
+
+def _check_metrics(metrics: MetricsReport) -> None:
+    """ValueError unless tdg, tda and fa are lists of one length whose cells and
+    averages are numbers, with null only where a metric has no value."""
+    lists = [cells for _, cells, _ in _metric_rows(metrics)]
+    if not all(isinstance(cells, list) for cells in lists) or len(set(map(len, lists))) != 1:
+        raise ValueError("tdg, tda and fa must be lists of one length")
+    n = len(metrics.tda)
+    nullable = {"tdg": (0, n), "tda": (), "fa": (n - 1, n)}  # index n is the average
+    for name, cells, avg in _metric_rows(metrics):
+        for j, value in enumerate([*cells, avg]):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number and not (value is None and j in nullable[name]):
+                where = f"{name}_avg" if j == n else f"{name}[{j}]"
+                raise ValueError(f"{where} must be a number, got {value!r}")
 
 
 def metrics_to_csv(metrics: MetricsReport) -> str:
     n = len(metrics.tda)
-    header = "metric," + ",".join(f"domain_{j}" for j in range(n)) + ",avg"
-    rows = [header]
-    for name, cells, avg in (("tdg", metrics.tdg, metrics.tdg_avg),
-                             ("tda", metrics.tda, metrics.tda_avg),
-                             ("fa", metrics.fa, metrics.fa_avg)):
-        text = [("" if c is None else f"{c:.17g}") for c in cells]
-        text.append("" if avg is None else f"{avg:.17g}")
-        rows.append(f"{name}," + ",".join(text))
+    rows = ["metric," + ",".join(f"domain_{j}" for j in range(n)) + ",avg"]
+    for name, cells, avg in _metric_rows(metrics):
+        rows.append(f"{name}," + ",".join("" if c is None else f"{c:.17g}"
+                                          for c in [*cells, avg]))
     return "\n".join(rows) + "\n"
 
 
 def render_text_report(metrics: MetricsReport) -> str:
     n = len(metrics.tda)
-    header = ["metric"] + [f"domain_{j}" for j in range(n)]
-    rows = [header]
-    for name, cells in (("tdg", metrics.tdg), ("tda", metrics.tda),
-                        ("fa", metrics.fa)):
-        rows.append([name] + [_fmt(c) for c in cells])
-    widths = [max(len(r[i]) for r in rows) for i in range(n + 1)]
+    table = [["metric"] + [f"domain_{j}" for j in range(n)]]
+    table += [[name] + [_fmt(c) for c in cells] for name, cells, _ in _metric_rows(metrics)]
+    widths = [max(len(r[i]) for r in table) for i in range(n + 1)]
     out = [" ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-           for row in rows]
+           for row in table]
     out.append("")
-    for name, avg in (("tdg_avg", metrics.tdg_avg), ("tda_avg", metrics.tda_avg),
-                      ("fa_avg", metrics.fa_avg)):
-        out.append(f"{name} {_fmt(avg)}")
+    out += [f"{name}_avg {_fmt(avg)}" for name, _, avg in _metric_rows(metrics)]
     return "\n".join(out) + "\n"
+
+
+REPORT_FORMATS = {"text": render_text_report, "csv": metrics_to_csv}
 
 
 def cmd_report(args) -> int:
@@ -284,14 +290,10 @@ def cmd_report(args) -> int:
         raise UsageError(f"no metrics.json under {args.results_dir}")
     try:
         metrics = MetricsReport(**json.loads(path.read_text()))  # keys are the field names
+        _check_metrics(metrics)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"{path} is not a metrics report: {exc}") from exc
-    if args.format == "json":
-        print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(metrics_to_csv(metrics), end="")
-    else:
-        print(render_text_report(metrics), end="")
+    print(REPORT_FORMATS[args.format](metrics), end="")
     return 0
 
 
@@ -315,26 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="one hyperparameter over fixed seeds")
     common(p_sweep)
-    p_sweep.add_argument("--param", required=True,
-                         help=f"one of {', '.join(SWEEP_PARAMS)}")
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS,
+                         help="swept hyperparameter")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numeric values")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_abl = sub.add_parser("ablate", help="paired full-vs-ablated runs")
     common(p_abl)
-    p_abl.add_argument("--variant", required=True,
-                       help=f"one of {', '.join(protocol.ABLATION_VARIANTS)}")
-    p_abl.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
+    p_abl.add_argument("--variant", required=True, choices=protocol.ABLATION_VARIANTS,
+                       help="ablated ingredient")
     p_abl.set_defaults(func=cmd_ablate)
+    for p in (p_sweep, p_abl):  # the seed-panel commands
+        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     p_rep = sub.add_parser("report", help="render metrics from a results dir")
     p_rep.add_argument("results_dir")
-    p_rep.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
+    p_rep.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_rep.set_defaults(func=cmd_report)
     return parser
 

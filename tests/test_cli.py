@@ -271,10 +271,13 @@ def test_sweep_layout_summary_and_recomputation(tmp_path):
             assert float(cells[1 + i]) == pytest.approx(mean, abs=5e-7)
 
 
-def test_sweep_rejects_bad_param_and_values(tmp_path):
+def test_sweep_rejects_bad_param_and_values(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--param", "epochs", "--values", "1,2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                  "--param", "epochs", "--values", "1,2"])
+    assert exc.value.code == 2
+    assert "r_top_prime" in capsys.readouterr().err  # the valid values are listed
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--param", "r_con", "--values", "0.5,high"]) == 2
 
@@ -368,14 +371,16 @@ def test_workers_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
     assert started == [len(cli.SWEEP_SEEDS), 2]
 
 
-def test_sweep_parallel_equals_serial(tmp_path):
+@pytest.mark.parametrize("command,table", [
+    (["sweep", "--param", "r_top", "--values", "2,4"], "summary.csv"),
+    (["ablate", "--variant", "labeler=softmax"], "ablation.csv"),
+], ids=["sweep", "ablate"])
+def test_panel_parallel_equals_serial(command, table, tmp_path):
     cfg = write_cfg(tmp_path)
     a, b = tmp_path / "serial", tmp_path / "par"
-    assert cli.main(["sweep", "--config", cfg, "--out", str(a),
-                     "--param", "r_top", "--values", "2,4"]) == 0
-    assert cli.main(["sweep", "--config", cfg, "--out", str(b),
-                     "--param", "r_top", "--values", "2,4", "--jobs", "3"]) == 0
-    assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+    assert cli.main([*command, "--config", cfg, "--out", str(a)]) == 0
+    assert cli.main([*command, "--config", cfg, "--out", str(b), "--jobs", "3"]) == 0
+    assert (a / table).read_bytes() == (b / table).read_bytes()
 
 
 def test_ablate_pairs_and_delta_table(tmp_path, capsys):
@@ -398,10 +403,13 @@ def test_ablate_pairs_and_delta_table(tmp_path, capsys):
     assert "delta = full - ablated" in capsys.readouterr().out
 
 
-def test_ablate_rejects_unknown_variant(tmp_path):
+def test_ablate_rejects_unknown_variant(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "x"),
-                     "--variant", "no_memory"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "x"),
+                  "--variant", "no_memory"])
+    assert exc.value.code == 2
+    assert "labeler=shot_style" in capsys.readouterr().err  # the valid values are listed
 
 
 # ------------------------------------------------------------ report
@@ -435,13 +443,6 @@ def test_report_text_column_count(results_dir, capsys):
     assert "tdg_avg" in out
 
 
-def test_report_json_parses(results_dir, capsys):
-    assert cli.main(["report", str(results_dir), "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    stored = json.loads((results_dir / "metrics.json").read_text())
-    assert payload == stored
-
-
 def test_report_csv_roundtrips(results_dir, capsys):
     assert cli.main(["report", str(results_dir), "--format", "csv"]) == 0
     text = capsys.readouterr().out
@@ -461,7 +462,11 @@ GOOD_METRICS = {"tdg": [None, 0.5], "tda": [0.9, 0.8], "fa": [0.85, None],
     "{",
     json.dumps({**GOOD_METRICS, "extra": 1}),
     json.dumps({k: v for k, v in GOOD_METRICS.items() if k != "fa_avg"}),
-], ids=["bad_json", "unknown_key", "missing_key"])
+    json.dumps({**GOOD_METRICS, "tda": "ab", "tda_avg": "x"}),
+    json.dumps({**GOOD_METRICS, "tda": [0.9, True]}),
+    json.dumps({**GOOD_METRICS, "tdg": [None, 0.5, 0.7]}),
+], ids=["bad_json", "unknown_key", "missing_key", "string_value", "bool_value",
+        "ragged_lists"])
 def test_report_on_a_file_that_is_no_metrics_report_exits_two(tmp_path, capsys, text):
     (tmp_path / "metrics.json").write_text(text)
     assert cli.main(["report", str(tmp_path)]) == 2
