@@ -6,6 +6,12 @@ the samples most cosine-similar to each centroid, then let those selections
 vote as a kNN committee over the whole domain. Baselines: plain argmax of
 the softmax, and a centroid-assignment scheme with one refinement round.
 
+The kNN vote filters and refines (Seidl & Kriegel, SIGMOD 1998): Gram-form
+distances from one matmul pick a few candidates per sample, exact distances
+rank them, and an error bound from the floating-point arithmetic sends any
+sample whose candidates might miss a neighbour back through the whole pool,
+so the labels equal a brute-force vote's bit for bit (see `knn_assign`).
+
 All methods are deterministic; ties break toward the smaller sample index
 or class index so repeated runs agree exactly.
 """
@@ -19,6 +25,10 @@ import numpy as np
 from . import nets
 
 METHODS = ("t2pl", "softmax", "shot_style")
+
+KNN_BLOCK = 2 ** 14  # score-matrix elements per block of query rows
+KNN_SLACK = 16  # candidates the Gram filter keeps beyond kappa
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
@@ -95,6 +105,39 @@ def top_similarity_sets(feats: np.ndarray, centroids: np.ndarray,
     return idx, np.repeat(np.arange(classes), m)  # m <= n, so every class gives m
 
 
+def _nearest(member_feats: np.ndarray, q: np.ndarray, cand: np.ndarray,
+             kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and pool entries of each query row's kappa nearest candidates.
+
+    Each row of cand lists pool entries in ascending order, so the stable sort
+    by distance breaks ties toward the smaller entry. The distances are
+    norm(axis=...) over the last axis, the brute-force vote's own arithmetic.
+    """
+    dist = np.linalg.norm(member_feats[cand] - q[:, None, :], axis=2)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :kappa]
+    rows = np.arange(q.shape[0])[:, None]
+    return dist[rows, order], cand[rows, order]
+
+
+def _vote(dist: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarray:
+    """Majority label of each row's neighbours, given nearest first; a tie goes
+    to the smaller cumulative distance, then to the smaller class."""
+    votes = (labels[:, :, None] == np.arange(classes)).sum(axis=1)
+    best = votes.max(axis=1)
+    tied = votes == best[:, None]
+    cum = np.where(tied, 0.0, np.inf)
+    rows, ks = np.nonzero(tied & (tied.sum(axis=1) > 1)[:, None])
+    # tied classes of a row hold equal counts, so each count's distances form
+    # one block; its row sums add the same values in the same order as a sum
+    # over one class's distances would
+    for count in set(best[rows].tolist()):
+        pick = best[rows] == count
+        r, k = rows[pick], ks[pick]
+        cols = np.nonzero(labels[r] == k[:, None])[1].reshape(-1, count)
+        cum[r, k] = dist[r[:, None], cols].sum(axis=1)
+    return np.argmin(cum, axis=1)
+
+
 def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndarray,
                kappa: int, classes: int) -> np.ndarray:
     """Majority vote over each sample's kappa nearest pool members.
@@ -102,26 +145,55 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     Vote ties break by smaller cumulative neighbor distance, then smaller
     class index. Pool members are candidate neighbors for every sample,
     including the sample itself when it sits in the pool.
+
+    The labels equal a brute-force vote that takes every distance as
+    np.linalg.norm(member_feats - x, axis=1) and sorts the pool by
+    (distance, entry). Rows go in blocks whose score matrix holds at most
+    KNN_BLOCK elements.
+    - Filter: Gram-form squared distances |q|^2 + |m|^2 - 2 q.m, one matmul
+      per block, pick each row's kappa + KNN_SLACK nearest entries.
+    - Refine: the candidates' distances, by the brute force's arithmetic and
+      sorted as it sorts, give the kappa nearest candidates.
+    - Safety: a Gram score and the brute force's squared norm each lie within
+      gamma_{d+2} (|q| + |m|)^2 of the true squared distance (Higham, ch. 3).
+      If the smallest score left out clears the kappa-th squared distance by
+      twice that bound, every entry left out is farther than the kappa-th in
+      the brute force too, so the kappa nearest candidates are its kappa
+      nearest. A row that fails the test is refined again with the whole pool
+      as its candidates.
     """
+    kappa = min(kappa, member_idx.shape[0])
     if kappa < 1:
         raise ValueError("labeler: kappa is zero; lower r_top_prime or add samples")
-    kappa = min(kappa, member_idx.shape[0])
     member_feats = feats[member_idx]
+    pool, dim = member_feats.shape
+    width = kappa + KNN_SLACK
+    entries = np.arange(pool)
+    member_sq = (member_feats * member_feats).sum(axis=1)
+    reach = np.sqrt(member_sq.max())  # the largest |m|
+    # Higham's gamma_n = n u / (1 - n u) at n = d + 3: one rounding more than
+    # the bound's d + 2 covers the norms the bound is computed from
+    gamma = (dim + 3) * _UNIT_ROUNDOFF / (1 - (dim + 3) * _UNIT_ROUNDOFF)
     labels = np.empty(feats.shape[0], dtype=int)
-    for i in range(feats.shape[0]):
-        dists = np.linalg.norm(member_feats - feats[i], axis=1)
-        # a stable sort; for float keys of this size lexsort's is faster
-        # than argsort(kind="stable")
-        nearest = np.lexsort((dists,))[:kappa]
-        votes = np.bincount(member_labels[nearest], minlength=classes)
-        best = votes.max()
-        tied = np.flatnonzero(votes == best)
-        if tied.shape[0] == 1:
-            labels[i] = tied[0]
+    step = max(1, KNN_BLOCK // max(pool, width * dim))  # also bounds the refine's block
+    for start in range(0, feats.shape[0], step):
+        q = feats[start:start + step]
+        if width < pool:
+            q_sq = (q * q).sum(axis=1)
+            score = q_sq[:, None] + member_sq - 2.0 * (q @ member_feats.T)
+            part = np.argpartition(score, width, axis=1)
+            cand = np.sort(part[:, :width], axis=1)
+            floor = score[np.arange(q.shape[0]), part[:, width]]
+            bound = gamma * (np.sqrt(q_sq) + reach) ** 2
         else:
-            cum = np.array([dists[nearest[member_labels[nearest] == k]].sum()
-                            for k in tied])
-            labels[i] = tied[np.argmin(cum)]
+            cand = np.broadcast_to(entries, (q.shape[0], pool))
+            floor, bound = np.inf, 0.0
+        dist, entry = _nearest(member_feats, q, cand, kappa)
+        # 8u covers the square root's rounding, squaring back and a strict order
+        kth_sq = dist[:, -1] * dist[:, -1] * (1 + 8 * _UNIT_ROUNDOFF)
+        for i in np.flatnonzero(~(floor > kth_sq + 2.0 * bound)):
+            dist[i], entry[i] = _nearest(member_feats, q[i:i + 1], entries[None], kappa)
+        labels[start:start + step] = _vote(dist, member_labels[entry], classes)
     return labels
 
 

@@ -307,6 +307,11 @@ def run_cdsl(cfg: RunConfig,
                                                         augment_kind, randmix_rng))
                 xs, ys = zip(*pieces)
                 train_step(stage, epoch, step, np.vstack(xs), np.concatenate(ys))
+        # a step's update shows in the next step's loss; the stage's last
+        # update has no next step in this stage, so check the parameters once
+        for name, t in nets.named_parameters(model):
+            if not np.isfinite(t.values).all():
+                raise FloatingPointError(f"non-finite parameter {name} after stage {stage}")
         if labels is None:  # zero-epoch run still needs labels for admission
             labels = labeler_mod.assign_labels(model, x, lab_cfg, stage).labels
 

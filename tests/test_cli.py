@@ -5,9 +5,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cdsl_lab import cli, objective, protocol
+from cdsl_lab import cli, diffcore, objective, protocol
 from cdsl_lab.cli import MetricsReport, RunConfig
 
 
@@ -227,6 +228,26 @@ def test_run_fails_loudly_on_non_finite_loss(tmp_path, capsys):
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "non-finite loss at stage 0 epoch 2 step 2" in err
+    assert not (out / "matrix.csv").exists()
+
+
+def test_run_fails_loudly_on_non_finite_parameters(tmp_path, capsys, monkeypatch):
+    # poison every parameter in the run's last step, which no loss check sees
+    sgd_step, steps = diffcore.sgd_step, []
+
+    def poisoned(params, cfg, velocities):
+        velocities = sgd_step(params, cfg, velocities)
+        steps.append(None)
+        if len(steps) == 4 * 3:  # moons4 has 4 stages
+            for t in params:
+                t.values[...] = np.inf
+        return velocities
+
+    monkeypatch.setattr(diffcore, "sgd_step", poisoned)
+    out = tmp_path / "poisoned"
+    assert cli.main(["run", "--set", "sequence=moons4", "--set", "epochs=1",
+                     "--set", "steps_per_epoch=3", "--out", str(out)]) == 1
+    assert "non-finite parameter ext.0.weight after stage 3" in capsys.readouterr().err
     assert not (out / "matrix.csv").exists()
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +160,174 @@ def test_knn_rejects_zero_kappa():
     feats = np.zeros((3, 2))
     with pytest.raises(ValueError, match="r_top_prime"):
         labeler.knn_assign(feats, np.array([0]), np.array([0]), kappa=0, classes=2)
+
+
+def test_knn_rejects_an_empty_pool():
+    empty = np.array([], dtype=int)
+    with pytest.raises(ValueError, match="r_top_prime"):
+        labeler.knn_assign(np.zeros((3, 2)), empty, empty, kappa=5, classes=2)
+
+
+def t2pl_style_pool(rng, n, size, classes):
+    """size // classes distinct rows per class, drawn per class, so one row
+    can sit in the pool twice with different labels."""
+    m = size // classes
+    idx = np.concatenate([rng.permutation(n)[:m] for _ in range(classes)])
+    return idx, np.repeat(np.arange(classes), m)
+
+
+def kappas_around(pool):
+    """kappa at the edges of the Gram filter: one neighbour, one below the
+    widest filter that leaves an entry out, the whole pool and beyond it."""
+    return (1, 4, pool - labeler.KNN_SLACK - 1, pool, pool + 3)
+
+
+def assert_matches_oracle(feats, member_idx, member_labels, classes):
+    for kappa in kappas_around(member_idx.shape[0]):
+        got = labeler.knn_assign(feats, member_idx, member_labels, kappa, classes)
+        want = knn_oracle(feats, member_idx, member_labels, kappa, classes)
+        assert got.tolist() == want, kappa
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim, values", [(8, 5), (3, 2)])
+def test_knn_matches_brute_force_on_exact_ties_in_many_dimensions(classes, dim, values):
+    # small integers: every distance is the root of an exact integer, so many
+    # pool entries tie at the kappa-th neighbour and many votes tie; with 2
+    # values in 3-d more entries tie than the filter keeps beyond kappa
+    rng = np.random.default_rng(classes)
+    feats = rng.integers(0, values, size=(90, dim)).astype(float)
+    member_idx, member_labels = t2pl_style_pool(rng, 90, 60, classes)
+    assert len(set(member_idx.tolist())) < member_idx.shape[0]  # duplicate entries
+    assert_matches_oracle(feats, member_idx, member_labels, classes)
+
+
+def test_knn_tie_sums_each_class_nearest_first():
+    # row 0's six neighbours tie 3-3; class 0's distances e, e, 1 sum to 1 + 2e
+    # nearest first but to 1 farthest first, and class 1's 0, 0, 1 sum to 1
+    e = 2.0 ** -53
+    feats = np.array([[0.0], [0.0], [0.0], [e], [-e], [1.0], [-1.0]])
+    member_idx = np.arange(1, 7)
+    member_labels = np.array([1, 1, 0, 0, 0, 1])
+    got = labeler.knn_assign(feats, member_idx, member_labels, 6, 2)
+    assert got[0] == 1
+    assert got.tolist() == knn_oracle(feats, member_idx, member_labels, 6, 2)
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_knn_matches_brute_force_on_tenths(classes):
+    rng = np.random.default_rng(10 + classes)
+    feats = np.round(rng.normal(size=(90, 1)), 1)
+    member_idx, member_labels = t2pl_style_pool(rng, 90, 60, classes)
+    assert_matches_oracle(feats, member_idx, member_labels, classes)
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+def test_knn_matches_brute_force_far_from_the_origin(offset):
+    # |q|^2 + |m|^2 - 2 q.m cancels to a tiny remainder of large terms here
+    rng = np.random.default_rng(int(offset))
+    centers = offset + 3.0 * rng.normal(size=(3, 8))
+    feats = centers[rng.integers(0, 3, size=90)] + rng.normal(size=(90, 8))
+    member_idx, member_labels = t2pl_style_pool(rng, 90, 60, 3)
+    assert_matches_oracle(feats, member_idx, member_labels, 3)
+
+
+def test_knn_matches_brute_force_across_blocks():
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=(200, 16))
+    member_idx, member_labels = t2pl_style_pool(rng, 200, 400, 2)
+    kappa = 10
+    rows_per_block = labeler.KNN_BLOCK // max(400, (kappa + labeler.KNN_SLACK) * 16)
+    assert 1 < rows_per_block < 200 / 4  # several blocks, the last one short
+    got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
+    assert got.tolist() == knn_oracle(feats, member_idx, member_labels, kappa, 2)
+
+
+def spy_on_full_pool_refines(monkeypatch):
+    """Record how many rows are refined against the whole pool."""
+    seen = []
+    nearest = labeler._nearest
+
+    def spy(member_feats, q, cand, kappa):
+        if cand.shape[1] == member_feats.shape[0]:
+            seen.append(q.shape[0])
+        return nearest(member_feats, q, cand, kappa)
+
+    monkeypatch.setattr(labeler, "_nearest", spy)
+    return seen
+
+
+def test_knn_refines_unsafe_rows_against_the_whole_pool(monkeypatch):
+    # 1e8 from the origin a Gram score's terms are about 1.6e17, where doubles
+    # lie 32 apart, while squared distances differ by 1; the scores misorder
+    # the neighbours near the kappa-th, and no candidate set passes the test
+    rng = np.random.default_rng(5)
+    feats = 1e8 + rng.integers(-3, 4, size=(60, 8)).astype(float)
+    member_idx, member_labels = t2pl_style_pool(rng, 60, 40, 2)
+    kappa = 5
+    member_feats = feats[member_idx]
+    exact = ((feats[:, None, :] - member_feats) ** 2).sum(axis=2)
+    gram = ((feats ** 2).sum(axis=1)[:, None] + (member_feats ** 2).sum(axis=1)
+            - 2.0 * feats @ member_feats.T)
+    assert np.any(np.argsort(gram, axis=1, kind="stable")[:, :kappa]
+                  != np.argsort(exact, axis=1, kind="stable")[:, :kappa])
+    seen = spy_on_full_pool_refines(monkeypatch)
+    got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
+    assert sum(seen) == 60
+    assert got.tolist() == knn_oracle(feats, member_idx, member_labels, kappa, 2)
+
+
+@pytest.mark.parametrize("kappa", [5, 40 - labeler.KNN_SLACK])
+def test_knn_refines_safe_rows_once(monkeypatch, kappa):
+    # well-spread data leaves every candidate set safe, and a filter as wide
+    # as the pool keeps every entry, so no row is refined twice
+    rng = np.random.default_rng(6)
+    feats = rng.normal(size=(60, 8))
+    member_idx, member_labels = t2pl_style_pool(rng, 60, 40, 2)
+    seen = spy_on_full_pool_refines(monkeypatch)
+    labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
+    assert sum(seen) == (60 if kappa + labeler.KNN_SLACK >= 40 else 0)
+
+
+def moons_scale_case(kind):
+    """A call the size of moons-wide's: 2 000 rows of 16 features, a
+    1 000-entry pool of 2 classes and kappa 50."""
+    rng = np.random.default_rng(2000)
+    feats = rng.normal(size=(2000, 16))
+    if kind == "rounded":
+        feats = np.round(feats)
+    elif kind == "tenths":
+        feats = np.round(feats, 1)
+    elif kind == "offset":
+        feats = feats + 1e6
+    member_idx, member_labels = t2pl_style_pool(rng, 2000, 1000, 2)
+    return feats, member_idx, member_labels
+
+
+# sha256 of the int64 labels that the per-row loop this path replaced gave
+MOONS_SCALE_DIGESTS = {
+    "gaussian": "ed1fe91f9b6ddb90e9c6f0c7b5f3eb09db23d45614733d65c01367fa2894813a",
+    "rounded": "9135fb89f8f85162ccd1f91a533fcb405bd89e2a36152a7371f7793cbd816fe2",
+    "tenths": "0c48b8fcc0267628ee2483dd46cd607bf75aed39c2e098c69cd2f28c4b667415",
+    "offset": "ed1fe91f9b6ddb90e9c6f0c7b5f3eb09db23d45614733d65c01367fa2894813a",
+}
+
+
+@pytest.mark.parametrize("kind", MOONS_SCALE_DIGESTS)
+def test_knn_labels_and_memory_at_moons_wide_scale(kind):
+    args = (*moons_scale_case(kind), 50, 2)
+    labels = labeler.knn_assign(*args)
+    assert hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest() == \
+        MOONS_SCALE_DIGESTS[kind]
+    # the loop's working memory was 0.44 MB; a larger block would show here
+    # before it showed in the benchmark's peak_rss_mb
+    tracemalloc.start()
+    try:
+        labeler.knn_assign(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_t2pl_end_to_end_is_deterministic_and_in_range():
