@@ -246,7 +246,7 @@ def _metric_rows(metrics: MetricsReport) -> list[tuple[str, list, float | None]]
 
 def _check_metrics(metrics: MetricsReport) -> None:
     """ValueError unless tdg, tda and fa are lists of one length whose cells and
-    averages are numbers, with null only where a metric has no value."""
+    averages are numbers in [0, 1], with null only where a metric has no value."""
     lists = [cells for _, cells, _ in _metric_rows(metrics)]
     if not all(isinstance(cells, list) for cells in lists) or len(set(map(len, lists))) != 1:
         raise ValueError("tdg, tda and fa must be lists of one length")
@@ -255,9 +255,9 @@ def _check_metrics(metrics: MetricsReport) -> None:
     for name, cells, avg in _metric_rows(metrics):
         for j, value in enumerate([*cells, avg]):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not number and not (value is None and j in nullable[name]):
+            if not (number and 0 <= value <= 1) and not (value is None and j in nullable[name]):
                 where = f"{name}_avg" if j == n else f"{name}[{j}]"
-                raise ValueError(f"{where} must be a number, got {value!r}")
+                raise ValueError(f"{where} must be a number in [0, 1], got {value!r}")
 
 
 def metrics_to_csv(metrics: MetricsReport) -> str:

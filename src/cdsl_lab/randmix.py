@@ -4,6 +4,10 @@ Every batch draws a fresh ensemble of randomly initialized autoencoders,
 passes the input through each, and squashes a random convex-ish mix of the
 results through a sigmoid. Nothing here is trained and nothing needs
 gradients; augmented rows are ordinary input data downstream.
+
+Bitmap autoencoders draw small random kernels, as in RandConv, and store each
+as the matrix of its "same" convolution, so every autoencoder is two [d, d]
+matmuls.
 """
 
 from __future__ import annotations
@@ -36,11 +40,10 @@ class RandMixConfig:
 
 @dataclass
 class RandAutoencoder:
-    enc: np.ndarray  # dense [d, d] or conv kernel [k, k]
-    dec: np.ndarray
+    enc: np.ndarray  # [d, d], dense or the matrix of a "same" convolution
+    dec: np.ndarray  # [d, d], likewise
     scale: np.ndarray  # [d], multiplicative noise (offset by +1)
     shift: np.ndarray  # [d], additive noise
-    image_side: int | None
 
 
 def effective_kernel(size: int, side: int) -> int:
@@ -57,6 +60,18 @@ def instance_norm(x: np.ndarray) -> np.ndarray:
     return (x - mu) / np.sqrt(var + NORM_EPS)
 
 
+def conv_matrix(kernel: np.ndarray, side: int) -> np.ndarray:
+    """[side^2, side^2] M with conv_same(img).ravel() == img.ravel() @ M: entry
+    (in, out) holds tap out - in + k // 2 on each axis, 0 outside the kernel."""
+    k = kernel.shape[0]
+    pos = np.arange(side)
+    tap = pos[None, :] - pos[:, None] + k // 2
+    tap = np.where((tap >= 0) & (tap < k), tap, k)  # tap k is the zero padding
+    padded = np.zeros((k + 1, k + 1))
+    padded[:k, :k] = kernel
+    return padded[tap[:, None, :, None], tap[None, :, None, :]].reshape(side * side, side * side)
+
+
 def make_autoencoder(dim: int, rng: np.random.Generator,
                      image_side: int | None = None,
                      kernel_size: int = KERNEL_SIZES[0]) -> RandAutoencoder:
@@ -65,8 +80,8 @@ def make_autoencoder(dim: int, rng: np.random.Generator,
         if image_side * image_side != dim:
             raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
         k = effective_kernel(kernel_size, image_side)
-        enc = rng.normal(size=(k, k))
-        dec = rng.normal(size=(k, k))
+        enc = conv_matrix(rng.normal(size=(k, k)), image_side)
+        dec = conv_matrix(rng.normal(size=(k, k)), image_side)
     else:
         enc = rng.normal(size=(dim, dim))
         dec = rng.normal(size=(dim, dim))
@@ -75,43 +90,13 @@ def make_autoencoder(dim: int, rng: np.random.Generator,
     w_shift = rng.normal(scale=0.1, size=(dim, dim))
     return RandAutoencoder(enc=enc, dec=dec,
                            scale=noise @ w_scale + 1.0,
-                           shift=noise @ w_shift,
-                           image_side=image_side)
-
-
-def _fft_len(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c at or above n."""
-    while True:
-        rest = n
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
-
-
-def _apply_map(weights: np.ndarray, x: np.ndarray, side: int | None) -> np.ndarray:
-    if side is None:
-        return x @ weights
-    # "Same" 2-D convolution of every image with the kernel by real FFT. The
-    # 5-smooth padded length, the unscaled inverse and one 1 / n^2 scale keep
-    # the bits the presets have always produced; other lengths or numpy's
-    # per-axis scaling move most outputs by an ulp or so.
-    k = weights.shape[0]
-    n = _fft_len(side + k - 1)
-    spectrum = (np.fft.rfftn(x.reshape(-1, side, side), s=(n, n), axes=(1, 2))
-                * np.fft.rfftn(weights, s=(n, n), axes=(0, 1)))
-    full = np.fft.irfftn(spectrum, s=(n, n), axes=(1, 2), norm="forward") * (1.0 / (n * n))
-    lo = (k - 1) // 2
-    return full[:, lo:lo + side, lo:lo + side].reshape(x.shape[0], -1)
+                           shift=noise @ w_shift)
 
 
 def autoencode(ae: RandAutoencoder, x: np.ndarray) -> np.ndarray:
     """Encode, normalize per sample, apply noise scale/shift, decode."""
-    z = instance_norm(_apply_map(ae.enc, x, ae.image_side))
-    h = ae.scale * z + ae.shift
-    return _apply_map(ae.dec, h, ae.image_side)
+    h = ae.scale * instance_norm(x @ ae.enc) + ae.shift
+    return h @ ae.dec
 
 
 def draw_mix_weights(n_aug: int, rng: np.random.Generator) -> np.ndarray:

@@ -486,8 +486,13 @@ GOOD_METRICS = {"tdg": [None, 0.5], "tda": [0.9, 0.8], "fa": [0.85, None],
     json.dumps({**GOOD_METRICS, "tda": "ab", "tda_avg": "x"}),
     json.dumps({**GOOD_METRICS, "tda": [0.9, True]}),
     json.dumps({**GOOD_METRICS, "tdg": [None, 0.5, 0.7]}),
+    json.dumps({**GOOD_METRICS, "tda": [0.9, float("nan")]}),
+    json.dumps({**GOOD_METRICS, "fa_avg": float("inf")}),
+    json.dumps({**GOOD_METRICS, "tdg": [None, 1.7]}),
+    json.dumps({**GOOD_METRICS, "tda_avg": -0.2}),
+    json.dumps({**GOOD_METRICS, "fa": [10**400, None]}),
 ], ids=["bad_json", "unknown_key", "missing_key", "string_value", "bool_value",
-        "ragged_lists"])
+        "ragged_lists", "nan_value", "inf_value", "above_one", "below_zero", "huge_int"])
 def test_report_on_a_file_that_is_no_metrics_report_exits_two(tmp_path, capsys, text):
     (tmp_path / "metrics.json").write_text(text)
     assert cli.main(["report", str(tmp_path)]) == 2

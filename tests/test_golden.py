@@ -49,8 +49,8 @@ DIGESTS = {
     "bitmap5": {
         "matrix.csv": "c52eb31a002504f40be986589d4d91bd4f11f3906f24856014612d8d02e8ac78",
         "metrics.json": "20e1cc851dab16098e3be2651a046fd0b64b0d130e080a41d1e4a021fdb9d3bc",
-        "train_log.csv": "c44ec880114752f38465fc7376a0ebbcc56de3e1c6a4dec229b3a23e44fb654c",
-        "param_hash": "57d2c686bcd6ac16644613f58ea19ccd8eee00bed498403196048bfd811ebad7",
+        "train_log.csv": "e79dc4fd769c2e9eb68632ec697966c704873a098c08b5142f827caf4fb6c2c1",
+        "param_hash": "c8c50b1452a453c2fa7b4db2ec84cd65deebc692e842f4d57644ff8ab0b55c0e",
     },
     "moons4": {
         "matrix.csv": "bc6ad0466b19aabbe9d587e9533a636a91cbda5fb51ef724f5433c96d4808ad5",

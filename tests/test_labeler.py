@@ -131,7 +131,7 @@ def knn_oracle(feats, member_idx, member_labels, kappa, classes):
     vote, then the smaller cumulative distance and the smaller class."""
     labels = []
     for i in range(feats.shape[0]):
-        dist = [float(np.linalg.norm(feats[m] - feats[i])) for m in member_idx]
+        dist = np.linalg.norm(feats[member_idx] - feats[i], axis=1).tolist()
         nearest = sorted(range(len(member_idx)), key=lambda e: (dist[e], e))[:kappa]
         votes = [0] * classes
         cum = [0.0] * classes
@@ -216,10 +216,11 @@ def test_knn_tie_sums_each_class_nearest_first():
 
 @pytest.mark.parametrize("classes", [2, 5])
 def test_knn_matches_brute_force_on_tenths(classes):
-    rng = np.random.default_rng(10 + classes)
-    feats = np.round(rng.normal(size=(90, 1)), 1)
-    member_idx, member_labels = t2pl_style_pool(rng, 90, 60, classes)
-    assert_matches_oracle(feats, member_idx, member_labels, classes)
+    for dim in (1, 8, 16):
+        rng = np.random.default_rng(10 + classes)
+        feats = np.round(rng.normal(size=(90, dim)), 1)
+        member_idx, member_labels = t2pl_style_pool(rng, 90, 60, classes)
+        assert_matches_oracle(feats, member_idx, member_labels, classes)
 
 
 @pytest.mark.parametrize("offset", [1e4, 1e6])

@@ -165,16 +165,29 @@ def test_bitmap_map_is_a_same_convolution(size):
     for rows in (1, 7, 64, 160):
         x = rng.normal(size=(rows, 64))
         want = _same_conv_by_taps(x.reshape(rows, 8, 8), w).reshape(rows, 64)
-        assert np.allclose(randmix._apply_map(w, x, 8), want, rtol=0.0, atol=1e-12)
+        assert np.allclose(x @ randmix.conv_matrix(w, 8), want, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("size", randmix.KERNEL_SIZES)
-def test_bitmap_map_equals_fftconvolve_bit_for_bit(size):
-    signal = pytest.importorskip("scipy.signal")
-    rng = np.random.default_rng(100 + size)
-    k = randmix.effective_kernel(size, 8)
-    w = rng.normal(size=(k, k))
-    for rows in (1, 7, 64, 160):
-        x = rng.normal(size=(rows, 64))
-        want = signal.fftconvolve(x.reshape(rows, 8, 8), w[None], mode="same", axes=(1, 2))
-        assert np.array_equal(randmix._apply_map(w, x, 8), want.reshape(rows, 64))
+@pytest.mark.parametrize("kernel_size", [*randmix.KERNEL_SIZES, None])
+def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
+    """enc, dec, noise, w_scale, w_shift: replaying the draws rebuilds every field."""
+    rng = np.random.default_rng(31)
+    if kernel_size is None:
+        dim = 6
+        ae = randmix.make_autoencoder(dim, np.random.default_rng(31))
+        enc = rng.normal(size=(dim, dim))
+        dec = rng.normal(size=(dim, dim))
+    else:
+        dim = 64
+        ae = randmix.make_autoencoder(dim, np.random.default_rng(31), image_side=8,
+                                      kernel_size=kernel_size)
+        k = randmix.effective_kernel(kernel_size, 8)
+        enc = randmix.conv_matrix(rng.normal(size=(k, k)), 8)
+        dec = randmix.conv_matrix(rng.normal(size=(k, k)), 8)
+    noise = rng.normal(size=dim)
+    w_scale = rng.normal(scale=0.1, size=(dim, dim))
+    w_shift = rng.normal(scale=0.1, size=(dim, dim))
+    assert np.array_equal(ae.enc, enc)
+    assert np.array_equal(ae.dec, dec)
+    assert np.array_equal(ae.scale, noise @ w_scale + 1.0)
+    assert np.array_equal(ae.shift, noise @ w_shift)
