@@ -3,7 +3,8 @@
 Tensors wrap numpy arrays. Primitive ops compute eagerly and, while a Tape
 is active, append a record of how to push gradients back to their inputs.
 Records are stored in execution order, so walking the tape in reverse visits
-every node after all of its consumers.
+every node after all of its consumers. Reductions call `np.add.reduce` and
+`np.maximum.reduce` directly, in the order `ndarray.mean`/`var`/`sum`/`max` do: same bits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Tensor:
     def item(self) -> float:
         if self.values.size != 1:
             raise DiffcoreError(f"item: tensor has shape {self.shape}, not scalar")
-        return float(self.values)
+        return float(self.values.reshape(()))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -80,10 +81,13 @@ _ACTIVE: list[Tape] = []
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_values: np.ndarray, vjp) -> Tensor:
-    out = Tensor(out_values, requires_grad=any(t.requires_grad for t in inputs))
-    if _ACTIVE and out.requires_grad:
-        _ACTIVE[-1].nodes.append(TapeNode(op, inputs, out, vjp))
-    return out
+    for t in inputs:
+        if t.requires_grad:
+            out = Tensor(out_values, requires_grad=True)
+            if _ACTIVE:
+                _ACTIVE[-1].nodes.append(TapeNode(op, inputs, out, vjp))
+            return out
+    return Tensor(out_values)
 
 
 def backward(tape: Tape, output: Tensor, params: list[Tensor] | None = None) -> None:
@@ -106,11 +110,8 @@ def backward(tape: Tape, output: Tensor, params: list[Tensor] | None = None) -> 
         for inp, gi in zip(node.inputs, grads):
             if not inp.requires_grad or gi is None:
                 continue
-            key = id(inp)
-            if key in adjoint:
-                adjoint[key] = (inp, adjoint[key][1] + gi)
-            else:
-                adjoint[key] = (inp, gi)
+            seen = adjoint.get(id(inp))
+            adjoint[id(inp)] = (inp, gi if seen is None else seen[1] + gi)
     for t, g in adjoint.values():
         t.grad = g if t.grad is None else t.grad + g
     if params is not None:
@@ -178,7 +179,7 @@ def linear(x, w, b=None) -> Tensor:
 
     def vjp(g):
         grads = (g @ wt.T if x.requires_grad else None, (x.values.T @ g).T)
-        return grads if b is None else grads + (g.sum(axis=0),)
+        return grads if b is None else grads + (np.add.reduce(g, axis=0),)
     return _record("linear", inputs, out, vjp)
 
 
@@ -208,12 +209,17 @@ def softmax_rows(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise DiffcoreError(f"softmax_rows: expected 2-d, got shape {a.shape}")
-    z = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(a.values - np.maximum.reduce(a.values, axis=1, keepdims=True))
+    s = e / np.add.reduce(e, axis=1, keepdims=True)
     def vjp(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
+        return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
     return _record("softmax_rows", (a,), s, vjp)
+
+
+def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean, var) along axis 1, with the bits of ndarray.mean and var."""
+    centred = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+    return centred, np.add.reduce(centred * centred, axis=1, keepdims=True) / x.shape[1]
 
 
 def standardize_rows(a) -> Tensor:
@@ -221,33 +227,33 @@ def standardize_rows(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise DiffcoreError(f"standardize_rows: expected 2-d, got shape {a.shape}")
-    mu = a.values.mean(axis=1, keepdims=True)
-    var = a.values.var(axis=1, keepdims=True)
+    centred, var = row_moments(a.values)
     inv = 1.0 / np.sqrt(var + STANDARDIZE_EPS)
-    y = (a.values - mu) * inv
+    y = centred * inv
     def vjp(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * y).mean(axis=1, keepdims=True)
+        gm = np.add.reduce(g, axis=1, keepdims=True) / y.shape[1]
+        gy = np.add.reduce(g * y, axis=1, keepdims=True) / y.shape[1]
         return (inv * (g - gm - y * gy),)
     return _record("standardize_rows", (a,), y, vjp)
 
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-    out = a.values.sum(axis=axis)
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
-    return _record("reduce_sum", (a,), out, vjp)
+            return (np.full(a.shape, g),)
+        kept = list(a.shape)  # a.shape with the summed axis kept at length 1
+        kept[axis] = 1
+        return (np.repeat(g.reshape(kept), a.shape[axis], axis=axis),)
+    return _record("reduce_sum", (a,), np.add.reduce(a.values, axis=axis), vjp)
 
 
 def reduce_mean(a) -> Tensor:
     """Mean of every entry, as a scalar."""
     a = as_tensor(a)
     n = a.values.size
-    return _record("reduce_mean", (a,), a.values.mean(),
-                   lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+    return _record("reduce_mean", (a,), np.add.reduce(a.values, axis=None) / n,
+                   lambda g: (np.full(a.shape, g / n),))
 
 
 @dataclass

@@ -12,10 +12,12 @@ matmuls.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffcore as dc
 from . import nets
 
 KERNEL_SIZES = (5, 9, 13, 17)
@@ -55,21 +57,22 @@ def effective_kernel(size: int, side: int) -> int:
 
 
 def instance_norm(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + NORM_EPS)
+    centred, var = dc.row_moments(x)
+    return centred / np.sqrt(var + NORM_EPS)
+
+
+@functools.cache
+def _conv_index(k: int, side: int) -> np.ndarray:
+    """conv_matrix's gather index into the flat kernel followed by one zero (at k * k)."""
+    tap = np.arange(side) - np.arange(side)[:, None] + k // 2  # [in, out] on one axis
+    tap = np.where((tap >= 0) & (tap < k), tap, k * k)  # outside: row * k + col >= k * k
+    return np.minimum(tap[:, None, :, None] * k + tap[None, :, None, :], k * k)
 
 
 def conv_matrix(kernel: np.ndarray, side: int) -> np.ndarray:
     """[side^2, side^2] M with conv_same(img).ravel() == img.ravel() @ M: entry
     (in, out) holds tap out - in + k // 2 on each axis, 0 outside the kernel."""
-    k = kernel.shape[0]
-    pos = np.arange(side)
-    tap = pos[None, :] - pos[:, None] + k // 2
-    tap = np.where((tap >= 0) & (tap < k), tap, k)  # tap k is the zero padding
-    padded = np.zeros((k + 1, k + 1))
-    padded[:k, :k] = kernel
-    return padded[tap[:, None, :, None], tap[None, :, None, :]].reshape(side * side, side * side)
+    return np.append(kernel, 0.0)[_conv_index(kernel.shape[0], side)].reshape(side * side, -1)
 
 
 def make_autoencoder(dim: int, rng: np.random.Generator,

@@ -15,10 +15,20 @@ def evaluate(fn, *inputs: Tensor) -> tuple[Tensor, Tape]:
     return out, tape
 
 
+# row widths that straddle numpy's pairwise-summation blocks
+AWKWARD_WIDTHS = (1, 2, 7, 8, 9, 16, 33, 127, 128, 129, 257)
+
+
+def awkward_rows(width: int) -> list[np.ndarray]:
+    """Random rows, constant rows and random rows offset by 1e6, each [3, width]."""
+    rows = np.random.default_rng(width).normal(size=(3, width))
+    return [rows, np.full((3, width), 0.37), rows + 1e6]
+
+
 def call_scalar(fn, arrays) -> float:
     out = fn(*arrays)
     if isinstance(out, Tensor):
-        return float(out.values)
+        return float(out.values.reshape(()))
     return float(out)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import evaluate, fd_gradient, max_rel_err
+from conftest import AWKWARD_WIDTHS, awkward_rows, evaluate, fd_gradient, max_rel_err
 
 from cdsl_lab import diffcore as dc
 
@@ -293,3 +293,68 @@ def test_sgd_rejects_velocities_of_another_parameter_list():
     p.grad = np.ones(2)
     with pytest.raises(dc.DiffcoreError, match="velocities"):
         dc.sgd_step([p], dc.SgdConfig(learning_rate=0.1), [np.zeros(2), np.zeros(2)])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_every_size_one_shape(shape):
+    assert dc.Tensor(np.full(shape, 2.5)).item() == 2.5
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (1, 3)])
+def test_item_rejects_other_sizes(shape):
+    with pytest.raises(dc.DiffcoreError, match="item"):
+        dc.Tensor(np.ones(shape)).item()
+
+
+def taped(op, x):
+    """Output values and the vjp of a one-node op on x."""
+    out, tape = evaluate(op, dc.Tensor(x, requires_grad=True))
+    (node,) = tape.nodes
+    return out.values, lambda g: node.vjp(g)[0]
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", AWKWARD_WIDTHS)
+def test_row_ops_keep_the_bits_of_ndarray_reductions(width):
+    """standardize_rows and softmax_rows, forward and vjp, against the
+    ndarray.mean/var/sum/max formulas byte for byte."""
+    g = np.random.default_rng(width + 1).normal(size=(3, width))
+    for x in awkward_rows(width):
+        y, vjp = taped(dc.standardize_rows, x)
+        mu = x.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + dc.STANDARDIZE_EPS)
+        want = (x - mu) * inv
+        assert_same_bytes(y, want)
+        assert_same_bytes(vjp(g), inv * (g - g.mean(axis=1, keepdims=True)
+                                         - want * (g * want).mean(axis=1, keepdims=True)))
+
+        s, vjp = taped(dc.softmax_rows, x)
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        want = e / e.sum(axis=1, keepdims=True)
+        assert_same_bytes(s, want)
+        assert_same_bytes(vjp(g), want * (g - (g * want).sum(axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("width", AWKWARD_WIDTHS)
+def test_reductions_keep_the_bits_of_ndarray_reductions(width):
+    """reduce_sum and reduce_mean, forward and vjp, against ndarray.sum/mean and
+    broadcast_to(...).copy() byte for byte."""
+    rng = np.random.default_rng(width + 2)
+    g_rows, g_cols, g_all = rng.normal(size=3), rng.normal(size=width), np.array(rng.normal())
+    for x in awkward_rows(width):
+        out, vjp = taped(lambda t: dc.reduce_sum(t, axis=1), x)
+        assert_same_bytes(out, x.sum(axis=1))
+        assert_same_bytes(vjp(g_rows), np.broadcast_to(np.expand_dims(g_rows, 1), x.shape).copy())
+        out, vjp = taped(lambda t: dc.reduce_sum(t, axis=0), x)
+        assert_same_bytes(out, x.sum(axis=0))
+        assert_same_bytes(vjp(g_cols), np.broadcast_to(np.expand_dims(g_cols, 0), x.shape).copy())
+        out, vjp = taped(dc.reduce_sum, x)
+        assert_same_bytes(out, np.asarray(x.sum()))
+        assert_same_bytes(vjp(g_all), np.broadcast_to(g_all, x.shape).copy())
+        out, vjp = taped(dc.reduce_mean, x)
+        assert_same_bytes(out, np.asarray(x.mean()))
+        assert_same_bytes(vjp(g_all), np.broadcast_to(g_all / x.size, x.shape).copy())

@@ -21,6 +21,41 @@ def tiny_sequence(n_domains=3, samples=60):
     return synthdata.DomainSequence("tiny", specs)
 
 
+# ---------------------------------------------------------------- tape
+
+# ops of one tiny_config training step, in tape order; perfbench counts nodes per op
+SOURCE_STEP_OPS = [
+    "linear", "linear", "standardize_rows", "relu", "linear", "linear",  # features
+    "softmax_rows", "mul", "reduce_sum", "log", "reduce_mean", "scale",  # ce
+    "linear", "exp", "mul", "reduce_sum", "reduce_sum", "linear", "exp", "mul",  # pca
+    "reduce_sum", "add", "log", "log", "sub", "reduce_mean", "add"]
+TARGET_STEP_OPS = [
+    "linear", "linear", "standardize_rows", "relu", "linear", "linear",  # features
+    "softmax_rows", "mul", "reduce_sum", "log", "reduce_mean", "scale",  # ce
+    "linear", "exp", "matmul", "exp", "mul", "reduce_sum", "mul", "reduce_sum",  # pca
+    "add", "reduce_sum", "reduce_sum", "add", "linear", "exp", "mul", "reduce_sum",
+    "add", "log", "log", "sub", "reduce_mean", "add",
+    "linear", "softmax_rows", "log", "mul", "reduce_sum", "sub", "reduce_mean",  # distill
+    "relu", "add"]
+
+
+def test_training_steps_tape_a_fixed_op_sequence(monkeypatch):
+    """A source step and a target step (previous model present) record these
+    nodes, no more and no fewer."""
+    tapes = []
+    backward = protocol.dc.backward
+
+    def recording(tape, output, params=None):
+        tapes.append([node.op for node in tape.nodes])
+        backward(tape, output, params=params)
+
+    monkeypatch.setattr(protocol.dc, "backward", recording)
+    cfg = tiny_config(epochs=1)
+    protocol.run_cdsl(cfg, tiny_sequence(n_domains=2))
+    steps = cfg.steps_per_epoch
+    assert tapes == [SOURCE_STEP_OPS] * steps + [TARGET_STEP_OPS] * steps
+
+
 # ---------------------------------------------------------------- metrics
 
 def test_metrics_on_hand_matrix():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import AWKWARD_WIDTHS, awkward_rows
+
 from cdsl_lab import nets, randmix
 
 
@@ -51,6 +53,14 @@ def test_autoencode_matches_hand_rolled_formula():
 def test_constant_row_normalizes_to_zero_before_decoding():
     z = randmix.instance_norm(np.full((2, 7), 4.2))
     assert np.array_equal(z, np.zeros((2, 7)))
+
+
+@pytest.mark.parametrize("width", AWKWARD_WIDTHS)
+def test_instance_norm_keeps_the_bits_of_ndarray_mean_and_var(width):
+    for x in awkward_rows(width):
+        mu = x.mean(axis=1, keepdims=True)
+        want = (x - mu) / np.sqrt(x.var(axis=1, keepdims=True) + randmix.NORM_EPS)
+        assert randmix.instance_norm(x).tobytes() == want.tobytes()
 
 
 def test_mix_output_strictly_inside_unit_interval():
@@ -166,6 +176,23 @@ def test_bitmap_map_is_a_same_convolution(size):
         x = rng.normal(size=(rows, 64))
         want = _same_conv_by_taps(x.reshape(rows, 8, 8), w).reshape(rows, 64)
         assert np.allclose(x @ randmix.conv_matrix(w, 8), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", (5, 8))
+@pytest.mark.parametrize("k", (1, 3, 5, 7))
+def test_conv_matrix_matches_entry_by_entry_construction(k, side):
+    """Entry (in, out) is the kernel tap out - in + k // 2 on each axis, else 0;
+    a second call reuses the cached index and still builds its own kernel's matrix."""
+    rng = np.random.default_rng(10 * k + side)
+    for w in (rng.normal(size=(k, k)), rng.normal(size=(k, k))):
+        want = np.zeros((side * side, side * side))
+        for i in range(side * side):
+            for o in range(side * side):
+                a = o // side - i // side + k // 2
+                b = o % side - i % side + k // 2
+                if 0 <= a < k and 0 <= b < k:
+                    want[i, o] = w[a, b]
+        assert np.array_equal(randmix.conv_matrix(w, side), want)
 
 
 @pytest.mark.parametrize("kernel_size", [*randmix.KERNEL_SIZES, None])
