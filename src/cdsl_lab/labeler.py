@@ -6,11 +6,13 @@ the samples most cosine-similar to each centroid, then let those selections
 vote as a kNN committee over the whole domain. Baselines: plain argmax of
 the softmax, and a centroid-assignment scheme with one refinement round.
 
-The kNN vote filters and refines (Seidl & Kriegel, SIGMOD 1998): Gram-form
-distances from one matmul pick a few candidates per sample, exact distances
-rank them, and an error bound from the floating-point arithmetic sends any
-sample whose candidates might miss a neighbour back through the whole pool,
-so the labels equal a brute-force vote's bit for bit (see `knn_assign`).
+The kNN vote filters and refines (Seidl & Kriegel, SIGMOD 1998) in three
+tiers. Gram-form distances from one matmul label a sample outright when an
+error bound from the floating-point arithmetic proves they give the brute
+force's kappa nearest and one class leads; otherwise they pick a few
+candidates, exact distances rank them, and a sample whose candidates might
+miss a neighbour goes back through the whole pool. The labels equal a
+brute-force vote's bit for bit (see `knn_assign`).
 
 All methods are deterministic; ties break toward the smaller sample index
 or class index so repeated runs agree exactly.
@@ -138,6 +140,14 @@ def _vote(dist: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarray:
     return np.argmin(cum, axis=1)
 
 
+def _gram(q: np.ndarray, member_t2: np.ndarray, member_sq: np.ndarray) -> np.ndarray:
+    """Gram-form squared distances less |q|^2, |m|^2 - 2 q.m from m.T times -2;
+    adding |q|^2 keeps each row's order, so callers add it only where needed."""
+    score = q @ member_t2
+    score += member_sq
+    return score
+
+
 def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndarray,
                kappa: int, classes: int) -> np.ndarray:
     """Majority vote over each sample's kappa nearest pool members.
@@ -148,19 +158,28 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
 
     The labels equal a brute-force vote that takes every distance as
     np.linalg.norm(member_feats - x, axis=1) and sorts the pool by
-    (distance, entry). Rows go in blocks whose score matrix holds at most
-    KNN_BLOCK elements.
-    - Filter: Gram-form squared distances |q|^2 + |m|^2 - 2 q.m, one matmul
-      per block, pick each row's kappa + KNN_SLACK nearest entries.
-    - Refine: the candidates' distances, by the brute force's arithmetic and
-      sorted as it sorts, give the kappa nearest candidates.
-    - Safety: a Gram score and the brute force's squared norm each lie within
-      gamma_{d+2} (|q| + |m|)^2 of the true squared distance (Higham, ch. 3).
-      If the smallest score left out clears the kappa-th squared distance by
-      twice that bound, every entry left out is farther than the kappa-th in
-      the brute force too, so the kappa nearest candidates are its kappa
-      nearest. A row that fails the test is refined again with the whole pool
-      as its candidates.
+    (distance, entry). A Gram score |q|^2 + |m|^2 - 2 q.m and the brute
+    force's squared norm each lie within B = gamma_{d+2} (|q| + max |m|)^2 of
+    the true squared distance (Higham, ch. 3). Rows go in blocks whose score
+    matrix holds at most KNN_BLOCK elements, through three tiers; when
+    kappa + KNN_SLACK reaches the pool, every row takes the whole pool as
+    its candidates at once.
+    - Gram vote: let S hold a row's kappa smallest scores, s_K the largest
+      of them and s_F the smallest one outside S. An entry of S has a squared
+      norm at most s_K + 2B, one outside at least s_F - 2B; so if
+      s_F - 2B > max(s_K + 2B, 0) (1 + 16u), each entry outside S is farther
+      in the brute force by a margin that the square root and the test's own
+      roundings cannot close, and S is its kappa nearest whatever the
+      tie-break. If one class has the most votes in S, that is the label.
+      Other rows fall through: ties on counts, duplicate entries or distances
+      within 4B across the kappa-th place, cancellation far from the origin
+      and non-finite scores (NaN fails every comparison).
+    - Filter and refine: the kappa + KNN_SLACK smallest scores are the
+      candidates; their distances, by the brute force's arithmetic and sorted
+      as it sorts, give the kappa nearest candidates and the vote.
+    - Safety: if the smallest score left out clears the kappa-th squared
+      distance by 2B, every entry left out is farther in the brute force too;
+      a row that fails is refined again with the whole pool as candidates.
     """
     kappa = min(kappa, member_idx.shape[0])
     if kappa < 1:
@@ -169,31 +188,47 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     pool, dim = member_feats.shape
     width = kappa + KNN_SLACK
     entries = np.arange(pool)
+    member_t2 = np.multiply(member_feats.T, -2.0, order="C")  # matmul is slow on a view
     member_sq = (member_feats * member_feats).sum(axis=1)
     reach = np.sqrt(member_sq.max())  # the largest |m|
     # Higham's gamma_n = n u / (1 - n u) at n = d + 3: one rounding more than
     # the bound's d + 2 covers the norms the bound is computed from
     gamma = (dim + 3) * _UNIT_ROUNDOFF / (1 - (dim + 3) * _UNIT_ROUNDOFF)
-    labels = np.empty(feats.shape[0], dtype=int)
+    q_sq = (feats * feats).sum(axis=1)
+    bound = 2.0 * gamma * (np.sqrt(q_sq) + reach) ** 2  # 2B per row
+    labels = np.full(feats.shape[0], -1)
+    if width < pool:
+        onehot = (member_labels[:, None] == np.arange(classes)).astype(float)
+        step = max(1, KNN_BLOCK // pool)
+        for start in range(0, feats.shape[0], step):
+            rows = slice(start, start + step)
+            score = _gram(feats[rows], member_t2, member_sq)
+            part = np.partition(score, kappa, axis=1)
+            s_k = part[:, :kappa].max(axis=1)
+            votes = (score <= s_k[:, None]) @ onehot
+            sure = (part[:, kappa] + q_sq[rows] - bound[rows]
+                    > np.maximum(s_k + q_sq[rows] + bound[rows], 0.0) * (1 + 16 * _UNIT_ROUNDOFF))
+            sure &= (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) == 1
+            labels[rows] = np.where(sure, votes.argmax(axis=1), -1)
+    rest = np.flatnonzero(labels < 0)
     step = max(1, KNN_BLOCK // max(pool, width * dim))  # also bounds the refine's block
-    for start in range(0, feats.shape[0], step):
-        q = feats[start:start + step]
+    for start in range(0, rest.shape[0], step):
+        rows = rest[start:start + step]
+        q = feats[rows]
         if width < pool:
-            q_sq = (q * q).sum(axis=1)
-            score = q_sq[:, None] + member_sq - 2.0 * (q @ member_feats.T)
+            score = _gram(q, member_t2, member_sq)
             part = np.argpartition(score, width, axis=1)
             cand = np.sort(part[:, :width], axis=1)
-            floor = score[np.arange(q.shape[0]), part[:, width]]
-            bound = gamma * (np.sqrt(q_sq) + reach) ** 2
+            floor = score[np.arange(q.shape[0]), part[:, width]] + q_sq[rows]
         else:
             cand = np.broadcast_to(entries, (q.shape[0], pool))
-            floor, bound = np.inf, 0.0
+            floor = np.inf
         dist, entry = _nearest(member_feats, q, cand, kappa)
         # 8u covers the square root's rounding, squaring back and a strict order
         kth_sq = dist[:, -1] * dist[:, -1] * (1 + 8 * _UNIT_ROUNDOFF)
-        for i in np.flatnonzero(~(floor > kth_sq + 2.0 * bound)):
+        for i in np.flatnonzero(~(floor > kth_sq + bound[rows])):
             dist[i], entry[i] = _nearest(member_feats, q[i:i + 1], entries[None], kappa)
-        labels[start:start + step] = _vote(dist, member_labels[entry], classes)
+        labels[rows] = _vote(dist, member_labels[entry], classes)
     return labels
 
 
@@ -203,8 +238,8 @@ def t2pl_kappa(n: int, classes: int, r_top_prime: float) -> int:
 
 
 def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
-    probs = nets.predict_probs(net, x)
     feats = nets.feature_values(net, x)
+    probs = nets.probs_from_features(net, feats)
     n, classes = probs.shape
     pool = top_confidence_pool(probs, cfg.r_top)
     cents = weighted_centroids(feats[pool], probs[pool])
@@ -221,8 +256,8 @@ def softmax_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
 
 def shot_style_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
     """Centroids from all samples, cosine assignment, one refinement round."""
-    probs = nets.predict_probs(net, x)
     feats = nets.feature_values(net, x)
+    probs = nets.probs_from_features(net, feats)
     classes = probs.shape[1]
     cents = weighted_centroids(feats, probs)
     labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)

@@ -66,8 +66,13 @@ def feature_values(net: Network, x: np.ndarray) -> np.ndarray:
     return features(net, x).values
 
 
+def probs_from_features(net: Network, feats: Tensor | np.ndarray) -> np.ndarray:
+    """Class probabilities of rows already mapped to the prototype space."""
+    return dc.softmax_rows(dc.linear(feats, net.prototypes)).values
+
+
 def predict_probs(net: Network, x: np.ndarray) -> np.ndarray:
-    return dc.softmax_rows(logits(net, x)).values
+    return probs_from_features(net, features(net, x))
 
 
 def predict_labels(net: Network, x: np.ndarray) -> np.ndarray:

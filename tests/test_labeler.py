@@ -233,15 +233,27 @@ def test_knn_matches_brute_force_far_from_the_origin(offset):
     assert_matches_oracle(feats, member_idx, member_labels, 3)
 
 
-def test_knn_matches_brute_force_across_blocks():
+def test_knn_matches_brute_force_across_blocks(monkeypatch):
     rng = np.random.default_rng(21)
     feats = rng.normal(size=(200, 16))
     member_idx, member_labels = t2pl_style_pool(rng, 200, 400, 2)
     kappa = 10
     rows_per_block = labeler.KNN_BLOCK // max(400, (kappa + labeler.KNN_SLACK) * 16)
     assert 1 < rows_per_block < 200 / 4  # several blocks, the last one short
+    blocks = []
+    gram = labeler._gram
+
+    def spy(q, member_t2, member_sq):
+        blocks.append(q.shape[0])
+        return gram(q, member_t2, member_sq)
+
+    monkeypatch.setattr(labeler, "_gram", spy)
     got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
     assert got.tolist() == knn_oracle(feats, member_idx, member_labels, kappa, 2)
+    # the Gram vote scores KNN_BLOCK // pool rows at a time: several blocks too
+    filter_rows = labeler.KNN_BLOCK // 400
+    assert 1 < filter_rows < 200 / 4
+    assert blocks[:200 // filter_rows] == [filter_rows] * (200 // filter_rows)
 
 
 def spy_on_full_pool_refines(monkeypatch):
@@ -288,6 +300,99 @@ def test_knn_refines_safe_rows_once(monkeypatch, kappa):
     seen = spy_on_full_pool_refines(monkeypatch)
     labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
     assert sum(seen) == (60 if kappa + labeler.KNN_SLACK >= 40 else 0)
+
+
+def spy_on_exact_rows(monkeypatch):
+    """Record every query row whose exact distances are taken."""
+    seen = []
+    nearest = labeler._nearest
+
+    def spy(member_feats, q, cand, kappa):
+        seen.extend(q.tolist())
+        return nearest(member_feats, q, cand, kappa)
+
+    monkeypatch.setattr(labeler, "_nearest", spy)
+    return seen
+
+
+def far_entries():
+    """20 pool rows at 10 to 29, far beyond the cases' nearest ones, so the pool
+    is wider than kappa + KNN_SLACK and the Gram vote runs; labels alternate."""
+    return 10.0 + np.arange(20.0), np.arange(20) % 2
+
+
+def assert_left_to_exact_distances(monkeypatch, feats, member_idx, member_labels, kappa, want):
+    """Row 0 is not labelled by the Gram vote, and every row's label is the
+    brute force's, row 0's being want."""
+    seen = spy_on_exact_rows(monkeypatch)
+    got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
+    assert feats[0].tolist() in seen
+    assert got[0] == want
+    assert got.tolist() == knn_oracle(feats, member_idx, member_labels, kappa, 2)
+
+
+def test_knn_duplicate_entry_across_the_kappa_th_place(monkeypatch):
+    # row 3 sits in the pool twice, first with label 1 (entry 0), then with
+    # label 0 (entry 3), at the 3rd and 4th places from row 0; the brute force
+    # takes entry 0, and entry 3 in its place would turn the vote to class 0
+    far, far_labels = far_entries()
+    feats = np.concatenate([[0.0, 1.0, -2.0, 3.0], far])[:, None]
+    member_idx = np.concatenate([[3, 1, 2, 3], 4 + np.arange(far.shape[0])])
+    member_labels = np.concatenate([[1, 0, 1, 0], far_labels])
+    assert_left_to_exact_distances(monkeypatch, feats, member_idx, member_labels, 3, 1)
+
+
+def test_knn_distances_one_ulp_apart_across_the_kappa_th_place(monkeypatch):
+    # row 0's 3rd and 4th nearest lie at 1 and at the next double above it;
+    # the farther one comes first in the pool, so a tie-break by entry would
+    # pick it and turn the vote to class 0
+    far, far_labels = far_entries()
+    next_one = np.nextafter(1.0, 2.0)
+    feats = np.concatenate([[0.0, 0.25, 0.5, 1.0, next_one], far])[:, None]
+    assert np.linalg.norm(feats[4] - feats[0]) == next_one
+    member_idx = np.concatenate([[4, 1, 2, 3], 5 + np.arange(far.shape[0])])
+    member_labels = np.concatenate([[0, 0, 1, 1], far_labels])
+    assert_left_to_exact_distances(monkeypatch, feats, member_idx, member_labels, 3, 1)
+
+
+def test_knn_even_split_is_decided_by_cumulative_distance(monkeypatch):
+    # row 0's 4 nearest are certain but split 2-2: class 0's lie at 1 and 5,
+    # class 1's at 2 and 3, so class 1 wins on the smaller sum
+    far, far_labels = far_entries()
+    feats = np.concatenate([[0.0, 1.0, 2.0, -3.0, 5.0], far])[:, None]
+    member_idx = np.arange(1, feats.shape[0])
+    member_labels = np.concatenate([[0, 1, 1, 0], far_labels])
+    assert_left_to_exact_distances(monkeypatch, feats, member_idx, member_labels, 4, 1)
+
+
+def test_knn_gap_below_the_error_bound_far_from_the_origin(monkeypatch):
+    # 1e6 from the origin the bound B is about 0.04, and row 0's 3rd and 4th
+    # squared distances, 4 and 4.0401, lie less than 4B apart
+    dim, offset = 8, 1e6
+    far, far_labels = far_entries()
+    steps = np.concatenate([[0.0, 1.0, 1.5, 2.0, 2.01], far])
+    feats = np.full((steps.shape[0], dim), offset)
+    feats[:, 0] += steps
+    member_idx = np.arange(1, feats.shape[0])
+    member_labels = np.concatenate([[0, 1, 1, 0], far_labels])
+    gamma = (dim + 3) * labeler._UNIT_ROUNDOFF / (1 - (dim + 3) * labeler._UNIT_ROUNDOFF)
+    norms = np.linalg.norm(feats, axis=1)
+    bound = gamma * (norms[0] + norms[member_idx].max()) ** 2
+    assert 2.01 ** 2 - 2.0 ** 2 < 4 * bound
+    assert_left_to_exact_distances(monkeypatch, feats, member_idx, member_labels, 3, 1)
+
+
+def test_knn_gram_vote_labels_well_separated_clusters(monkeypatch):
+    # two 16-d clusters and a pool labelled by cluster, at moons-wide size:
+    # the Gram scores fix almost every row's 50 nearest and a clear majority
+    rng = np.random.default_rng(15)
+    cluster = np.repeat([0, 1], 1000)
+    feats = rng.normal(size=(2000, 16)) + 6.0 * cluster[:, None]
+    member_idx = np.concatenate([rng.permutation(1000)[:500], 1000 + rng.permutation(1000)[:500]])
+    seen = spy_on_exact_rows(monkeypatch)
+    labels = labeler.knn_assign(feats, member_idx, cluster[member_idx], 50, 2)
+    assert np.array_equal(labels, cluster)
+    assert len(seen) <= 0.1 * 2000
 
 
 def moons_scale_case(kind):
