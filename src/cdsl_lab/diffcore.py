@@ -10,6 +10,7 @@ every node after all of its consumers. Reductions call `np.add.reduce` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -147,22 +148,6 @@ def mul(a, b) -> Tensor:
                                            g * a.values if b.requires_grad else None))
 
 
-def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-    return _record("scale", (a,), a.values * c, lambda g: (g * c,))
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DiffcoreError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.values @ b.values
-    return _record("matmul", (a, b), out,
-                   lambda g: (g @ b.values.T if a.requires_grad else None,
-                              a.values.T @ g if b.requires_grad else None))
-
-
 def linear(x, w, b=None) -> Tensor:
     """Dense map x @ w.T (+ b) as one node; w is [out, in], b is [out]."""
     x, w = as_tensor(x), as_tensor(w)
@@ -190,12 +175,6 @@ def relu(a) -> Tensor:
                    lambda g: (g * mask,))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.values)
-    return _record("exp", (a,), out, lambda g: (g * out,))
-
-
 def log(a) -> Tensor:
     """Natural log with the argument clamped to at least LOG_CLAMP."""
     a = as_tensor(a)
@@ -214,6 +193,32 @@ def softmax_rows(a) -> Tensor:
     def vjp(g):
         return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
     return _record("softmax_rows", (a,), s, vjp)
+
+
+def logsumexp_rows(*blocks) -> Tensor:
+    """Row log-sum-exp [n] of 2-d blocks read side by side as one row of terms.
+    Each row is shifted by its maximum over all blocks, so no exponential
+    overflows and a one-column block comes back bit for bit; -inf terms add
+    nothing and get zero gradient."""
+    blocks = tuple(as_tensor(b) for b in blocks)
+    shapes = [b.shape for b in blocks]
+    if not blocks or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise DiffcoreError(f"logsumexp_rows: expected 2-d blocks of one row count, got {shapes}")
+    shift = reduce(np.maximum, [np.maximum.reduce(b.values, axis=1) for b in blocks])
+    exps = [np.exp(b.values - shift[:, None]) for b in blocks]
+    total = reduce(np.add, [np.add.reduce(e, axis=1) for e in exps])
+    return _record("logsumexp_rows", blocks, shift + np.log(total),
+                   lambda g: tuple(e * (g / total)[:, None] if b.requires_grad else None
+                                   for b, e in zip(blocks, exps)))
+
+
+def pick(a, index: np.ndarray) -> Tensor:
+    """Entry index[i] of each row i of a 2-d tensor, as a column [n, 1]."""
+    a = as_tensor(a)
+    if a.values.ndim != 2 or np.shape(index) != (a.shape[0],):
+        raise DiffcoreError(f"pick: index of shape {np.shape(index)} for shape {a.shape}")
+    hot = np.asarray(index)[:, None] == np.arange(a.shape[1])
+    return _record("pick", (a,), a.values[hot][:, None], lambda g: (np.where(hot, g, 0.0),))
 
 
 def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,8 @@ def weighted_centroids(feats: np.ndarray, weights: np.ndarray) -> np.ndarray:
     weights row i of feats by weights[i, k]."""
     denom = weights.sum(axis=0)
     if np.any(denom <= 0.0):
-        raise ValueError("labeler: a class has zero total weight in the centroid pool")
+        raise ValueError(f"labeler: class {np.argmax(denom <= 0.0)} has zero total weight "
+                         "in the centroid pool")
     return (weights.T @ feats) / denom[:, None]
 
 

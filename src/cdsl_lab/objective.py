@@ -1,17 +1,18 @@
 """Training objectives: prototype cross-entropy, contrastive prototype
 alignment across adjacent models, and soft-output distillation.
 
-All losses are built from diffcore primitives so one backward pass covers
-the whole objective. The alignment term treats current and previous
-prototype rows of the assigned class as positives and same-batch features
-of other classes as negatives; with no previous model in the batch context
-it collapses to the current-prototypes-only form and nothing is distilled.
-"""
+All losses are diffcore primitives, so one backward pass covers the whole
+objective, and all read one score matrix, features @ prototypes.T. CE and
+alignment are each the row mean of lse(every term) - lse(the assigned class's
+terms). CE's terms are the scores; alignment's are the scores, the scores
+against the frozen previous prototypes, and the feature Gram matrix plus a
+mask, 0 between rows of different classes and -inf elsewhere (so each row with
+itself too). With no previous model in the batch context alignment collapses
+to the current-prototypes-only form and nothing is distilled."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class BatchContext:
     # representations in "representation" mode
     distill_target: np.ndarray | None = None
     distill_on: str = "logits"
+    scores: Tensor = field(init=False)  # taped linear(features, prototypes)
+    assigned: Tensor = field(init=False)  # scores' assigned-class column [n, 1]
 
     def __post_init__(self):
         if self.distill_on not in DISTILL_MODES:
@@ -44,6 +47,8 @@ class BatchContext:
         classes = self.prototypes.shape[0]
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= classes):
             raise ValueError(f"objective: labels outside [0, {classes})")
+        self.scores = dc.linear(self.features, self.prototypes)
+        self.assigned = dc.pick(self.scores, self.labels)
 
 
 def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
@@ -67,44 +72,33 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
                         distill_on=distill_on)
 
 
-def _onehot(labels: np.ndarray, classes: int) -> np.ndarray:
-    return np.eye(classes)[labels]
+def _lse_gap(terms: list[Tensor], positives: list[Tensor]) -> Tensor:
+    """Row mean of lse(terms) - lse(positives), the assigned class's terms.
+    Never below 0, with no clamp: each lse is at least its shift, the row max
+    (M of the terms, m <= M of the positives), as its shifted sum holds an exact 1.
+    One positive comes back bit for bit, so the gap is >= M - m. Two with M = m
+    share the shift, and the terms' sum holds the positives' exponentials with
+    their bits. Two with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e))
+    with e <= 1, exceeds log 1.5, far beyond the rounding of logs of sums in
+    [1, terms], and rounding M + log(sum) and m + log(sum') keeps their order."""
+    return dc.reduce_mean(dc.sub(dc.logsumexp_rows(*terms), dc.logsumexp_rows(*positives)))
 
 
 def ce_loss(ctx: BatchContext) -> Tensor:
     """Mean negative log softmax score of the assigned class (bias-free logits)."""
-    scores = dc.linear(ctx.features, ctx.prototypes)
-    probs = dc.softmax_rows(scores)
-    onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
-    picked = dc.reduce_sum(dc.mul(probs, onehot), axis=1)
-    return dc.scale(dc.reduce_mean(dc.log(picked)), -1.0)
-
-
-def _negative_pair_mask(labels: np.ndarray) -> np.ndarray:
-    diff = labels[:, None] != labels[None, :]
-    np.fill_diagonal(diff, False)
-    return diff.astype(np.float64)
-
-
-def _pair_term(ctx: BatchContext) -> Tensor:
-    """Row sums of exp feature-feature scores over cross-class pairs."""
-    gram = dc.linear(ctx.features, ctx.features)
-    masked = dc.mul(dc.exp(gram), Tensor(_negative_pair_mask(ctx.labels)))
-    return dc.reduce_sum(masked, axis=1)
+    return _lse_gap([ctx.scores], [ctx.assigned])
 
 
 def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
-    """Prototype alignment, with the previous prototypes' terms when given.
-    Node order: exps, numerators, denominators, pair term."""
-    onehot = Tensor(_onehot(ctx.labels, ctx.prototypes.shape[0]))
-    exps = [dc.exp(dc.linear(ctx.features, ctx.prototypes))]
+    """Prototype alignment, with the previous prototypes' terms when given."""
+    terms, positives = [ctx.scores], [ctx.assigned]
     if prev_prototypes is not None:
-        # a matmul, not linear: the C-ordered copy in linear changes the bits here
-        exps.append(dc.exp(dc.matmul(ctx.features, Tensor(prev_prototypes.T))))
-    numerator = reduce(dc.add, [dc.reduce_sum(dc.mul(e, onehot), axis=1) for e in exps])
-    denominator = dc.add(reduce(dc.add, [dc.reduce_sum(e, axis=1) for e in exps]),
-                         _pair_term(ctx))
-    return dc.reduce_mean(dc.sub(dc.log(denominator), dc.log(numerator)))
+        prev = dc.linear(ctx.features, Tensor(prev_prototypes))
+        terms.append(prev)
+        positives.append(dc.pick(prev, ctx.labels))
+    cross_class = np.where(ctx.labels[:, None] != ctx.labels, 0.0, -np.inf)
+    pairs = dc.add(dc.linear(ctx.features, ctx.features), Tensor(cross_class))
+    return _lse_gap(terms + [pairs], positives)
 
 
 def pca_loss(ctx: BatchContext) -> Tensor:
@@ -125,9 +119,7 @@ def distill_loss(ctx: BatchContext) -> Tensor:
     target = ctx.distill_target
     if target is None:
         raise ValueError("objective: distill_loss needs previous-model outputs")
-    scores = (dc.linear(ctx.features, ctx.prototypes) if ctx.distill_on == "logits"
-              else ctx.features)
-    current = dc.softmax_rows(scores)
+    current = dc.softmax_rows(ctx.scores if ctx.distill_on == "logits" else ctx.features)
     entropy = (target * np.log(np.maximum(target, dc.LOG_CLAMP))).sum(axis=1)
     cross = dc.reduce_sum(dc.mul(Tensor(target), dc.log(current)), axis=1)
     kl = dc.reduce_mean(dc.sub(Tensor(entropy), cross))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsl_lab import cli, diffcore, objective, protocol
+from cdsl_lab import cli, diffcore, objective, protocol, synthdata
 from cdsl_lab.cli import MetricsReport, RunConfig
 
 
@@ -222,13 +222,23 @@ def test_package_imports_and_runs_without_scipy(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_run_fails_loudly_on_non_finite_loss(tmp_path, capsys):
-    # at this learning rate the rot5 PCA term overflows early in stage 0
+    # at this learning rate the parameters overflow in the first steps of stage 0
     out = tmp_path / "blowup"
-    assert cli.main(["run", "--set", "learning_rate=0.1", "--set", "epochs=3",
+    assert cli.main(["run", "--set", "learning_rate=1e100", "--set", "epochs=3",
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "non-finite loss at stage 0 epoch 2 step 2" in err
+    assert "non-finite loss at stage 0 epoch 0 step 2" in err
     assert not (out / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["rot5", "moons4", "bitmap5"])
+def test_source_stage_losses_stay_finite_at_a_large_learning_rate(name):
+    # warnings are errors here, so an overflowing exponential fails the test
+    domain0 = synthdata.DomainSequence(name, synthdata.standard_sequences()[name].specs[:1])
+    result = protocol.run_cdsl(RunConfig(sequence=name, learning_rate=0.1, epochs=6), domain0)
+    losses = [[row[k] for k in ("ce", "pca", "dis", "total")] for row in result.logs["train_log"]]
+    assert len(losses) == 6 * 25
+    assert np.isfinite(losses).all()
 
 
 def test_run_fails_loudly_on_non_finite_parameters(tmp_path, capsys, monkeypatch):

@@ -43,62 +43,62 @@ DIGESTS = {
     "rot5": {
         "matrix.csv": "74d084a8d9d778b3fb97f30b95adb91d031759cbc7209466ba2bd5f2d24ea983",
         "metrics.json": "305b1798d4c7c4d4252848140b2785eb7a87f1c9631410515c76fbfe9986dfc9",
-        "train_log.csv": "8ba81db2ba8b2a4e7edeffaa646a5b56d39974067862bf653cb8ec6b3d1df9fe",
-        "param_hash": "54e9d20f317de6cf0b9f19271c0a136154e3e2f0ac599b351daf215c73dd0e1a",
+        "train_log.csv": "3df45f6423a59b181a17ebe5c15fa8b77307fb417548adc9701c11b383d35587",
+        "param_hash": "0b19fd77b616451484b9b9b4239f897160d50caf92ca1a08ead24e2d12a45a72",
     },
     "bitmap5": {
         "matrix.csv": "c52eb31a002504f40be986589d4d91bd4f11f3906f24856014612d8d02e8ac78",
         "metrics.json": "20e1cc851dab16098e3be2651a046fd0b64b0d130e080a41d1e4a021fdb9d3bc",
-        "train_log.csv": "e79dc4fd769c2e9eb68632ec697966c704873a098c08b5142f827caf4fb6c2c1",
-        "param_hash": "c8c50b1452a453c2fa7b4db2ec84cd65deebc692e842f4d57644ff8ab0b55c0e",
+        "train_log.csv": "7d1c5dfb3085dcffd5ae5d8d545e4f994a1fdd03aa0b41ec11dcaaaa2f8c3a6c",
+        "param_hash": "7200071409bfb5a59bf74a247b1ae634f2ef94b1fdd331bf6d7b2180179c1699",
     },
     "moons4": {
         "matrix.csv": "bc6ad0466b19aabbe9d587e9533a636a91cbda5fb51ef724f5433c96d4808ad5",
         "metrics.json": "694d9b9067e6611f41951e6914e3129bbf83abc84965d8388d227795ad60e34c",
-        "train_log.csv": "88c3e4221804af9df9079857126f815641dfcab0793b040cedf837bc61ef3167",
-        "param_hash": "2973023a551301a32c283c293c92a7c39f44e4b4d63149de9716b7037bfc20ae",
+        "train_log.csv": "497fa7f6684dc5393722d3d1fe67f92169b1cceee2425f5bd41483a3433a73ac",
+        "param_hash": "ab66fd46fd45b5f29e45def4765f0b90f1fca1873c8cd7c62a5cb82865db0e4e",
     },
     "no_randmix": {
         "matrix.csv": "50487695dce4af5c4d6c53956cdafdd385fec61adc5ee3755e6c91d0b6b795d2",
         "metrics.json": "d03f44b73242a0f2a5193a3efea57b2891535cc8a8d9b0694951a0ee3d2d7785",
-        "train_log.csv": "0dcbc20e765e0ce5582bbdce3ab014643163be2eafec5f14d6c1925329b7965a",
-        "param_hash": "922568ea6009697ae9622650dcec8ea07f0d12ca36554f886ef373020c78f93f",
+        "train_log.csv": "27d16711fe88f3cc280b1e4c0283b3d464d56e2ef236fa4358912b056abc5af5",
+        "param_hash": "4614b948efd6bb5701ddd6aa6ff744ca0887beffb04dda2a54f04f21757c7b4b",
     },
     "labeler=softmax": {
         "matrix.csv": "15d2567ac64096193b4e2b2602a3245c407640393be12b20b880f23c6e8df7c5",
         "metrics.json": "fb1a874d9c4904ce372878890f33555b66be5a3f38064f278b5cb9706a70a1e9",
-        "train_log.csv": "f908d9a2df1cfac40e022be9922b0f576638d80f9794fa2fdc964265e08f7527",
-        "param_hash": "d296e7f29e557706bcc59cd521903653b66e8796129e0567afaa5a6d5ad6867b",
+        "train_log.csv": "43374f3cce13d8cb1382765e51f8ced802c01813ffe6947eda07a0f9a8b31164",
+        "param_hash": "51bc7515fa044b57ae9a0e21d2fd3c28dea48ba56c4dec03bb660b6d59e72fac",
     },
     "labeler=shot_style": {
         "matrix.csv": "977d323c811c8c240eb9878c6f7f95cd26d88fe6a20a83ff203dd8207222954d",
         "metrics.json": "dbd361ef9f36c286415d336df84dfd82a1e968cf43bda54b958efb01a8c5c782",
-        "train_log.csv": "18a8b3e1dd7c8f19de5fe13b2bd104fdd62f0ffe3ada6ec310355e0595bc81a9",
-        "param_hash": "c8ef9e3e424923512883d3b94966d8ac5ea03a92f134251bb9ff2d437383dd24",
+        "train_log.csv": "53b4a6f44d16a6edf249b69658bfda1def3a75e802379b258e41a860390556bd",
+        "param_hash": "873a9cde640c1adb9e8aa2817cb7c98f8d3a0fe30952efb0035d4180c76241ed",
     },
     "no_pca": {
         "matrix.csv": "36c9215d6fbb1d5cc5fb17af80d195f816622f9390cb59699c312362b7a8cb26",
         "metrics.json": "fb3fa1b10b1d94b52f1d4a9d38bd809808ed2f16c202386dbc53d459a998bf3c",
-        "train_log.csv": "b1202af5193a9e898ac647d99669442c9ac041af3d516dd36e87804c673ffde7",
-        "param_hash": "e4d6ce742a803e48cf435f3722fc281c6180af162640bc2a01334af4a18f1c99",
+        "train_log.csv": "52db949b6e8cf1b727e9fbc1d92b64154347c6d2a46c227a355f1c2a8496c030",
+        "param_hash": "bb2cd35a8a22a86ba3e054991b611f818199a0f63f1ed75092c4eebb4437018a",
     },
     "stationary": {
         "matrix.csv": "1e4db49a386df7ecd3f558c218cc0f3cb8ea33b5d5668809ca22e82c5504c64b",
         "metrics.json": "9bbf96d5b0c2c074503b9a123a9a683ad7bcad148adfb707dc751fcaf8e43a22",
-        "train_log.csv": "4f3101d1c5f225defdaf44d7cbc204a5448acfa67e6a73989fe16aa4924206e4",
-        "param_hash": "4220e843851b3e06df4941efdb036d058ca95a1e0b8ada4921e5fd7533cabaf2",
+        "train_log.csv": "b8cf01a31eeeeeaf9b3692aa37dc14420a9bc4af64176428545d3e8f655971b1",
+        "param_hash": "8b2d3c12fd36c252c5bd332343fb3756fe1b3da0e41dbe8d9c043754f2ce196c",
     },
     "distill_on=representation": {
         "matrix.csv": "8f3601df239101a2de3e67e7169fc133e312da755c0d36d4b3bd31def8903e2a",
         "metrics.json": "4e79381f05feafe845e3ff8928459a817da905ebaae4f0a54f9deb312577f0a0",
-        "train_log.csv": "ca86881e88940cbb1722703360381b6b545ab961990702804f42807741066c66",
-        "param_hash": "a8d1000b8eb2a75564e1a069e7a74c60ef2ca676f38b0388265446456beba71d",
+        "train_log.csv": "068f6d9067129f5125e86ec49ea9fe95a05077cced9bb8d73c917e2093e1b316",
+        "param_hash": "a4fa15c8c807c98d72e884c43c049673b5a33da1becb99c6f01ab6bf2ed8f280",
     },
     "bottleneck=none": {
         "matrix.csv": "dc3c6f5492b667618d338eeb54dc506c60b594ee500f6ec58000f5b56bc86875",
         "metrics.json": "f4f98be67780edab4d6d718a1aa1746cd6537aef2accc3070fcd0d3df2e3ab39",
-        "train_log.csv": "3f8603c91c2229ae203cc6fc5610e5c7f8a429be815398dda5ef802a7519a47c",
-        "param_hash": "6874be1f3e36bb0bcb7af8b559a15521c73035c080c3b1364924f95e37411f99",
+        "train_log.csv": "f77eec7288fd76c4ddfda0e70afb9cc5154970881ba28034fc8d039841897849",
+        "param_hash": "b18f9518937bc24f75a40d8fb632bc1ea3707d6bbf4771416698ca66d321bca7",
     },
 }
 

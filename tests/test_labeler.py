@@ -69,6 +69,13 @@ def test_weighted_centroids_match_brute_force():
         assert np.allclose(cents[k], num / den, atol=1e-12)
 
 
+def test_weighted_centroids_name_a_class_with_zero_weight():
+    # a collapsed model can give one class probability exactly 0 on every row
+    weights = np.array([[0.7, 0.0, 0.3], [0.4, 0.0, 0.6]])
+    with pytest.raises(ValueError, match="class 1 has zero total weight"):
+        labeler.weighted_centroids(np.ones((2, 4)), weights)
+
+
 def test_union_counts_each_sample_once():
     # sample 0 tops both classes; the centroid pool must hold it once
     probs = np.array([[0.9, 0.9], [0.8, 0.1], [0.1, 0.8], [0.5, 0.5]])

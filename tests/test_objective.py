@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import evaluate, max_rel_err
+from conftest import max_rel_err
 
 from cdsl_lab import diffcore as dc
 from cdsl_lab import nets, objective
@@ -17,6 +17,14 @@ def make_ctx(feats, labels, protos, prev_protos=None, target=None, mode="logits"
         labels=np.asarray(labels, dtype=int),
         prototypes=Tensor(protos, requires_grad=True),
         prev_prototypes=prev_protos, distill_target=target, distill_on=mode)
+
+
+def taped(loss, *args, **kwargs):
+    """A context and its loss built under one tape, as in a training step."""
+    with dc.Tape() as tape:
+        ctx = make_ctx(*args, **kwargs)
+        out = loss(ctx)
+    return ctx, out, tape
 
 
 def softmax(z):
@@ -65,8 +73,7 @@ def test_ce_vanishes_with_growing_margin():
 
 def test_ce_gradient_matches_finite_differences():
     feats, labels, protos, _ = rand_instance(0)
-    ctx = make_ctx(feats, labels, protos)
-    out, tape = evaluate(lambda: objective.ce_loss(ctx))
+    ctx, out, tape = taped(objective.ce_loss, feats, labels, protos)
     dc.backward(tape, out)
 
     def value():
@@ -113,10 +120,28 @@ def test_pca_is_permutation_invariant():
     assert shuffled == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8, 1e15])
+def test_lse_gap_is_never_negative_in_any_row(scale):
+    # CE's and PCA's rows with the positives tied with the largest other term
+    # or one ulp below it, where rounding would show first
+    rng = np.random.default_rng(round(np.log10(scale)) + 30)
+    n, classes = 3000, 3
+    labels = rng.integers(0, classes, size=n)
+    scores, prev = (rng.normal(size=(n, classes)) * scale for _ in range(2))
+    rows = np.arange(n)
+    top = np.maximum(scores.max(axis=1), prev.max(axis=1))
+    prev[rows, labels] = np.where(rng.random(n) < 0.5, top, np.nextafter(top, -np.inf))
+    scores[rows[::3], labels[::3]] = np.nextafter(top[::3], -np.inf)
+    s, p = Tensor(scores), Tensor(prev)
+    for terms, positives in (([s], [dc.pick(s, labels)]),
+                             ([s, p], [dc.pick(s, labels), dc.pick(p, labels)])):
+        gap = dc.logsumexp_rows(*terms).values - dc.logsumexp_rows(*positives).values
+        assert (gap >= 0.0).all()
+
+
 def test_pca_nonnegative_and_gradient_checks():
     feats, labels, protos, prev = rand_instance(4)
-    ctx = make_ctx(feats, labels, protos, prev_protos=prev)
-    out, tape = evaluate(lambda: objective.pca_loss(ctx))
+    ctx, out, tape = taped(objective.pca_loss, feats, labels, protos, prev_protos=prev)
     assert out.item() >= 0.0
     dc.backward(tape, out)
 
@@ -139,8 +164,7 @@ def test_source_pca_equals_ce_without_cross_class_pairs():
 
 def test_source_pca_gradient_matches_finite_differences():
     feats, labels, protos, _ = rand_instance(6)
-    ctx = make_ctx(feats, labels, protos)
-    out, tape = evaluate(lambda: objective.source_pca_loss(ctx))
+    ctx, out, tape = taped(objective.source_pca_loss, feats, labels, protos)
     dc.backward(tape, out)
 
     def value():
@@ -168,8 +192,7 @@ def test_distill_zero_when_outputs_match():
 def test_distill_nonnegative_and_gradient():
     feats, labels, protos, prev = rand_instance(8)
     prev_probs = softmax(feats @ prev.T)
-    ctx = make_ctx(feats, labels, protos, target=prev_probs)
-    out, tape = evaluate(lambda: objective.distill_loss(ctx))
+    ctx, out, tape = taped(objective.distill_loss, feats, labels, protos, target=prev_probs)
     assert out.item() >= 0.0
     dc.backward(tape, out)
 
@@ -185,8 +208,8 @@ def test_distill_on_representations():
     feats, labels, protos, _ = rand_instance(9)
     prev_feats = feats + np.random.default_rng(10).normal(size=feats.shape) * 0.1
     target = softmax(prev_feats)
-    ctx = make_ctx(feats, labels, protos, target=target, mode="representation")
-    out, tape = evaluate(lambda: objective.distill_loss(ctx))
+    ctx, out, tape = taped(objective.distill_loss, feats, labels, protos, target=target,
+                           mode="representation")
     assert out.item() >= 0.0
     dc.backward(tape, out)
 
@@ -267,9 +290,9 @@ def test_build_context_and_backward_through_real_network():
 
 
 def test_tape_of_one_step_has_one_linear_node_per_product():
-    # every dense layer and every features @ prototypes.T or features @
-    # features.T product is one linear node; only the frozen previous
-    # prototypes go through matmul, and nothing is transposed on the tape
+    # every dense layer and every product with the features is one linear
+    # node, the scores features @ prototypes.T exactly once, and nothing is
+    # transposed on the tape
     rng = np.random.default_rng(16)
     net = nets.build_network(3, 2, rng, hidden=(6, 6), bottleneck=(5, 4))
     x = rng.normal(size=(8, 3))
@@ -277,12 +300,15 @@ def test_tape_of_one_step_has_one_linear_node_per_product():
     ops = []
     for prev in (None, nets.snapshot(net)):
         with dc.Tape() as tape:
-            objective.total_loss(objective.build_context(net, prev, x, labels))
+            ctx = objective.build_context(net, prev, x, labels)
+            objective.total_loss(ctx)
         ops.append(Counter(node.op for node in tape.nodes))
+        scores = [node for node in tape.nodes if any(t is net.prototypes for t in node.inputs)]
+        assert [(n.op, n.inputs, n.output) for n in scores] == [
+            ("linear", (ctx.features, net.prototypes), ctx.scores)]
     source, target = ops
-    assert source == Counter(linear=7, relu=2, standardize_rows=1, softmax_rows=1,
-                             mul=3, reduce_sum=4, log=3, reduce_mean=2, scale=1,
-                             exp=2, add=2, sub=1)
-    assert target == Counter(linear=8, matmul=1, relu=3, standardize_rows=1,
-                             softmax_rows=2, mul=5, reduce_sum=7, log=4,
-                             reduce_mean=3, scale=1, exp=3, add=5, sub=2)
+    assert source == Counter(linear=6, relu=2, standardize_rows=1, pick=1,
+                             logsumexp_rows=4, sub=2, reduce_mean=2, add=2)
+    assert target == Counter(linear=7, relu=3, standardize_rows=1, pick=2,
+                             logsumexp_rows=4, sub=3, reduce_mean=3, add=3,
+                             softmax_rows=1, log=1, mul=1, reduce_sum=1)

@@ -25,18 +25,19 @@ def tiny_sequence(n_domains=3, samples=60):
 
 # ops of one tiny_config training step, in tape order; perfbench counts nodes per op
 SOURCE_STEP_OPS = [
-    "linear", "linear", "standardize_rows", "relu", "linear", "linear",  # features
-    "softmax_rows", "mul", "reduce_sum", "log", "reduce_mean", "scale",  # ce
-    "linear", "exp", "mul", "reduce_sum", "reduce_sum", "linear", "exp", "mul",  # pca
-    "reduce_sum", "add", "log", "log", "sub", "reduce_mean", "add"]
+    "linear", "linear", "standardize_rows", "relu", "linear",  # features
+    "linear", "pick",  # scores and the assigned class's column
+    "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # ce
+    "linear", "add", "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # pca
+    "add"]
 TARGET_STEP_OPS = [
-    "linear", "linear", "standardize_rows", "relu", "linear", "linear",  # features
-    "softmax_rows", "mul", "reduce_sum", "log", "reduce_mean", "scale",  # ce
-    "linear", "exp", "matmul", "exp", "mul", "reduce_sum", "mul", "reduce_sum",  # pca
-    "add", "reduce_sum", "reduce_sum", "add", "linear", "exp", "mul", "reduce_sum",
-    "add", "log", "log", "sub", "reduce_mean", "add",
-    "linear", "softmax_rows", "log", "mul", "reduce_sum", "sub", "reduce_mean",  # distill
-    "relu", "add"]
+    "linear", "linear", "standardize_rows", "relu", "linear",  # features
+    "linear", "pick",  # scores and the assigned class's column
+    "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # ce
+    "linear", "pick", "linear", "add", "logsumexp_rows", "logsumexp_rows", "sub",  # pca
+    "reduce_mean", "add",
+    "softmax_rows", "log", "mul", "reduce_sum", "sub", "reduce_mean", "relu",  # distill
+    "add"]
 
 
 def test_training_steps_tape_a_fixed_op_sequence(monkeypatch):
