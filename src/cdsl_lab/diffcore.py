@@ -5,12 +5,16 @@ is active, append a record of how to push gradients back to their inputs.
 Records are stored in execution order, so walking the tape in reverse visits
 every node after all of its consumers. Reductions call `np.add.reduce` and
 `np.maximum.reduce` directly, in the order `ndarray.mean`/`var`/`sum`/`max` do: same bits.
+`one_blas_thread` runs a block with numpy's OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -291,3 +295,42 @@ def sgd_step(params: list[Tensor], cfg: SgdConfig,
         v += p.grad + cfg.weight_decay * p.values
         p.values -= cfg.learning_rate * v
     return velocities
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None where numpy uses another BLAS. CDLL on the loaded file returns the
+    handle numpy already holds."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with BLAS on one thread, then restore the count found.
+
+    At this lab's widths (64 or less) a second thread mostly spins. OpenBLAS
+    threads split a product's rows and columns, never its inner sum, so every
+    entry keeps its bits at any thread count. Without OpenBLAS it does nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

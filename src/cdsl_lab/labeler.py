@@ -54,6 +54,7 @@ class PseudoLabelSet:
     labels: np.ndarray
     method: str
     stage: int
+    probs: np.ndarray  # the model's class probabilities of the same rows
 
 
 def _class_list_size(n: int, classes: int, ratio: float) -> int:
@@ -247,12 +248,13 @@ def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
     kappa = t2pl_kappa(n, classes, cfg.r_top_prime)
     labels = knn_assign(feats, member_idx, member_labels, kappa, classes)
-    return PseudoLabelSet(labels=labels, method="t2pl", stage=stage)
+    return PseudoLabelSet(labels=labels, method="t2pl", stage=stage, probs=probs)
 
 
 def softmax_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
-    labels = np.argmax(nets.predict_probs(net, x), axis=1)
-    return PseudoLabelSet(labels=labels, method="softmax", stage=stage)
+    probs = nets.predict_probs(net, x)
+    return PseudoLabelSet(labels=np.argmax(probs, axis=1), method="softmax", stage=stage,
+                          probs=probs)
 
 
 def shot_style_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
@@ -268,7 +270,7 @@ def shot_style_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
     filled = counts > 0
     refined[filled] = (onehot.T @ feats)[filled] / counts[filled, None]
     labels = np.argmax(cosine_to_centroids(feats, refined), axis=1)
-    return PseudoLabelSet(labels=labels, method="shot_style", stage=stage)
+    return PseudoLabelSet(labels=labels, method="shot_style", stage=stage, probs=probs)
 
 
 def assign_labels(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:

@@ -226,9 +226,16 @@ def run_cdsl(cfg: RunConfig,
     One loop serves every stage (see the module docstring). The stationary
     flag keeps no memory and hands the objective no previous model: plain
     adaptation, no replay, no distillation, contrastive term in source form.
+    BLAS runs on one thread throughout, so a panel of N parallel runs uses
+    about N cores; the outputs are the same at any thread count.
     """
     seq = resolve_sequence(cfg) if sequence is None else sequence
     check_sequence(cfg, seq)
+    with dc.one_blas_thread():
+        return _run_stages(cfg, seq)
+
+
+def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
     datasets = [synthdata.generate(spec, rng_for(cfg.seed, STREAM_DATA, 10 + i))
                 for i, spec in enumerate(seq.specs)]
     src_x, src_y = datasets[0]
@@ -272,12 +279,12 @@ def run_cdsl(cfg: RunConfig,
         logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 
     def pseudo_labels(stage: int, epoch: int, x, y) -> np.ndarray:
-        """One target epoch's labels, logged with the softmax baseline's once."""
+        """One target epoch's labels, logged with the softmax baseline's once;
+        the baseline is the argmax of the labeler's own class probabilities."""
         pls = labeler_mod.assign_labels(model, x, lab_cfg, stage)
         scored = [(pls.method, pls.labels)]
         if epoch == 0:
-            scored.append(("softmax_baseline",
-                           labeler_mod.softmax_labels(model, x, stage).labels))
+            scored.append(("softmax_baseline", np.argmax(pls.probs, axis=1)))
         logs["label_log"].extend(
             {"stage": stage, "epoch": epoch, "domain": stage, "method": method,
              "accuracy": float(np.mean(assigned == y))}

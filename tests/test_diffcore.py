@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import AWKWARD_WIDTHS, awkward_rows, evaluate, fd_gradient, max_rel_err
+from test_protocol import tiny_config, tiny_sequence
 
 from cdsl_lab import diffcore as dc
+from cdsl_lab import objective, protocol
 
 
 def wrap(*arrays):
@@ -418,3 +420,65 @@ def test_reductions_keep_the_bits_of_ndarray_reductions(width):
         out, vjp = taped(dc.reduce_mean, x)
         assert_same_bytes(out, np.asarray(x.mean()))
         assert_same_bytes(vjp(g_all), np.broadcast_to(g_all / x.size, x.shape).copy())
+
+
+# ---------------------------------------------------------------- blas threads
+
+def blas_thread_calls():
+    """(get, set) of numpy's OpenBLAS thread count; skips where there is none."""
+    calls = dc._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy loaded no OpenBLAS, so there is no thread count to read")
+    return calls
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Start the test at 2 BLAS threads and give back the count it found."""
+    get, put = blas_thread_calls()
+    found = get()
+    put(2)
+    yield get
+    put(found)
+
+
+def test_one_blas_thread_pins_the_count_and_restores_it(two_blas_threads):
+    get = two_blas_threads
+    with dc.one_blas_thread():
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(RuntimeError, match="inside"):
+        with dc.one_blas_thread():
+            assert get() == 1
+            raise RuntimeError("inside")
+    assert get() == 2
+
+
+def test_one_blas_thread_does_nothing_without_openblas(monkeypatch):
+    found = dc._openblas_threads()
+
+    def count():
+        return found[0]() if found else None
+
+    before = count()
+    monkeypatch.setattr(dc, "_openblas_threads", lambda: None)
+    with dc.one_blas_thread():
+        assert count() == before
+        out = dc.linear(np.eye(3), np.ones((2, 3))).values
+    assert count() == before
+    assert np.array_equal(out, np.ones((3, 2)))
+
+
+def test_run_cdsl_trains_on_one_blas_thread(two_blas_threads, monkeypatch):
+    get = two_blas_threads
+    seen = []
+    build_context = objective.build_context
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return build_context(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "build_context", spy)
+    protocol.run_cdsl(tiny_config(epochs=1), tiny_sequence(n_domains=2))
+    assert seen and set(seen) == {1}
+    assert get() == 2

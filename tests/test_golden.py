@@ -8,6 +8,7 @@ another numpy or BLAS may round differently without the program being at
 fault, so a failure names any difference from it.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -163,6 +164,13 @@ def test_one_blas_thread_gives_the_same_digests(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == DIGESTS, environment_note()
+
+
+@pytest.mark.parametrize("name", ["rot5", "bitmap5", "moons4"])
+def test_process_blas_thread_count_gives_the_same_digests(name, tmp_path, monkeypatch):
+    """Runs pin BLAS to one thread; unpinned, they must give the same bytes."""
+    monkeypatch.setattr(protocol.dc, "one_blas_thread", contextlib.nullcontext)
+    assert run_digests(CASES[name], tmp_path) == DIGESTS[name], environment_note()
 
 
 def without_wrote_lines(stdout: str) -> bytes:

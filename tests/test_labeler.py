@@ -472,6 +472,16 @@ def test_softmax_labels_are_argmax():
     assert got.stage == 2
 
 
+def test_every_method_carries_the_bits_of_predict_probs():
+    net = tiny_net()
+    x = np.random.default_rng(9).normal(size=(30, 4))
+    want = nets.predict_probs(net, x)
+    for method in labeler.METHODS:
+        cfg = labeler.LabelerConfig(r_top=2.0, r_top_prime=2.5, method=method)
+        got = labeler.assign_labels(net, x, cfg, stage=1).probs
+        assert got.tobytes() == want.tobytes(), method
+
+
 def test_shot_style_matches_small_brute_force():
     net = tiny_net(seed=7)
     x = np.random.default_rng(6).normal(size=(15, 4))

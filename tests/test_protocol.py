@@ -159,6 +159,15 @@ def test_run_shapes_and_logs():
         assert sum(r["method"] == "softmax_baseline" for r in rows) == 1
 
 
+def test_softmax_baseline_takes_no_pass_of_its_own(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("the baseline re-ran the model over the domain")
+
+    monkeypatch.setattr(protocol.labeler_mod, "softmax_labels", no_pass)
+    res = protocol.run_cdsl(tiny_config(epochs=1), sequence=tiny_sequence())
+    assert [r["method"] for r in res.logs["label_log"]] == ["t2pl", "softmax_baseline"] * 2
+
+
 def test_run_is_deterministic():
     a = protocol.run_cdsl(tiny_config(), sequence=tiny_sequence())
     b = protocol.run_cdsl(tiny_config(), sequence=tiny_sequence())
