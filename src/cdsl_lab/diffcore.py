@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-LOG_CLAMP = 1e-12
 STANDARDIZE_EPS = 1e-5
 
 
@@ -177,26 +176,6 @@ def relu(a) -> Tensor:
     mask = a.values > 0.0
     return _record("relu", (a,), np.where(mask, a.values, 0.0),
                    lambda g: (g * mask,))
-
-
-def log(a) -> Tensor:
-    """Natural log with the argument clamped to at least LOG_CLAMP."""
-    a = as_tensor(a)
-    clamped = np.maximum(a.values, LOG_CLAMP)
-    live = a.values > LOG_CLAMP
-    return _record("log", (a,), np.log(clamped),
-                   lambda g: (np.where(live, g / clamped, 0.0),))
-
-
-def softmax_rows(a) -> Tensor:
-    a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise DiffcoreError(f"softmax_rows: expected 2-d, got shape {a.shape}")
-    e = np.exp(a.values - np.maximum.reduce(a.values, axis=1, keepdims=True))
-    s = e / np.add.reduce(e, axis=1, keepdims=True)
-    def vjp(g):
-        return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
-    return _record("softmax_rows", (a,), s, vjp)
 
 
 def logsumexp_rows(*blocks) -> Tensor:

@@ -66,9 +66,14 @@ def feature_values(net: Network, x: np.ndarray) -> np.ndarray:
     return features(net, x).values
 
 
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
 def probs_from_features(net: Network, feats: Tensor | np.ndarray) -> np.ndarray:
     """Class probabilities of rows already mapped to the prototype space."""
-    return dc.softmax_rows(dc.linear(feats, net.prototypes)).values
+    return softmax_rows(dc.linear(feats, net.prototypes).values)
 
 
 def predict_probs(net: Network, x: np.ndarray) -> np.ndarray:

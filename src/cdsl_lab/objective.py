@@ -4,11 +4,12 @@ alignment across adjacent models, and soft-output distillation.
 All losses are diffcore primitives, so one backward pass covers the whole
 objective, and all read one score matrix, features @ prototypes.T. CE and
 alignment are each the row mean of lse(every term) - lse(the assigned class's
-terms). CE's terms are the scores; alignment's are the scores, the scores
-against the frozen previous prototypes, and the feature Gram matrix plus a
-mask, 0 between rows of different classes and -inf elsewhere (so each row with
-itself too). With no previous model in the batch context alignment collapses
-to the current-prototypes-only form and nothing is distilled."""
+terms). CE's terms are the scores, whose lse logits distillation reads too;
+alignment's are the scores, the scores against the frozen previous prototypes,
+and the feature Gram matrix plus a mask, 0 between rows of different classes
+and -inf elsewhere (so each row with itself too). With no previous model in the
+batch context alignment collapses to the current-prototypes-only form and
+nothing is distilled."""
 
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ class BatchContext:
     distill_on: str = "logits"
     scores: Tensor = field(init=False)  # taped linear(features, prototypes)
     assigned: Tensor = field(init=False)  # scores' assigned-class column [n, 1]
+    lse: Tensor = field(init=False)  # scores' row log-sum-exp [n]
 
     def __post_init__(self):
         if self.distill_on not in DISTILL_MODES:
@@ -49,6 +51,7 @@ class BatchContext:
             raise ValueError(f"objective: labels outside [0, {classes})")
         self.scores = dc.linear(self.features, self.prototypes)
         self.assigned = dc.pick(self.scores, self.labels)
+        self.lse = dc.logsumexp_rows(self.scores)
 
 
 def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
@@ -63,7 +66,7 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
     if prev_net is not None:
         prev_protos = prev_net.prototypes.values
         if distill_on == "representation":
-            target = dc.softmax_rows(nets.feature_values(prev_net, x)).values
+            target = nets.softmax_rows(nets.feature_values(prev_net, x))
         else:
             target = nets.predict_probs(prev_net, x)
     return BatchContext(features=feats, labels=labels,
@@ -72,21 +75,22 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
                         distill_on=distill_on)
 
 
-def _lse_gap(terms: list[Tensor], positives: list[Tensor]) -> Tensor:
-    """Row mean of lse(terms) - lse(positives), the assigned class's terms.
-    Never below 0, with no clamp: each lse is at least its shift, the row max
-    (M of the terms, m <= M of the positives), as its shifted sum holds an exact 1.
+def _lse_gap(lse_terms: Tensor, positives: list[Tensor]) -> Tensor:
+    """Row mean of lse_terms (of every term) - lse(positives), the assigned
+    class's terms. Never below 0, with no clamp: each lse is at least its shift,
+    the row max (M of the terms, m <= M of the positives), as its shifted sum
+    holds an exact 1.
     One positive comes back bit for bit, so the gap is >= M - m. Two with M = m
     share the shift, and the terms' sum holds the positives' exponentials with
     their bits. Two with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e))
     with e <= 1, exceeds log 1.5, far beyond the rounding of logs of sums in
     [1, terms], and rounding M + log(sum) and m + log(sum') keeps their order."""
-    return dc.reduce_mean(dc.sub(dc.logsumexp_rows(*terms), dc.logsumexp_rows(*positives)))
+    return dc.reduce_mean(dc.sub(lse_terms, dc.logsumexp_rows(*positives)))
 
 
 def ce_loss(ctx: BatchContext) -> Tensor:
     """Mean negative log softmax score of the assigned class (bias-free logits)."""
-    return _lse_gap([ctx.scores], [ctx.assigned])
+    return _lse_gap(ctx.lse, [ctx.assigned])
 
 
 def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
@@ -98,7 +102,7 @@ def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
         positives.append(dc.pick(prev, ctx.labels))
     cross_class = np.where(ctx.labels[:, None] != ctx.labels, 0.0, -np.inf)
     pairs = dc.add(dc.linear(ctx.features, ctx.features), Tensor(cross_class))
-    return _lse_gap(terms + [pairs], positives)
+    return _lse_gap(dc.logsumexp_rows(*terms, pairs), positives)
 
 
 def pca_loss(ctx: BatchContext) -> Tensor:
@@ -115,14 +119,18 @@ def source_pca_loss(ctx: BatchContext) -> Tensor:
 
 
 def distill_loss(ctx: BatchContext) -> Tensor:
-    """Mean KL from the frozen model's soft outputs to the current ones."""
+    """Mean KL from the frozen model's soft outputs t to softmax(z), with z the
+    scores or, in representation mode, the features: per row
+    sum t log t + lse(z) - sum t z, exact however small a probability gets."""
     target = ctx.distill_target
     if target is None:
         raise ValueError("objective: distill_loss needs previous-model outputs")
-    current = dc.softmax_rows(ctx.scores if ctx.distill_on == "logits" else ctx.features)
-    entropy = (target * np.log(np.maximum(target, dc.LOG_CLAMP))).sum(axis=1)
-    cross = dc.reduce_sum(dc.mul(Tensor(target), dc.log(current)), axis=1)
-    kl = dc.reduce_mean(dc.sub(Tensor(entropy), cross))
+    z, lse = ((ctx.scores, ctx.lse) if ctx.distill_on == "logits"
+              else (ctx.features, dc.logsumexp_rows(ctx.features)))
+    log_t = np.log(target, out=np.zeros_like(target), where=target > 0.0)  # 0 log 0 = 0
+    neg_entropy = np.add.reduce(target * log_t, axis=1)
+    cross = dc.reduce_sum(dc.mul(Tensor(target), z), axis=1)
+    kl = dc.reduce_mean(dc.sub(dc.add(Tensor(neg_entropy), lse), cross))
     # exact KL is non-negative; relu only strips float artifacts near zero
     return dc.relu(kl)
 

@@ -44,44 +44,44 @@ DIGESTS = {
     "rot5": {
         "matrix.csv": "74d084a8d9d778b3fb97f30b95adb91d031759cbc7209466ba2bd5f2d24ea983",
         "metrics.json": "305b1798d4c7c4d4252848140b2785eb7a87f1c9631410515c76fbfe9986dfc9",
-        "train_log.csv": "3df45f6423a59b181a17ebe5c15fa8b77307fb417548adc9701c11b383d35587",
-        "param_hash": "0b19fd77b616451484b9b9b4239f897160d50caf92ca1a08ead24e2d12a45a72",
+        "train_log.csv": "98e6cc90a30434047b6d15c6a6336d5d6e9f0a81b3c45a568512e29f262e4d0f",
+        "param_hash": "e8f83981f97203fee9c7f5143eb21ec140c48c1328e36fb952da5836e4c19831",
     },
     "bitmap5": {
         "matrix.csv": "c52eb31a002504f40be986589d4d91bd4f11f3906f24856014612d8d02e8ac78",
         "metrics.json": "20e1cc851dab16098e3be2651a046fd0b64b0d130e080a41d1e4a021fdb9d3bc",
-        "train_log.csv": "7d1c5dfb3085dcffd5ae5d8d545e4f994a1fdd03aa0b41ec11dcaaaa2f8c3a6c",
-        "param_hash": "7200071409bfb5a59bf74a247b1ae634f2ef94b1fdd331bf6d7b2180179c1699",
+        "train_log.csv": "20631978802504f8cd900260a0a27ae578985146dcb300f829b288043cb98928",
+        "param_hash": "50517bdddd9b6ac039a209e277bc9f949c7505e57c40eb694a45688ac85bf20c",
     },
     "moons4": {
         "matrix.csv": "bc6ad0466b19aabbe9d587e9533a636a91cbda5fb51ef724f5433c96d4808ad5",
         "metrics.json": "694d9b9067e6611f41951e6914e3129bbf83abc84965d8388d227795ad60e34c",
-        "train_log.csv": "497fa7f6684dc5393722d3d1fe67f92169b1cceee2425f5bd41483a3433a73ac",
-        "param_hash": "ab66fd46fd45b5f29e45def4765f0b90f1fca1873c8cd7c62a5cb82865db0e4e",
+        "train_log.csv": "d0ed6145170cce6cfe2d8ffcb50ee97faa89996789998e7b0fa5cb4afe60796a",
+        "param_hash": "f7dda2e3c30ed750ba8dfaf20a20aff52ac6f5be07eddbb760537a89e8cd701e",
     },
     "no_randmix": {
         "matrix.csv": "50487695dce4af5c4d6c53956cdafdd385fec61adc5ee3755e6c91d0b6b795d2",
         "metrics.json": "d03f44b73242a0f2a5193a3efea57b2891535cc8a8d9b0694951a0ee3d2d7785",
-        "train_log.csv": "27d16711fe88f3cc280b1e4c0283b3d464d56e2ef236fa4358912b056abc5af5",
-        "param_hash": "4614b948efd6bb5701ddd6aa6ff744ca0887beffb04dda2a54f04f21757c7b4b",
+        "train_log.csv": "96b501f235f26c654aa48e0e92df5074a3870176873cf2c26f0c6610462b5dd7",
+        "param_hash": "cb8445e1329c1ad977fe6d799cc698c9134535d32721dace8a2d154a1c7c5b2c",
     },
     "labeler=softmax": {
         "matrix.csv": "15d2567ac64096193b4e2b2602a3245c407640393be12b20b880f23c6e8df7c5",
         "metrics.json": "fb1a874d9c4904ce372878890f33555b66be5a3f38064f278b5cb9706a70a1e9",
-        "train_log.csv": "43374f3cce13d8cb1382765e51f8ced802c01813ffe6947eda07a0f9a8b31164",
-        "param_hash": "51bc7515fa044b57ae9a0e21d2fd3c28dea48ba56c4dec03bb660b6d59e72fac",
+        "train_log.csv": "0333cb34048f24a2005813fa8821c3f6f5d8c399bc38ddb1bebbc25c20fe9bfd",
+        "param_hash": "a4d2426873644c7de86acf008b079556e51c4038c18905b7a9478c3ed0b41b08",
     },
     "labeler=shot_style": {
         "matrix.csv": "977d323c811c8c240eb9878c6f7f95cd26d88fe6a20a83ff203dd8207222954d",
         "metrics.json": "dbd361ef9f36c286415d336df84dfd82a1e968cf43bda54b958efb01a8c5c782",
-        "train_log.csv": "53b4a6f44d16a6edf249b69658bfda1def3a75e802379b258e41a860390556bd",
-        "param_hash": "873a9cde640c1adb9e8aa2817cb7c98f8d3a0fe30952efb0035d4180c76241ed",
+        "train_log.csv": "93e8b3be65e55effb6b4ae4587f110abf5f5872c199fb0ddcd1dde50bcf6f429",
+        "param_hash": "bafbc3ad4053bea2e7156a675cbbd0d12419d0fddc861eb8a691547f9b7a958f",
     },
     "no_pca": {
         "matrix.csv": "36c9215d6fbb1d5cc5fb17af80d195f816622f9390cb59699c312362b7a8cb26",
         "metrics.json": "fb3fa1b10b1d94b52f1d4a9d38bd809808ed2f16c202386dbc53d459a998bf3c",
-        "train_log.csv": "52db949b6e8cf1b727e9fbc1d92b64154347c6d2a46c227a355f1c2a8496c030",
-        "param_hash": "bb2cd35a8a22a86ba3e054991b611f818199a0f63f1ed75092c4eebb4437018a",
+        "train_log.csv": "7c89affc31f8a2ea78f9b1da5e2c3c77f2e7423d8767bd2ad64a27c5afc34248",
+        "param_hash": "4c93c27732f4c389f19b3dab7b84342bfd0d6277eacc0af8a18e52cf1cdcc829",
     },
     "stationary": {
         "matrix.csv": "1e4db49a386df7ecd3f558c218cc0f3cb8ea33b5d5668809ca22e82c5504c64b",
@@ -92,14 +92,14 @@ DIGESTS = {
     "distill_on=representation": {
         "matrix.csv": "8f3601df239101a2de3e67e7169fc133e312da755c0d36d4b3bd31def8903e2a",
         "metrics.json": "4e79381f05feafe845e3ff8928459a817da905ebaae4f0a54f9deb312577f0a0",
-        "train_log.csv": "068f6d9067129f5125e86ec49ea9fe95a05077cced9bb8d73c917e2093e1b316",
-        "param_hash": "a4fa15c8c807c98d72e884c43c049673b5a33da1becb99c6f01ab6bf2ed8f280",
+        "train_log.csv": "24377fc1aad602e26e8184f41c08654ce4320ec8083d3a2edf45500db9d60c8e",
+        "param_hash": "c74baa382756b5e428f02cd953ec2bf5f8966e8f21e2df664150fc6411fadc59",
     },
     "bottleneck=none": {
         "matrix.csv": "dc3c6f5492b667618d338eeb54dc506c60b594ee500f6ec58000f5b56bc86875",
         "metrics.json": "f4f98be67780edab4d6d718a1aa1746cd6537aef2accc3070fcd0d3df2e3ab39",
-        "train_log.csv": "f77eec7288fd76c4ddfda0e70afb9cc5154970881ba28034fc8d039841897849",
-        "param_hash": "b18f9518937bc24f75a40d8fb632bc1ea3707d6bbf4771416698ca66d321bca7",
+        "train_log.csv": "8de79717a0837ba8e99805bb0d05e1d5e0dfcd23a2c55099f0776bb04ca08333",
+        "param_hash": "32c89558a8868d2ce31d0da2609023e6be6b67af89ea2d4ca5bc33902ea66226",
     },
 }
 

@@ -27,10 +27,6 @@ def taped(loss, *args, **kwargs):
     return ctx, out, tape
 
 
-def softmax(z):
-    return dc.softmax_rows(z).values
-
-
 def fd_inplace(fn, array, h=1e-5):
     grad = np.zeros_like(array)
     flat_g = grad.reshape(-1)
@@ -182,16 +178,29 @@ def test_distill_hard_previous_vs_uniform_current_is_log_two():
     assert objective.distill_loss(ctx).item() == pytest.approx(math.log(2), abs=1e-9)
 
 
+def test_distill_is_exact_where_a_current_probability_is_tiny():
+    # scores [0, 40]: softmax puts e^-40, far below any clamp, on class 0
+    target = np.array([[0.5, 0.5]])
+    ctx, out, tape = taped(objective.distill_loss, np.ones((1, 1)), [0],
+                           np.array([[0.0], [40.0]]), target=target)
+    exact = -math.log(2) + 40.0 + math.log1p(math.exp(-40.0)) - 20.0
+    assert out.item() == pytest.approx(exact, rel=1e-15)  # 19.3069
+    dc.backward(tape, out)
+    # features are [[1]], so the prototypes' gradient is the scores' gradient
+    p0 = 1.0 / (1.0 + math.exp(40.0))  # softmax - t = [p0 - 0.5, 0.5 - p0]
+    assert ctx.prototypes.grad.ravel() == pytest.approx([p0 - 0.5, 0.5 - p0], rel=1e-12)
+
+
 def test_distill_zero_when_outputs_match():
     feats, labels, protos, _ = rand_instance(7)
-    probs = softmax(feats @ protos.T)
+    probs = nets.softmax_rows(feats @ protos.T)
     ctx = make_ctx(feats, labels, protos, target=probs)
     assert objective.distill_loss(ctx).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distill_nonnegative_and_gradient():
     feats, labels, protos, prev = rand_instance(8)
-    prev_probs = softmax(feats @ prev.T)
+    prev_probs = nets.softmax_rows(feats @ prev.T)
     ctx, out, tape = taped(objective.distill_loss, feats, labels, protos, target=prev_probs)
     assert out.item() >= 0.0
     dc.backward(tape, out)
@@ -207,7 +216,7 @@ def test_distill_nonnegative_and_gradient():
 def test_distill_on_representations():
     feats, labels, protos, _ = rand_instance(9)
     prev_feats = feats + np.random.default_rng(10).normal(size=feats.shape) * 0.1
-    target = softmax(prev_feats)
+    target = nets.softmax_rows(prev_feats)
     ctx, out, tape = taped(objective.distill_loss, feats, labels, protos, target=target,
                            mode="representation")
     assert out.item() >= 0.0
@@ -218,7 +227,8 @@ def test_distill_on_representations():
             make_ctx(feats, labels, protos, target=target, mode="representation")).item()
 
     assert max_rel_err(ctx.features.grad, fd_inplace(value, feats)) < 1e-4
-    same = make_ctx(feats, labels, protos, target=softmax(feats), mode="representation")
+    same = make_ctx(feats, labels, protos, target=nets.softmax_rows(feats),
+                    mode="representation")
     assert objective.distill_loss(same).item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -237,7 +247,7 @@ def test_context_validation():
 
 def test_total_loss_decomposition_on_target_stage():
     feats, labels, protos, prev = rand_instance(11)
-    prev_probs = softmax(feats @ prev.T)
+    prev_probs = nets.softmax_rows(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
     total, parts = objective.total_loss(ctx)
     assert list(parts) == ["ce", "pca", "dis", "total"]  # train_log.csv's column order
@@ -258,7 +268,7 @@ def test_total_loss_on_source_stage_has_no_distillation():
 
 def test_total_loss_ablation_flags():
     feats, labels, protos, prev = rand_instance(13)
-    prev_probs = softmax(feats @ prev.T)
+    prev_probs = nets.softmax_rows(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
     _, no_pca = objective.total_loss(ctx, disable_pca=True)
     assert no_pca["pca"] == 0.0
@@ -286,7 +296,7 @@ def test_build_context_and_backward_through_real_network():
     assert np.array_equal(ctx.distill_target, nets.predict_probs(prev, x))
     repr_ctx = objective.build_context(net, prev, x, labels, distill_on="representation")
     assert np.array_equal(repr_ctx.distill_target,
-                          softmax(nets.feature_values(prev, x)))
+                          nets.softmax_rows(nets.feature_values(prev, x)))
 
 
 def test_tape_of_one_step_has_one_linear_node_per_product():
@@ -309,6 +319,7 @@ def test_tape_of_one_step_has_one_linear_node_per_product():
     source, target = ops
     assert source == Counter(linear=6, relu=2, standardize_rows=1, pick=1,
                              logsumexp_rows=4, sub=2, reduce_mean=2, add=2)
+    # distillation reads the scores' one lse: no softmax_rows or log node
     assert target == Counter(linear=7, relu=3, standardize_rows=1, pick=2,
-                             logsumexp_rows=4, sub=3, reduce_mean=3, add=3,
-                             softmax_rows=1, log=1, mul=1, reduce_sum=1)
+                             logsumexp_rows=4, sub=3, reduce_mean=3, add=4,
+                             mul=1, reduce_sum=1)

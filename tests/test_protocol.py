@@ -36,7 +36,7 @@ TARGET_STEP_OPS = [
     "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # ce
     "linear", "pick", "linear", "add", "logsumexp_rows", "logsumexp_rows", "sub",  # pca
     "reduce_mean", "add",
-    "softmax_rows", "log", "mul", "reduce_sum", "sub", "reduce_mean", "relu",  # distill
+    "mul", "reduce_sum", "add", "sub", "reduce_mean", "relu",  # distill
     "add"]
 
 
