@@ -20,6 +20,8 @@ from typing import Callable
 import numpy as np
 
 STANDARDIZE_EPS = 1e-5
+# elements of one intermediate array where work runs in row blocks (inference, kNN scores)
+BLOCK_ELEMENTS = 2 ** 14
 
 
 class DiffcoreError(ValueError):
@@ -166,7 +168,8 @@ def linear(x, w, b=None) -> Tensor:
         out = out + inputs[2].values
 
     def vjp(g):
-        grads = (g @ wt.T if x.requires_grad else None, (x.values.T @ g).T)
+        grads = (g @ wt.T if x.requires_grad else None,
+                 (x.values.T @ g).T if w.requires_grad else None)
         return grads if b is None else grads + (np.add.reduce(g, axis=0),)
     return _record("linear", inputs, out, vjp)
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
+from .diffcore import BLOCK_ELEMENTS
 
 METHODS = ("t2pl", "softmax", "shot_style")
 
-KNN_BLOCK = 2 ** 14  # score-matrix elements per block of query rows
 KNN_SLACK = 16  # candidates the Gram filter keeps beyond kappa
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -72,7 +72,10 @@ def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
     """Sorted unique indices of each class's most confident samples."""
     n, classes = probs.shape
     m = _class_list_size(n, classes, r_top)
-    return np.unique(np.concatenate([_top_by_score(probs[:, k], m) for k in range(classes)]))
+    chosen = np.zeros(n, dtype=bool)
+    for k in range(classes):
+        chosen[_top_by_score(probs[:, k], m)] = True
+    return np.flatnonzero(chosen)
 
 
 def weighted_centroids(feats: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -163,7 +166,7 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     (distance, entry). A Gram score |q|^2 + |m|^2 - 2 q.m and the brute
     force's squared norm each lie within B = gamma_{d+2} (|q| + max |m|)^2 of
     the true squared distance (Higham, ch. 3). Rows go in blocks whose score
-    matrix holds at most KNN_BLOCK elements, through three tiers; when
+    matrix holds at most BLOCK_ELEMENTS elements, through three tiers; when
     kappa + KNN_SLACK reaches the pool, every row takes the whole pool as
     its candidates at once.
     - Gram vote: let S hold a row's kappa smallest scores, s_K the largest
@@ -201,7 +204,7 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     labels = np.full(feats.shape[0], -1)
     if width < pool:
         onehot = (member_labels[:, None] == np.arange(classes)).astype(float)
-        step = max(1, KNN_BLOCK // pool)
+        step = max(1, BLOCK_ELEMENTS // pool)
         for start in range(0, feats.shape[0], step):
             rows = slice(start, start + step)
             score = _gram(feats[rows], member_t2, member_sq)
@@ -213,7 +216,7 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
             sure &= (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) == 1
             labels[rows] = np.where(sure, votes.argmax(axis=1), -1)
     rest = np.flatnonzero(labels < 0)
-    step = max(1, KNN_BLOCK // max(pool, width * dim))  # also bounds the refine's block
+    step = max(1, BLOCK_ELEMENTS // max(pool, width * dim))  # also bounds the refine's block
     for start in range(0, rest.shape[0], step):
         rows = rest[start:start + step]
         q = feats[rows]

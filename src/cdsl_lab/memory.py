@@ -70,10 +70,10 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
             f"memory: capacity {mem.capacity} cannot hold {new_count} domains")
     feats = nets.feature_values(net, x)
     labels = np.asarray(labels, dtype=int)
-    classes, row_class = np.unique(labels, return_inverse=True)
-    centroids = np.stack([feats[row_class == j].mean(axis=0)
-                          for j in range(classes.shape[0])])
-    diff = feats - centroids[row_class]
+    centroids = np.zeros((labels.max() + 1, feats.shape[1]))  # absent classes stay 0
+    for c in np.flatnonzero(np.bincount(labels)):
+        centroids[c] = feats[labels == c].mean(axis=0)
+    diff = feats - centroids[labels]
     # the same bits as np.linalg.norm of each row; norm(diff, axis=1) differs
     distances = np.sqrt(np.vecdot(diff, diff))
     chosen = select_round_robin(distances, labels, quota)

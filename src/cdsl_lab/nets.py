@@ -58,12 +58,31 @@ def features(net: Network, x) -> Tensor:
     return out
 
 
-def logits(net: Network, x) -> Tensor:
-    return dc.linear(features(net, x), net.prototypes)
-
-
 def feature_values(net: Network, x: np.ndarray) -> np.ndarray:
-    return features(net, x).values
+    """`features(net, x).values`, untaped, in row blocks written into one output.
+
+    A block holds at most dc.BLOCK_ELEMENTS in its widest layer, so what a
+    call takes beyond its output does not grow with the rows. Each row keeps
+    its bits, since BLAS splits a product's rows and never its inner sum, as
+    long as no row meets other arithmetic in a block than in one forward:
+    - numpy sends a 1-row product to gemv, so a lone last row joins the block
+      before it;
+    - OpenBLAS computes the last (rows mod 4) rows of a product with 3 or
+      fewer outputs another way, so blocks start at multiples of 16 rows (a
+      multiple of the unroll on x86-64) and only the last block has such rows.
+    """
+    layers = net.trunk + net.neck
+    widest = max([x.shape[1], *(w.shape[0] for w, _ in layers)])
+    step = max(16, dc.BLOCK_ELEMENTS // widest // 16 * 16)
+    stops = [*range(step, x.shape[0] - 1, step), x.shape[0]]
+    if len(stops) == 1:  # one block: no copy
+        return features(net, x).values
+    out = np.empty((x.shape[0], layers[-1][0].shape[0] if layers else x.shape[1]))
+    start = 0
+    for stop in stops:
+        out[start:stop] = features(net, x[start:stop]).values
+        start = stop
+    return out
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -71,17 +90,17 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
-def probs_from_features(net: Network, feats: Tensor | np.ndarray) -> np.ndarray:
+def probs_from_features(net: Network, feats: np.ndarray) -> np.ndarray:
     """Class probabilities of rows already mapped to the prototype space."""
     return softmax_rows(dc.linear(feats, net.prototypes).values)
 
 
 def predict_probs(net: Network, x: np.ndarray) -> np.ndarray:
-    return probs_from_features(net, features(net, x))
+    return probs_from_features(net, feature_values(net, x))
 
 
 def predict_labels(net: Network, x: np.ndarray) -> np.ndarray:
-    return np.argmax(logits(net, x).values, axis=1)
+    return np.argmax(dc.linear(feature_values(net, x), net.prototypes).values, axis=1)
 
 
 def named_parameters(net: Network) -> list[tuple[str, Tensor]]:

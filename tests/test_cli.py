@@ -209,13 +209,39 @@ sys.exit(cli.main(["run", "--config", "configs/bitmap5.cfg", "--set", "epochs=1"
 """
 
 
-def test_package_imports_and_runs_without_scipy(tmp_path):
-    out = tmp_path / "results"
+def run_script(script: str, out: Path) -> subprocess.CompletedProcess:
+    """A Python script in a fresh interpreter, from the repo root, with `src`
+    on the import path and `out` as its one argument."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(out)], cwd=REPO,
+    return subprocess.run([sys.executable, "-c", script, str(out)], cwd=REPO,
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_package_imports_and_runs_without_scipy(tmp_path):
+    out = tmp_path / "results"
+    proc = run_script(NO_SCIPY_RUN, out)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "matrix.csv").is_file()
+
+
+# pytest's own imports may load numpy.ma, so the run gets a fresh interpreter
+NO_NUMPY_MA_RUN = """
+import sys
+from cdsl_lab import cli
+status = cli.main(["run", "--config", "configs/rot5.cfg", "--set", "epochs=1",
+                   "--out", sys.argv[1]])
+if "numpy.ma" in sys.modules:
+    sys.exit("numpy.ma was imported")
+sys.exit(status)
+"""
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    # numpy loads numpy.ma (about 1 MB) on first use, as np.unique does
+    out = tmp_path / "results"
+    proc = run_script(NO_NUMPY_MA_RUN, out)
     assert proc.returncode == 0, proc.stderr
     assert (out / "matrix.csv").is_file()
 

@@ -65,13 +65,14 @@ CONSTANT_INPUT_CASES = [
     ("mul", lambda const, var: dc.mul(const, var), 0),
     ("mul", lambda const, var: dc.mul(var, const), 1),
     ("linear", lambda const, var: dc.linear(const, var), 0),
+    ("linear", lambda const, var: dc.linear(var, const), 1),
     ("logsumexp_rows", lambda const, var: dc.logsumexp_rows(const, var), 0),
     ("logsumexp_rows", lambda const, var: dc.logsumexp_rows(var, const), 1),
 ]
 
 
 @pytest.mark.parametrize("op,apply,const_at", CONSTANT_INPUT_CASES,
-                         ids=["mul-a", "mul-b", "linear-x",
+                         ids=["mul-a", "mul-b", "linear-x", "linear-w",
                               "logsumexp_rows-a", "logsumexp_rows-b"])
 def test_vjp_skips_inputs_without_requires_grad(op, apply, const_at):
     rng = np.random.default_rng(11)

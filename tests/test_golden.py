@@ -1,6 +1,7 @@
 """Golden digests: the output bytes of short runs and of the CLI tables.
 
-Each case is a 2-epoch, 5-step run. Its pinned sha256 digests cover
+Each case is a 2-epoch, 5-step run, on the domains SEQUENCES names or
+else on its config's preset. Its pinned sha256 digests cover
 matrix.csv, metrics.json and train_log.csv, plus the final model's param_hash.
 A change that alters output bits on purpose updates the digests in the same
 commit and says why. ENVIRONMENT records where the digests were taken;
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsl_lab import cli, nets, protocol
+from cdsl_lab import cli, nets, protocol, synthdata
 from cdsl_lab.protocol import RunConfig
 from test_cli import write_cfg
 
@@ -36,6 +37,15 @@ CASES = {
     "stationary": replace(SHORT, stationary=True),
     "distill_on=representation": replace(SHORT, distill_on="representation"),
     "bottleneck=none": replace(SHORT, bottleneck=None),
+    "moons4-600": replace(SHORT, sequence="moons4"),
+}
+
+# domains of 600 rows, built as perfbench builds moons-wide: the only case
+# whose inference spans more than one of nets.feature_values' row blocks
+SEQUENCES = {
+    "moons4-600": synthdata.DomainSequence(
+        "moons4-600", [replace(spec, samples=600)
+                       for spec in synthdata.standard_sequences()["moons4"].specs]),
 }
 
 ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
@@ -101,6 +111,12 @@ DIGESTS = {
         "train_log.csv": "8de79717a0837ba8e99805bb0d05e1d5e0dfcd23a2c55099f0776bb04ca08333",
         "param_hash": "32c89558a8868d2ce31d0da2609023e6be6b67af89ea2d4ca5bc33902ea66226",
     },
+    "moons4-600": {
+        "matrix.csv": "cf617812db33248cf44caf970c36ec021e1de58eb853ae15acccb408dae277ff",
+        "metrics.json": "7fe689a8c0ce70a3396e02d3d3e91b777a95d1d401c3793dc2255801ce7fa702",
+        "train_log.csv": "04a435f9c83972ed9ca24a1356e6b738e5b5dc07527251965c269feff4632510",
+        "param_hash": "304e7682dae031a1eb1bbe34c69a79e7fb8c29c231f9cf46780b5755d3bb4fe1",
+    },
 }
 
 TABLE_DIGESTS = {
@@ -131,8 +147,8 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
-    result = protocol.run_cdsl(cfg)
+def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    result = protocol.run_cdsl(CASES[name], SEQUENCES.get(name))
     protocol.write_results(result, out_dir)
     digests = {name: sha256((out_dir / name).read_bytes()) for name in FILES}
     digests["param_hash"] = nets.param_hash(result.model)
@@ -141,7 +157,7 @@ def run_digests(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", CASES)
 def test_run_outputs_match_golden_digests(name, tmp_path):
-    assert run_digests(CASES[name], tmp_path) == DIGESTS[name], environment_note()
+    assert run_digests(name, tmp_path) == DIGESTS[name], environment_note()
 
 
 ONE_THREAD_RUNS = """
@@ -149,8 +165,8 @@ import json, sys
 from pathlib import Path
 import test_golden
 out = Path(sys.argv[1])
-print(json.dumps({name: test_golden.run_digests(cfg, out / name)
-                  for name, cfg in test_golden.CASES.items()}))
+print(json.dumps({name: test_golden.run_digests(name, out / name)
+                  for name in test_golden.CASES}))
 """
 
 
@@ -166,11 +182,11 @@ def test_one_blas_thread_gives_the_same_digests(tmp_path):
     assert json.loads(proc.stdout) == DIGESTS, environment_note()
 
 
-@pytest.mark.parametrize("name", ["rot5", "bitmap5", "moons4"])
+@pytest.mark.parametrize("name", ["rot5", "bitmap5", "moons4", "moons4-600"])
 def test_process_blas_thread_count_gives_the_same_digests(name, tmp_path, monkeypatch):
     """Runs pin BLAS to one thread; unpinned, they must give the same bytes."""
     monkeypatch.setattr(protocol.dc, "one_blas_thread", contextlib.nullcontext)
-    assert run_digests(CASES[name], tmp_path) == DIGESTS[name], environment_note()
+    assert run_digests(name, tmp_path) == DIGESTS[name], environment_note()
 
 
 def without_wrote_lines(stdout: str) -> bytes:

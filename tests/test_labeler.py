@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdsl_lab import labeler, nets
+from cdsl_lab.diffcore import BLOCK_ELEMENTS
 
 
 def tiny_net(seed=0, input_dim=4, classes=3):
@@ -245,7 +246,7 @@ def test_knn_matches_brute_force_across_blocks(monkeypatch):
     feats = rng.normal(size=(200, 16))
     member_idx, member_labels = t2pl_style_pool(rng, 200, 400, 2)
     kappa = 10
-    rows_per_block = labeler.KNN_BLOCK // max(400, (kappa + labeler.KNN_SLACK) * 16)
+    rows_per_block = BLOCK_ELEMENTS // max(400, (kappa + labeler.KNN_SLACK) * 16)
     assert 1 < rows_per_block < 200 / 4  # several blocks, the last one short
     blocks = []
     gram = labeler._gram
@@ -257,8 +258,8 @@ def test_knn_matches_brute_force_across_blocks(monkeypatch):
     monkeypatch.setattr(labeler, "_gram", spy)
     got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
     assert got.tolist() == knn_oracle(feats, member_idx, member_labels, kappa, 2)
-    # the Gram vote scores KNN_BLOCK // pool rows at a time: several blocks too
-    filter_rows = labeler.KNN_BLOCK // 400
+    # the Gram vote scores BLOCK_ELEMENTS // pool rows at a time: several blocks too
+    filter_rows = BLOCK_ELEMENTS // 400
     assert 1 < filter_rows < 200 / 4
     assert blocks[:200 // filter_rows] == [filter_rows] * (200 // filter_rows)
 

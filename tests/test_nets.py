@@ -1,3 +1,6 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ def test_identity_layer_without_bottleneck_passes_input_through():
 def test_orthonormal_prototypes_give_unit_logits():
     net = nets.Network([eye_layer(4)], [], dc.Tensor(np.eye(4), requires_grad=True))
     x = np.eye(4)[2:3]
-    out = nets.logits(net, x).values
+    out = dc.linear(nets.features(net, x), net.prototypes).values
     assert np.array_equal(out, np.array([[0.0, 0.0, 1.0, 0.0]]))
 
 
@@ -71,7 +74,7 @@ def test_feature_dim_and_logit_shape():
     x = np.random.default_rng(1).normal(size=(7, 3))
     f = nets.feature_values(net, x)
     assert f.shape == (7, 4)
-    assert nets.logits(net, x).shape == (7, 2)
+    assert dc.linear(nets.features(net, x), net.prototypes).shape == (7, 2)
     probs = nets.predict_probs(net, x)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -111,9 +114,53 @@ def test_gradients_flow_to_every_parameter():
     net = tiny_net()
     x = np.random.default_rng(3).normal(size=(6, 3))
     params = nets.parameters(net)
-    out, tape = evaluate(lambda: dc.reduce_mean(dc.mul(nets.logits(net, x),
-                                                          nets.logits(net, x))))
+    def loss():
+        scores = dc.linear(nets.features(net, x), net.prototypes)
+        return dc.reduce_mean(dc.mul(scores, scores))
+
+    out, tape = evaluate(loss)
     dc.backward(tape, out, params=params)
     assert all(p.grad is not None for p in params)
     assert any(np.abs(p.grad).sum() > 0 for p in params)
     dc.zero_grads(params)
+
+
+# (input_dim, classes, hidden, bottleneck, rows per block). The narrow net's
+# widest layer gives 16384 // 48 = 341 rows, cut to 336 so every block
+# starts at a multiple of 16; its 3-output layer runs OpenBLAS's narrow kernel
+BLOCKED_NETS = [(2, 2, (64, 64), (32, 16), 256), (8, 5, (48,), (32, 3), 336)]
+
+
+@pytest.mark.parametrize("blas", ["one_thread", "process_threads"])
+@pytest.mark.parametrize("input_dim,classes,hidden,bottleneck,rows", BLOCKED_NETS,
+                         ids=["default", "narrow"])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3*rows+7"])
+def test_blocked_inference_keeps_the_bits_of_one_forward(input_dim, classes, hidden,
+                                                         bottleneck, rows, extra, blas):
+    net = nets.build_network(input_dim, classes, np.random.default_rng(5),
+                             hidden=hidden, bottleneck=bottleneck)
+    n = 3 * rows + 7 if extra == "3*rows+7" else rows + extra
+    x = np.random.default_rng(6).normal(size=(n, input_dim))
+    threads = dc.one_blas_thread() if blas == "one_thread" else contextlib.nullcontext()
+    with threads:
+        feats = nets.features(net, x).values
+        scores = dc.linear(feats, net.prototypes).values
+        got = (nets.feature_values(net, x), nets.predict_probs(net, x),
+               nets.predict_labels(net, x))
+    want = (feats, nets.softmax_rows(scores), np.argmax(scores, axis=1))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_inference_memory_does_not_grow_with_the_rows():
+    net = nets.build_network(2, 2, np.random.default_rng(7), hidden=(64, 64),
+                             bottleneck=(32, 16))
+    x = np.random.default_rng(8).normal(size=(20_000, 2))
+    # one unblocked forward holds [20000, 64] activations, 30 MB at its peak
+    tracemalloc.start()
+    try:
+        feats = nets.feature_values(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < feats.nbytes + 2 ** 20
