@@ -128,21 +128,12 @@ def _nearest(member_feats: np.ndarray, q: np.ndarray, cand: np.ndarray,
 
 def _vote(dist: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarray:
     """Majority label of each row's neighbours, given nearest first; a tie goes
-    to the smaller cumulative distance, then to the smaller class."""
-    votes = (labels[:, :, None] == np.arange(classes)).sum(axis=1)
-    best = votes.max(axis=1)
-    tied = votes == best[:, None]
-    cum = np.where(tied, 0.0, np.inf)
-    rows, ks = np.nonzero(tied & (tied.sum(axis=1) > 1)[:, None])
-    # tied classes of a row hold equal counts, so each count's distances form
-    # one block; its row sums add the same values in the same order as a sum
-    # over one class's distances would
-    for count in set(best[rows].tolist()):
-        pick = best[rows] == count
-        r, k = rows[pick], ks[pick]
-        cols = np.nonzero(labels[r] == k[:, None])[1].reshape(-1, count)
-        cum[r, k] = dist[r[:, None], cols].sum(axis=1)
-    return np.argmin(cum, axis=1)
+    to the smaller sum of a class's distances, then to the smaller class. The
+    sums add nearest first, as the brute force does (a plain sum adds 8 or more
+    terms pairwise); other classes' distances count as +0.0, which changes no sum."""
+    mine = labels[:, None, :] == np.arange(classes)[:, None]  # [rows, classes, kappa]
+    cum = np.cumsum(np.where(mine, dist[:, None, :], 0.0), axis=2)[:, :, -1]
+    return np.lexsort((cum, -mine.sum(axis=2)), axis=1)[:, 0]  # stable: smaller class
 
 
 def _gram(q: np.ndarray, member_t2: np.ndarray, member_sq: np.ndarray) -> np.ndarray:
@@ -157,9 +148,9 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
                kappa: int, classes: int) -> np.ndarray:
     """Majority vote over each sample's kappa nearest pool members.
 
-    Vote ties break by smaller cumulative neighbor distance, then smaller
-    class index. Pool members are candidate neighbors for every sample,
-    including the sample itself when it sits in the pool.
+    Vote ties break by smaller cumulative neighbor distance, added nearest
+    first, then smaller class index. Pool members are candidate neighbors
+    for every sample, including the sample itself when it sits in the pool.
 
     The labels equal a brute-force vote that takes every distance as
     np.linalg.norm(member_feats - x, axis=1) and sorts the pool by

@@ -286,7 +286,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
         if epoch == 0:
             scored.append(("softmax_baseline", np.argmax(pls.probs, axis=1)))
         logs["label_log"].extend(
-            {"stage": stage, "epoch": epoch, "domain": stage, "method": method,
+            {"stage": stage, "epoch": epoch, "method": method,
              "accuracy": float(np.mean(assigned == y))}
             for method, assigned in scored)
         return pls.labels
@@ -328,8 +328,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
         previous = nets.snapshot(model)
         matrix_rows.append([_accuracy(model, ex, ey) for ex, ey in eval_sets])
         logs["stage_log"].append({
-            "stage": stage, "domain": stage,
-            "snapshot_hash": nets.param_hash(previous),
+            "stage": stage, "snapshot_hash": nets.param_hash(previous),
             "memory_total": mem.total() if memory_enabled else 0,
             "bucket_sizes": mem.sizes() if memory_enabled else {}})
 

@@ -8,6 +8,12 @@ gradients; augmented rows are ordinary input data downstream.
 Bitmap autoencoders draw small random kernels, as in RandConv, and store each
 as the matrix of its "same" convolution, so every autoencoder is two [d, d]
 matmuls.
+
+Dense inputs with d = 2 collapse: `instance_norm` maps an encoded row (a, b)
+to c (1, -1), c = t / sqrt(t^2 + NORM_EPS) with t = (a - b) / 2. The sign of c
+gives the side of one random line through the origin on which the input
+lies, and |c| is near 1 away from that line, so a dense 2-d autoencoder
+passes on little more than that side.
 """
 
 from __future__ import annotations
@@ -150,7 +156,5 @@ def augment_batch(net, x: np.ndarray, labels: np.ndarray, cfg: RandMixConfig,
     if stage_kind == "target":
         keep = gate(net, x, cfg.r_con)
         x, labels = x[keep], labels[keep]
-    if x.shape[0] == 0:
-        return np.empty((0, aes[0].scale.shape[0])), np.empty(0, dtype=labels.dtype)
     encoded = [autoencode(ae, x) for ae in aes]
     return mix(x, encoded, weights), labels.copy()

@@ -222,6 +222,35 @@ def test_knn_tie_sums_each_class_nearest_first():
     assert got.tolist() == knn_oracle(feats, member_idx, member_labels, 6, 2)
 
 
+@pytest.mark.parametrize("gram", [False, True])
+def test_knn_tie_of_eight_sums_each_class_nearest_first(monkeypatch, gram):
+    # row 0's 16 neighbours tie 8-8. Nearest first, class 0's seven e and its 1
+    # sum to 1 + 8e, and class 1's seven 0 and its 1 + 6e to 1 + 6e; numpy's
+    # pairwise sum of class 0's eight terms gives 1 + 6e, a tie the smaller
+    # class would win. With the far entries the pool outgrows kappa +
+    # KNN_SLACK and row 0 goes through the Gram vote first.
+    e = 2.0 ** -53
+    near = np.array([0.0] + [e] * 7 + [1.0] + [0.0] * 7 + [1.0 + 6 * e])
+    far, far_labels = far_entries() if gram else (np.empty(0), np.empty(0, dtype=int))
+    feats = np.concatenate([near, far])[:, None]
+    member_idx = np.arange(1, feats.shape[0])
+    member_labels = np.concatenate([[0] * 8, [1] * 8, far_labels])
+    assert np.sum(near[1:9]) == near[16] < 1.0 + 8 * e
+    assert (member_idx.shape[0] > 16 + labeler.KNN_SLACK) == gram
+    assert_left_to_exact_distances(monkeypatch, feats, member_idx, member_labels, 16, 1)
+
+
+def test_knn_vote_keeps_the_leading_class_when_distances_overflow():
+    # every distance from row 0 squares past the largest double, so each
+    # class's sum is inf; the label is still class 1, which leads 3-1
+    feats = np.array([[0.0], [1e200], [2e200], [3e200], [4e200]])
+    member_idx = np.arange(1, 5)
+    member_labels = np.array([1, 1, 0, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = labeler.knn_assign(feats, member_idx, member_labels, 4, 2)
+        assert got.tolist() == knn_oracle(feats, member_idx, member_labels, 4, 2) == [1] * 5
+
+
 @pytest.mark.parametrize("classes", [2, 5])
 def test_knn_matches_brute_force_on_tenths(classes):
     for dim in (1, 8, 16):
