@@ -247,23 +247,8 @@ def reduce_mean(a) -> Tensor:
                    lambda g: (np.full(a.shape, g / n),))
 
 
-@dataclass
-class SgdConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-
-    def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise DiffcoreError(f"sgd: learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise DiffcoreError(f"sgd: momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise DiffcoreError(f"sgd: weight_decay must be non-negative, got {self.weight_decay}")
-
-
-def sgd_step(params: list[Tensor], cfg: SgdConfig,
-             velocities: list[np.ndarray] | None = None) -> list[np.ndarray]:
+def sgd_step(params: list[Tensor], velocities: list[np.ndarray] | None = None, *,
+             learning_rate: float, momentum: float, weight_decay: float) -> list[np.ndarray]:
     """One momentum-SGD update in place: v <- m*v + (g + wd*p); p <- p - lr*v.
     Returns the velocities, one array per parameter, for the next step."""
     if velocities is None:
@@ -273,9 +258,9 @@ def sgd_step(params: list[Tensor], cfg: SgdConfig,
     for p, v in zip(params, velocities):
         if p.grad is None:
             raise DiffcoreError("sgd: parameter has no gradient; run backward first")
-        v *= cfg.momentum
-        v += p.grad + cfg.weight_decay * p.values
-        p.values -= cfg.learning_rate * v
+        v *= momentum
+        v += p.grad + weight_decay * p.values
+        p.values -= learning_rate * v
     return velocities
 
 

@@ -39,15 +39,6 @@ class LabelerConfig:
     r_top_prime: float = 20.0
     method: str = "t2pl"
 
-    def __post_init__(self):
-        if self.r_top < 1.0:
-            raise ValueError(f"labeler: r_top must be at least 1, got {self.r_top}")
-        if self.r_top_prime < self.r_top:
-            raise ValueError(
-                f"labeler: r_top_prime ({self.r_top_prime}) must be >= r_top ({self.r_top})")
-        if self.method not in METHODS:
-            raise ValueError(f"labeler: unknown method {self.method!r}, expected one of {METHODS}")
-
 
 @dataclass
 class PseudoLabelSet:
@@ -63,18 +54,12 @@ def _class_list_size(n: int, classes: int, ratio: float) -> int:
     return max(1, int(n // (ratio * classes)))
 
 
-def _top_by_score(scores: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the m largest scores, descending, ascending index on ties."""
-    return np.argsort(-scores, kind="stable")[:m]
-
-
 def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
     """Sorted unique indices of each class's most confident samples."""
     n, classes = probs.shape
     m = _class_list_size(n, classes, r_top)
     chosen = np.zeros(n, dtype=bool)
-    for k in range(classes):
-        chosen[_top_by_score(probs[:, k], m)] = True
+    chosen[np.argsort(-probs, axis=0, kind="stable")[:m]] = True
     return np.flatnonzero(chosen)
 
 
@@ -101,14 +86,15 @@ def top_similarity_sets(feats: np.ndarray, centroids: np.ndarray,
                         r_top: float) -> tuple[np.ndarray, np.ndarray]:
     """Labeled pool: per class, the samples most similar to its centroid.
 
-    Returns (sample indices, class labels) in class-major order. A sample
-    picked by several classes appears once per pick.
+    Returns (sample indices, class labels) in class-major order, each class's
+    samples by descending similarity. A sample picked by several classes
+    appears once per pick.
     """
     n = feats.shape[0]
     classes = centroids.shape[0]
     m = _class_list_size(n, classes, r_top)
     sims = cosine_to_centroids(feats, centroids)
-    idx = np.concatenate([_top_by_score(sims[:, k], m) for k in range(classes)])
+    idx = np.argsort(-sims, axis=0, kind="stable")[:m].T.ravel()
     return idx, np.repeat(np.arange(classes), m)  # m <= n, so every class gives m
 
 

@@ -18,8 +18,6 @@ from . import nets
 
 class ExemplarMemory:
     def __init__(self, capacity: int = 200):
-        if capacity < 1:
-            raise ValueError(f"memory: capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.buckets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -79,8 +77,7 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
     chosen = select_round_robin(distances, labels, quota)
     mem.buckets[domain_id] = (x[chosen], labels[chosen], distances[chosen])
     rebalance(mem)
-    return {"domain_id": domain_id, "quota": quota,
-            "distances": distances, "labels": labels.copy(),
+    return {"quota": quota, "distances": distances, "labels": labels.copy(),
             "chosen": chosen}
 
 

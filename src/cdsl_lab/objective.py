@@ -39,9 +39,6 @@ class BatchContext:
     lse: Tensor = field(init=False)  # scores' row log-sum-exp [n]
 
     def __post_init__(self):
-        if self.distill_on not in DISTILL_MODES:
-            raise ValueError(
-                f"objective: distill_on must be one of {DISTILL_MODES}, got {self.distill_on!r}")
         n = self.features.shape[0]
         if self.labels.shape != (n,):
             raise ValueError(

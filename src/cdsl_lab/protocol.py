@@ -40,6 +40,11 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class RunConfig:
+    """One run's settings. `__post_init__` is the only range check of a
+    setting and `check_sequence` the only check against the domains; the
+    records and functions the settings reach (`LabelerConfig`, `RandMixConfig`,
+    `ExemplarMemory`, `BatchContext`, `split_source`, `sgd_step`) trust them."""
+
     sequence: str = "rot5"
     order: tuple[int, ...] | None = None
     seed: int = 2022
@@ -103,22 +108,23 @@ class RunConfig:
             raise ValueError(
                 f"config: labeler_method must be one of {labeler_mod.METHODS}, "
                 f"got {self.labeler_method!r}")
-        # eager sub-config construction surfaces bad values before a run starts
-        self.sgd_config()
-        self.randmix_config(image_side=None)
-        self.labeler_config()
-
-    def sgd_config(self) -> dc.SgdConfig:
-        return dc.SgdConfig(learning_rate=self.learning_rate, momentum=self.momentum,
-                            weight_decay=self.weight_decay)
-
-    def randmix_config(self, image_side: int | None) -> randmix.RandMixConfig:
-        return randmix.RandMixConfig(n_aug=self.n_aug, r_con=self.r_con,
-                                     image_side=image_side)
-
-    def labeler_config(self) -> labeler_mod.LabelerConfig:
-        return labeler_mod.LabelerConfig(r_top=self.r_top, r_top_prime=self.r_top_prime,
-                                         method=self.labeler_method)
+        if self.learning_rate <= 0.0:
+            raise ValueError(
+                f"config: learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"config: momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0.0:
+            raise ValueError(
+                f"config: weight_decay must be non-negative, got {self.weight_decay}")
+        if self.n_aug < 1:
+            raise ValueError(f"config: n_aug must be at least 1, got {self.n_aug}")
+        if not 0.0 <= self.r_con <= 1.0:
+            raise ValueError(f"config: r_con must be in [0, 1], got {self.r_con}")
+        if self.r_top < 1.0:
+            raise ValueError(f"config: r_top must be at least 1, got {self.r_top}")
+        if self.r_top_prime < self.r_top:
+            raise ValueError(f"config: r_top_prime ({self.r_top_prime}) must be "
+                             f">= r_top ({self.r_top})")
 
     def to_dict(self) -> dict:
         return asdict(self)  # tuples serialize as JSON lists
@@ -247,9 +253,10 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
     randmix_rng = rng_for(cfg.seed, STREAM_RANDMIX)
     replay_rng = rng_for(cfg.seed, STREAM_REPLAY)
 
-    rm_cfg = cfg.randmix_config(seq.specs[0].image_side)
-    lab_cfg = cfg.labeler_config()
-    sgd_cfg = cfg.sgd_config()
+    rm_cfg = randmix.RandMixConfig(n_aug=cfg.n_aug, r_con=cfg.r_con,
+                                   image_side=seq.specs[0].image_side)
+    lab_cfg = labeler_mod.LabelerConfig(r_top=cfg.r_top, r_top_prime=cfg.r_top_prime,
+                                        method=cfg.labeler_method)
 
     model = nets.build_network(seq.input_dim, seq.classes, init_rng,
                                hidden=cfg.hidden, bottleneck=cfg.bottleneck)
@@ -275,7 +282,8 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
                 f"non-finite loss at stage {stage} epoch {epoch} step {step}: {values}")
         dc.zero_grads(params)
         dc.backward(tape, total, params=params)
-        velocities = dc.sgd_step(params, sgd_cfg, velocities)
+        velocities = dc.sgd_step(params, velocities, learning_rate=cfg.learning_rate,
+                                 momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 
     def pseudo_labels(stage: int, epoch: int, x, y) -> np.ndarray:

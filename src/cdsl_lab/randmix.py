@@ -39,12 +39,6 @@ class RandMixConfig:
     r_con: float = 0.8
     image_side: int | None = None  # set for flattened square bitmaps
 
-    def __post_init__(self):
-        if self.n_aug < 1:
-            raise ValueError(f"randmix: n_aug must be at least 1, got {self.n_aug}")
-        if not 0.0 <= self.r_con <= 1.0:
-            raise ValueError(f"randmix: r_con must be in [0, 1], got {self.r_con}")
-
 
 @dataclass
 class RandAutoencoder:

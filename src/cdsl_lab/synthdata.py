@@ -77,6 +77,8 @@ class DomainSpec:
                 f"synthdata: bitmap8 supports up to {len(BITMAP_TEMPLATES)} classes")
         if self.sigma < 0.0:
             raise ValueError(f"synthdata: sigma must be non-negative, got {self.sigma}")
+        if self.kind == "bitmap8" and self.sigma > 0.5:
+            raise ValueError("synthdata: bitmap8 flip probability above 0.5 destroys labels")
 
     @property
     def image_side(self) -> int | None:
@@ -164,8 +166,6 @@ def _two_moons(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, 
 
 
 def _bitmap8(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    if spec.sigma > 0.5:
-        raise ValueError("synthdata: bitmap8 flip probability above 0.5 destroys labels")
     y = _balanced_labels(spec.samples, spec.classes)
     prototypes = []
     for k in range(spec.classes):
@@ -189,8 +189,6 @@ def generate(spec: DomainSpec, seed) -> tuple[np.ndarray, np.ndarray]:
 def split_source(x: np.ndarray, y: np.ndarray, fraction: float = 0.8,
                  seed=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test split; fraction applies to the whole set."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"synthdata: split fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(x.shape[0])
     cut = int(x.shape[0] * fraction)

@@ -135,7 +135,8 @@ def test_unknown_sequence_is_usage_error(tmp_path):
                                      "source_fraction=0.004", "learning_rate=nan",
                                      "weight_decay=nan", "r_top=nan", "r_top_prime=inf",
                                      "r_top_prime=101", "labeler_method=bogus",
-                                     "seed=-1"])
+                                     "seed=-1", "momentum=1", "weight_decay=-1",
+                                     "n_aug=0", "r_top_prime=1"])
 def test_bad_config_exits_two_before_training(setting, tmp_path, capsys, monkeypatch):
     def first_step(*_, **__):
         raise AssertionError("training started")
@@ -271,8 +272,8 @@ def test_run_fails_loudly_on_non_finite_parameters(tmp_path, capsys, monkeypatch
     # poison every parameter in the run's last step, which no loss check sees
     sgd_step, steps = diffcore.sgd_step, []
 
-    def poisoned(params, cfg, velocities):
-        velocities = sgd_step(params, cfg, velocities)
+    def poisoned(params, velocities, **hyper):
+        velocities = sgd_step(params, velocities, **hyper)
         steps.append(None)
         if len(steps) == 4 * 3:  # moons4 has 4 stages
             for t in params:

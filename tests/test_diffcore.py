@@ -283,7 +283,7 @@ def test_backward_rejects_non_scalar_output():
 
 
 def test_sgd_two_steps_match_hand_derivation():
-    cfg = dc.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+    hyper = dict(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
     theta = dc.Tensor(np.array([2.0]), requires_grad=True)
 
     def grad_of(v):
@@ -291,46 +291,37 @@ def test_sgd_two_steps_match_hand_derivation():
 
     th0 = 2.0
     theta.grad = np.array([grad_of(th0)])
-    velocities = dc.sgd_step([theta], cfg)
+    velocities = dc.sgd_step([theta], **hyper)
     v1 = grad_of(th0) + 0.01 * th0
     th1 = th0 - 0.1 * v1
     assert theta.values[0] == th1
 
     theta.grad = np.array([grad_of(th1)])
-    assert dc.sgd_step([theta], cfg, velocities) is velocities  # updated in place
+    assert dc.sgd_step([theta], velocities, **hyper) is velocities  # updated in place
     v2 = 0.9 * v1 + (grad_of(th1) + 0.01 * th1)
     th2 = th1 - 0.1 * v2
     assert theta.values[0] == th2
 
 
 def test_sgd_without_momentum_or_decay_is_plain_descent():
-    cfg = dc.SgdConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0)
     p = dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.2, 0.4])
-    dc.sgd_step([p], cfg)
+    dc.sgd_step([p], learning_rate=0.5, momentum=0.0, weight_decay=0.0)
     assert np.array_equal(p.values, np.array([1.0 - 0.1, -2.0 - 0.2]))
-
-
-def test_sgd_config_validation():
-    with pytest.raises(dc.DiffcoreError):
-        dc.SgdConfig(learning_rate=0.0)
-    with pytest.raises(dc.DiffcoreError):
-        dc.SgdConfig(learning_rate=0.1, momentum=1.0)
-    with pytest.raises(dc.DiffcoreError):
-        dc.SgdConfig(learning_rate=0.1, weight_decay=-1e-9)
 
 
 def test_sgd_requires_gradients():
     p = dc.Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(dc.DiffcoreError, match="gradient"):
-        dc.sgd_step([p], dc.SgdConfig(learning_rate=0.1))
+        dc.sgd_step([p], learning_rate=0.1, momentum=0.9, weight_decay=0.0)
 
 
 def test_sgd_rejects_velocities_of_another_parameter_list():
     p = dc.Tensor(np.ones(2), requires_grad=True)
     p.grad = np.ones(2)
     with pytest.raises(dc.DiffcoreError, match="velocities"):
-        dc.sgd_step([p], dc.SgdConfig(learning_rate=0.1), [np.zeros(2), np.zeros(2)])
+        dc.sgd_step([p], [np.zeros(2), np.zeros(2)],
+                    learning_rate=0.1, momentum=0.9, weight_decay=0.0)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])

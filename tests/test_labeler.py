@@ -13,29 +13,23 @@ def tiny_net(seed=0, input_dim=4, classes=3):
     return nets.build_network(input_dim, classes, rng, hidden=(8,), bottleneck=(6, 4))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="r_top"):
-        labeler.LabelerConfig(r_top=0.5)
-    with pytest.raises(ValueError, match="r_top_prime"):
-        labeler.LabelerConfig(r_top=4.0, r_top_prime=2.0)
-    with pytest.raises(ValueError, match="method"):
-        labeler.LabelerConfig(method="oracle")
-
-
 def test_top_confidence_default_keeps_half_per_class():
     # 8 samples, 2 classes, ratio 2 -> top 2 per class
     probs = np.array([
         [0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4],
         [0.4, 0.6], [0.3, 0.7], [0.2, 0.8], [0.1, 0.9],
     ])
-    assert [list(labeler._top_by_score(probs[:, k], 2)) for k in range(2)] == [[0, 1], [7, 6]]
+    # as features against the unit centroids, each row's similarities keep
+    # its probabilities' order within a class: the picks come out descending
+    idx, _ = labeler.top_similarity_sets(probs, np.eye(2), r_top=2.0)
+    assert list(idx) == [0, 1, 7, 6]
     assert list(labeler.top_confidence_pool(probs, r_top=2.0)) == [0, 1, 6, 7]
 
 
 def test_top_selection_breaks_ties_by_ascending_index():
     probs = np.array([[0.5, 0.5]] * 6)
-    assert list(labeler._top_by_score(probs[:, 0], 3)) == [0, 1, 2]
-    assert list(labeler._top_by_score(probs[:, 1], 3)) == [0, 1, 2]
+    idx, _ = labeler.top_similarity_sets(probs, np.eye(2), r_top=1.0)
+    assert list(idx) == [0, 1, 2, 0, 1, 2]
     assert list(labeler.top_confidence_pool(probs, r_top=1.0)) == [0, 1, 2]
 
 
@@ -80,8 +74,7 @@ def test_weighted_centroids_name_a_class_with_zero_weight():
 def test_union_counts_each_sample_once():
     # sample 0 tops both classes; the centroid pool must hold it once
     probs = np.array([[0.9, 0.9], [0.8, 0.1], [0.1, 0.8], [0.5, 0.5]])
-    assert list(labeler._top_by_score(probs[:, 0], 1)) == [0]
-    assert list(labeler._top_by_score(probs[:, 1], 1)) == [0]
+    assert list(np.argsort(-probs, axis=0, kind="stable")[:1].ravel()) == [0, 0]
     assert list(labeler.top_confidence_pool(probs, r_top=2.0)) == [0]
 
 

@@ -21,11 +21,6 @@ def bucket(distances, labels=None, first_input=0):
     return inputs, labels, np.asarray(distances, dtype=float)
 
 
-def test_capacity_validation():
-    with pytest.raises(ValueError, match="capacity"):
-        memory.ExemplarMemory(0)
-
-
 def test_rebalance_keeps_smallest_distances():
     mem = memory.ExemplarMemory(capacity=4)
     mem.buckets[0] = bucket((0.3, 0.9, 0.1, 0.5))

@@ -233,8 +233,6 @@ def test_distill_on_representations():
 
 
 def test_context_validation():
-    with pytest.raises(ValueError, match="distill_on"):
-        make_ctx(np.zeros((2, 2)), [0, 1], np.zeros((2, 2)), mode="features")
     with pytest.raises(ValueError, match="labels"):
         make_ctx(np.zeros((2, 2)), [0], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="labels"):

@@ -99,23 +99,23 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_validates_values():
-    with pytest.raises(ValueError, match="replay_n"):
-        RunConfig(batch_size=8, replay_n=8)
-    with pytest.raises(ValueError, match="epochs"):
-        RunConfig(epochs=-1)
-    with pytest.raises(ValueError, match="r_top"):
-        RunConfig(r_top=0.0)
-    with pytest.raises(ValueError, match="learning_rate"):
-        RunConfig(learning_rate=-0.1)
-    with pytest.raises(ValueError, match="hidden"):
-        RunConfig(hidden=(16, 0))
-    with pytest.raises(ValueError, match="bottleneck"):
-        RunConfig(bottleneck=(12, 0))
-    with pytest.raises(ValueError, match="memory_capacity"):
-        RunConfig(memory_capacity=0)
     # every domain needs a memory slot; checked before any data or step
     with pytest.raises(ValueError, match="memory_capacity"):
         protocol.run_cdsl(tiny_config(memory_capacity=2), sequence=tiny_sequence(3))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", float("nan")), ("seed", -1), ("epochs", -1), ("steps_per_epoch", 0),
+    ("batch_size", 1), ("replay_n", 64), ("replay_n", -1), ("source_fraction", 0.0),
+    ("source_fraction", 1.0), ("hidden", None), ("hidden", (16, 0)), ("bottleneck", (8,)),
+    ("bottleneck", (12, 0)), ("memory_capacity", 0), ("distill_on", "features"),
+    ("labeler_method", "oracle"), ("learning_rate", 0.0), ("momentum", 1.0),
+    ("momentum", -0.1), ("weight_decay", -1e-9), ("n_aug", 0), ("r_con", -0.1),
+    ("r_con", 1.5), ("r_top", 0.5), ("r_top_prime", 1.0)])
+def test_config_range_rules_name_their_field(field, value):
+    with pytest.raises(ValueError) as info:
+        RunConfig(**{field: value})
+    assert str(info.value).startswith(f"config: {field} ")
 
 
 def test_config_coercion_errors():

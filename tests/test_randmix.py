@@ -11,13 +11,6 @@ def tiny_net(seed=0, input_dim=4, classes=3):
     return nets.build_network(input_dim, classes, rng, hidden=(8,), bottleneck=(6, 4))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="n_aug"):
-        randmix.RandMixConfig(n_aug=0)
-    with pytest.raises(ValueError, match="r_con"):
-        randmix.RandMixConfig(r_con=1.5)
-
-
 def test_autoencoder_preserves_outer_shape_dense_and_conv():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 6))
