@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import UnionType
@@ -144,6 +143,9 @@ def _run_many(payloads: list[tuple[RunConfig, str]], jobs: int, out: Path,
     if workers <= 1:
         reports = [_execute_run(p) for p in payloads]
     else:
+        # imported here: `run` and `--jobs 1` start no pool and skip its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_execute_run, payloads))
     meta = {"started_unix": started, "elapsed_seconds": time.time() - started,

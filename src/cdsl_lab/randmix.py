@@ -9,6 +9,15 @@ Bitmap autoencoders draw small random kernels, as in RandConv, and store each
 as the matrix of its "same" convolution, so every autoencoder is two [d, d]
 matmuls.
 
+The noise scale and shift modulate the normalized code as in AdaIN. Dense
+autoencoders form them as `noise @ w_scale + 1` and `noise @ w_shift` with two
+[d, d] matrices of N(0, 0.1^2) entries. Given `noise`, each column gives
+`noise @ w ~ N(0, (0.1 |noise|)^2)`, independently, so bitmap autoencoders
+draw the same joint law from d standard normals per vector: `r = 0.1 |noise|`,
+`scale = 1 + r z_scale`, `shift = r z_shift` (192 normals in place of 8 256 at
+d = 64). The dense branch keeps its matrices: at d <= 6 the pair costs at most
+72 normals, and a new draw order there would move every dense run's stream.
+
 Dense inputs with d = 2 collapse: `instance_norm` maps an encoded row (a, b)
 to c (1, -1), c = t / sqrt(t^2 + NORM_EPS) with t = (a - b) / 2. The sign of c
 gives the side of one random line through the origin on which the input
@@ -89,6 +98,13 @@ def make_autoencoder(dim: int, rng: np.random.Generator,
         enc = rng.normal(size=(dim, dim))
         dec = rng.normal(size=(dim, dim))
     noise = rng.normal(size=dim)
+    if image_side is not None:
+        # the dense branch's law from d normals per vector (module docstring);
+        # bitmaps only, so every dense run (rot5, moons4) keeps its stream
+        r = 0.1 * np.linalg.norm(noise)
+        z_scale = rng.normal(size=dim)
+        z_shift = rng.normal(size=dim)
+        return RandAutoencoder(enc=enc, dec=dec, scale=1.0 + r * z_scale, shift=r * z_shift)
     w_scale = rng.normal(scale=0.1, size=(dim, dim))
     w_shift = rng.normal(scale=0.1, size=(dim, dim))
     return RandAutoencoder(enc=enc, dec=dec,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -227,20 +228,22 @@ def test_package_imports_and_runs_without_scipy(tmp_path):
     assert (out / "matrix.csv").is_file()
 
 
-# pytest's own imports may load numpy.ma, so the run gets a fresh interpreter
+# pytest's own imports may load these modules, so the run gets a fresh interpreter
 NO_NUMPY_MA_RUN = """
 import sys
 from cdsl_lab import cli
 status = cli.main(["run", "--config", "configs/rot5.cfg", "--set", "epochs=1",
                    "--out", sys.argv[1]])
-if "numpy.ma" in sys.modules:
-    sys.exit("numpy.ma was imported")
+for module in ("numpy.ma", "concurrent.futures"):
+    if module in sys.modules:
+        sys.exit(f"{module} was imported")
 sys.exit(status)
 """
 
 
 def test_a_run_does_not_import_numpy_ma(tmp_path):
-    # numpy loads numpy.ma (about 1 MB) on first use, as np.unique does
+    # numpy loads numpy.ma (about 1 MB) on first use, as np.unique does; a
+    # single run starts no process pool, so concurrent.futures stays out too
     out = tmp_path / "results"
     proc = run_script(NO_NUMPY_MA_RUN, out)
     assert proc.returncode == 0, proc.stderr
@@ -421,7 +424,7 @@ def test_workers_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for jobs in ("64", "2"):
         assert cli.main(["sweep", "--config", write_cfg(tmp_path),
                          "--out", str(tmp_path / f"jobs{jobs}"), "--param", "r_con",

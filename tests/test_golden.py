@@ -58,10 +58,10 @@ DIGESTS = {
         "param_hash": "e8f83981f97203fee9c7f5143eb21ec140c48c1328e36fb952da5836e4c19831",
     },
     "bitmap5": {
-        "matrix.csv": "c52eb31a002504f40be986589d4d91bd4f11f3906f24856014612d8d02e8ac78",
-        "metrics.json": "20e1cc851dab16098e3be2651a046fd0b64b0d130e080a41d1e4a021fdb9d3bc",
-        "train_log.csv": "20631978802504f8cd900260a0a27ae578985146dcb300f829b288043cb98928",
-        "param_hash": "50517bdddd9b6ac039a209e277bc9f949c7505e57c40eb694a45688ac85bf20c",
+        "matrix.csv": "defdd480cfcf7f8f8448a664c6480e9a4e886ec8dffbc8f93534a0a970bcf4da",
+        "metrics.json": "fce8786f0eb752467da7ec77cd8bda70d746b58ae938c87f0354df72a810533a",
+        "train_log.csv": "84885c66ab0e0390a886ddb12bd673ab70ffab2e6cec2c0e26d73849e5db27bb",
+        "param_hash": "f510e1a9bdbc9408747260994a79bfb3b599be19c76a334291ab9c49064707b9",
     },
     "moons4": {
         "matrix.csv": "bc6ad0466b19aabbe9d587e9533a636a91cbda5fb51ef724f5433c96d4808ad5",

@@ -190,13 +190,18 @@ def test_conv_matrix_matches_entry_by_entry_construction(k, side):
 
 @pytest.mark.parametrize("kernel_size", [*randmix.KERNEL_SIZES, None])
 def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
-    """enc, dec, noise, w_scale, w_shift: replaying the draws rebuilds every field."""
+    """Dense: enc, dec, noise, w_scale, w_shift. Bitmap: enc, dec, noise, z_scale,
+    z_shift. Replaying the draws rebuilds every field."""
     rng = np.random.default_rng(31)
     if kernel_size is None:
         dim = 6
         ae = randmix.make_autoencoder(dim, np.random.default_rng(31))
         enc = rng.normal(size=(dim, dim))
         dec = rng.normal(size=(dim, dim))
+        noise = rng.normal(size=dim)
+        w_scale = rng.normal(scale=0.1, size=(dim, dim))
+        w_shift = rng.normal(scale=0.1, size=(dim, dim))
+        scale, shift = noise @ w_scale + 1.0, noise @ w_shift
     else:
         dim = 64
         ae = randmix.make_autoencoder(dim, np.random.default_rng(31), image_side=8,
@@ -204,10 +209,34 @@ def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
         k = randmix.effective_kernel(kernel_size, 8)
         enc = randmix.conv_matrix(rng.normal(size=(k, k)), 8)
         dec = randmix.conv_matrix(rng.normal(size=(k, k)), 8)
-    noise = rng.normal(size=dim)
-    w_scale = rng.normal(scale=0.1, size=(dim, dim))
-    w_shift = rng.normal(scale=0.1, size=(dim, dim))
+        noise = rng.normal(size=dim)
+        r = 0.1 * np.sqrt(noise @ noise)
+        z_scale = rng.normal(size=dim)
+        z_shift = rng.normal(size=dim)
+        scale, shift = 1.0 + r * z_scale, r * z_shift
     assert np.array_equal(ae.enc, enc)
     assert np.array_equal(ae.dec, dec)
-    assert np.array_equal(ae.scale, noise @ w_scale + 1.0)
-    assert np.array_equal(ae.shift, noise @ w_shift)
+    assert np.array_equal(ae.scale, scale)
+    assert np.array_equal(ae.shift, shift)
+
+
+def noise_statistics(image_side: int | None, count: int = 2000) -> tuple[float, float, float]:
+    """Per-entry std of scale - 1 and of shift over `count` 16-d autoencoders,
+    and the correlation of |scale - 1|^2 with |shift|^2 across them."""
+    rng = np.random.default_rng(7)
+    aes = [randmix.make_autoencoder(16, rng, image_side=image_side) for _ in range(count)]
+    scale = np.array([ae.scale for ae in aes]) - 1.0
+    shift = np.array([ae.shift for ae in aes])
+    corr = np.corrcoef((scale ** 2).sum(axis=1), (shift ** 2).sum(axis=1))[0, 1]
+    return scale.std(), shift.std(), corr
+
+
+def test_bitmap_and_dense_noise_draws_share_one_law():
+    """Bitmaps draw scale and shift from d normals, dense inputs from two [d, d]
+    matrices. Both spreads follow |noise|, so |scale - 1| and |shift| correlate
+    across autoencoders; a spread that ignored the noise would not."""
+    bitmap, dense = noise_statistics(image_side=4), noise_statistics(image_side=None)
+    for b, d in zip(bitmap[:2], dense[:2]):
+        assert b == pytest.approx(d, rel=0.05)
+        assert d == pytest.approx(0.4, rel=0.05)  # 0.1 * sqrt(d)
+    assert bitmap[2] == pytest.approx(dense[2], abs=0.1)
