@@ -1,19 +1,18 @@
 """Command-line front end: run experiments, sweeps, ablations, and reports.
 
-Config-file lines and `--set` items share one key=value grammar, typed per
-RunConfig field; `--set` overrides apply after the file, last one wins, and
-`run --seed` wins over both. The CDSL_LAB_SEED environment variable supplies a
-default seed when nothing else sets one; `sweep` and `ablate` run every config
-over the SWEEP_SEEDS panel instead. Exit codes: 0 success, 1 runtime failure,
-2 usage or config error. Timestamps and the command line live only in run.meta
-so every other output byte is a pure function of the config.
+Settings enter a run one way: the config file, then each `--set` item in
+order, last one wins. Config-file lines and `--set` items share one key=value
+grammar, typed per RunConfig field; `sweep` applies each `--values` entry as
+one more such item. `sweep` and `ablate` run every config over the SWEEP_SEEDS
+panel, replacing its seed. Exit codes: 0 success, 1 runtime failure, 2 usage
+or config error. Timestamps and the command line live only in run.meta so
+every other output byte is a pure function of the config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -26,7 +25,6 @@ from .protocol import MetricsReport, RunConfig
 
 SWEEP_PARAMS = ("r_con", "r_top", "r_top_prime")
 SWEEP_SEEDS = (2022, 2023, 2024)
-SEED_ENV_VAR = "CDSL_LAB_SEED"
 AVERAGES = ("tdg_avg", "tda_avg", "fa_avg")
 
 
@@ -95,21 +93,12 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def build_config(args) -> RunConfig:
-    data = {}
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            data["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from exc
-    if args.config is not None:
-        data.update(parse_config_file(args.config))
-    for item in args.set:
-        key, value = parse_item(item, f"--set {item!r}")
-        data[key] = value
-    if getattr(args, "seed", None) is not None:  # only `run` has --seed
-        data["seed"] = args.seed
+def build_config(args, *extra: tuple[str, str]) -> RunConfig:
+    """The config file, then each `--set` item, then each `(item, where)` pair
+    of `extra`, in order; a later key wins."""
+    data = {} if args.config is None else parse_config_file(args.config)
+    items = [(item, f"--set {item!r}") for item in args.set] + list(extra)
+    data.update(parse_item(item, where) for item, where in items)
     try:
         cfg = RunConfig(**data)
         # unknown preset, bad order, too small a memory or split is a usage error
@@ -189,32 +178,23 @@ def _write_table(path: Path, header: str, rows: list[tuple[str, list[float]]]) -
 
 
 def cmd_sweep(args) -> int:
-    cfg = build_config(args)
     texts = [v.strip() for v in args.values.split(",") if v.strip() != ""]
-    try:
-        values = [float(t) for t in texts]
-    except ValueError as exc:
-        raise UsageError(f"--values: {exc}") from exc
-    if not values:
+    if not texts:
         raise UsageError("--values: empty list")
-
     swept = {}  # directory name -> config
     first_text = {}  # directory name -> the value text first written under it
-    for text, value in zip(texts, values):
-        name = f"{args.param}={value:g}"
+    for text in texts:
+        cfg = build_config(args, (f"{args.param}={text}", "--values"))
+        name = f"{args.param}={getattr(cfg, args.param):g}"
         if name in first_text:
             raise UsageError(f"--values: {first_text[name]} and {text} would share "
                              f"the directory {name}")
         first_text[name] = text
-        try:
-            swept[name] = replace(cfg, **{args.param: value})
-            protocol.check_sequence(swept[name], protocol.resolve_sequence(swept[name]))
-        except ValueError as exc:
-            raise UsageError(f"--values: {exc}") from exc
+        swept[name] = cfg
     panel = _run_panel(swept, args)
 
-    table = [(f"{value:g}", _means([[r[k] for k in AVERAGES] for r in reports]))
-             for value, reports in zip(values, panel.values())]
+    table = [(name.partition("=")[2], _means([[r[k] for k in AVERAGES] for r in reports]))
+             for name, reports in panel.items()]
     print(f"{args.param:>12}  tdg_mean  tda_mean  fa_mean")
     for label, cells in table:
         print(f"{label:>12}  " + "  ".join(f"{m:.6f}" for m in cells))
@@ -314,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single experiment")
     common(p_run)
-    p_run.add_argument("--seed", type=int, help="root seed (wins over config)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="one hyperparameter over fixed seeds")

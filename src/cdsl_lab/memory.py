@@ -17,7 +17,7 @@ from . import nets
 
 
 class ExemplarMemory:
-    def __init__(self, capacity: int = 200):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.buckets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 

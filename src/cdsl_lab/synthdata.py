@@ -186,8 +186,8 @@ def generate(spec: DomainSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     return _bitmap8(spec, rng)
 
 
-def split_source(x: np.ndarray, y: np.ndarray, fraction: float = 0.8,
-                 seed=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def split_source(x: np.ndarray, y: np.ndarray, fraction: float,
+                 seed) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test split; fraction applies to the whole set."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(x.shape[0])

@@ -88,8 +88,7 @@ def test_every_field_rejects_a_bad_value_by_name(field):
 
 @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")),
                          ids=lambda p: p.stem)
-def test_preset_config_files_restate_the_defaults(path, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+def test_preset_config_files_restate_the_defaults(path):
     args = cli.build_parser().parse_args(["run", "--config", str(path), "--out", "x"])
     assert cli.build_config(args) == RunConfig(sequence=path.stem)
 
@@ -99,25 +98,16 @@ def test_missing_config_file_is_usage_error(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
-def test_env_seed_fallback_and_precedence(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "31")
+@pytest.mark.parametrize("env_seed", ["31", "abc"])
+def test_seed_comes_from_the_file_and_set_alone(env_seed, tmp_path, monkeypatch):
+    # no environment variable enters a config, a malformed one included
+    monkeypatch.setenv("CDSL_LAB_SEED", env_seed)
     args = cli.build_parser().parse_args(["run", "--out", "x"])
-    assert cli.build_config(args).seed == 31
-    # config file beats the env fallback
+    assert cli.build_config(args) == RunConfig()
     path = write_cfg(tmp_path, "seed = 5\n")
-    args = cli.build_parser().parse_args(["run", "--config", path, "--out", "x"])
-    assert cli.build_config(args).seed == 5
-    # --set beats the file, --seed beats everything
     args = cli.build_parser().parse_args(
         ["run", "--config", path, "--set", "seed=9", "--out", "x"])
     assert cli.build_config(args).seed == 9
-    args = cli.build_parser().parse_args(
-        ["run", "--config", path, "--set", "seed=9", "--seed", "4", "--out", "x"])
-    assert cli.build_config(args).seed == 4
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "not-an-int")
-    args = cli.build_parser().parse_args(["run", "--out", "x"])
-    with pytest.raises(cli.UsageError, match="CDSL_LAB_SEED"):
-        cli.build_config(args)
 
 
 def test_set_overrides_last_wins(tmp_path):
@@ -197,6 +187,18 @@ def test_run_meta_records_the_argv_main_was_given(tmp_path):
     argv = ["run", "--config", write_cfg(tmp_path), "--set", "epochs=0", "--out", str(out)]
     assert cli.main(argv) == 0
     assert json.loads((out / "run.meta").read_text())["argv"] == argv
+
+
+def test_run_replays_from_the_argv_in_run_meta(tmp_path, monkeypatch):
+    # the environment of the first run is gone when its command is replayed
+    first, again = tmp_path / "first", tmp_path / "again"
+    monkeypatch.setenv("CDSL_LAB_SEED", "31")
+    assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(first)]) == 0
+    monkeypatch.delenv("CDSL_LAB_SEED")
+    argv = json.loads((first / "run.meta").read_text())["argv"]
+    assert cli.main([str(again) if a == str(first) else a for a in argv]) == 0
+    for name in ("config.resolved.json", "matrix.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 NO_SCIPY_RUN = """
@@ -341,6 +343,8 @@ def test_sweep_rejects_bad_param_and_values(tmp_path, capsys):
     assert "r_top_prime" in capsys.readouterr().err  # the valid values are listed
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--param", "r_con", "--values", "0.5,high"]) == 2
+    err = capsys.readouterr().err
+    assert "--values" in err and "r_con" in err
 
 
 @pytest.mark.parametrize("param,value", [("r_top", "0.5"), ("r_top_prime", "1"),
@@ -358,11 +362,11 @@ def test_sweep_rejects_invalid_swept_value_before_any_run(param, value, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["sweep", "--param", "r_con", "--values", "0.5"],
+@pytest.mark.parametrize("command", [["run"],
+                                     ["sweep", "--param", "r_con", "--values", "0.5"],
                                      ["ablate", "--variant", "no_pca"]],
-                         ids=["sweep", "ablate"])
-def test_seed_flag_is_rejected_where_fixed_seeds_run(command, tmp_path, capsys,
-                                                     monkeypatch):
+                         ids=["run", "sweep", "ablate"])
+def test_seed_flag_is_rejected_by_every_command(command, tmp_path, capsys, monkeypatch):
     def any_run(*_, **__):
         raise AssertionError("a run started")
 
