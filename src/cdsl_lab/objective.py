@@ -29,11 +29,11 @@ class BatchContext:
     features: Tensor  # [n, d], tape-attached
     labels: np.ndarray  # [n] int, true on source / pseudo on target
     prototypes: Tensor  # current model's prototypes [classes, d]
+    distill_on: str  # "logits" or "representation"
     prev_prototypes: np.ndarray | None = None  # frozen [classes, d]
     # frozen row softmax of the previous model's logits, or of its
     # representations in "representation" mode
     distill_target: np.ndarray | None = None
-    distill_on: str = "logits"
     scores: Tensor = field(init=False)  # taped linear(features, prototypes)
     assigned: Tensor = field(init=False)  # scores' assigned-class column [n, 1]
     lse: Tensor = field(init=False)  # scores' row log-sum-exp [n]
@@ -52,7 +52,7 @@ class BatchContext:
 
 
 def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
-                  distill_on: str = "logits") -> BatchContext:
+                  distill_on: str) -> BatchContext:
     """Forward the batch and collect everything the losses need.
 
     Call under an active tape when training; the frozen model's outputs are
@@ -103,10 +103,8 @@ def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
 
 
 def pca_loss(ctx: BatchContext) -> Tensor:
-    """Alignment to current and previous prototypes of the assigned class."""
-    if ctx.prev_prototypes is None:
-        raise ValueError("objective: pca_loss needs previous prototypes; "
-                         "use source_pca_loss on the source stage")
+    """Alignment to the assigned class's prototypes: the current ones, and the
+    previous ones when the context holds `prev_prototypes` (else the source form)."""
     return _alignment(ctx, ctx.prev_prototypes)
 
 
@@ -132,21 +130,21 @@ def distill_loss(ctx: BatchContext) -> Tensor:
     return dc.relu(kl)
 
 
-def total_loss(ctx: BatchContext, *, disable_pca: bool = False) -> tuple[Tensor, dict]:
+def total_loss(ctx: BatchContext, *, disable_pca: bool) -> tuple[Tensor, dict]:
     """Stage loss and its logged parts {ce, pca, dis, total}, total = ce + pca + dis.
-    A previous model in the context adds its PCA terms and distillation."""
-    has_previous = ctx.prev_prototypes is not None
+    `pca_loss` reads the context's `prev_prototypes`, and the context's
+    `distill_target`, when there is one, adds distillation."""
     ce = ce_loss(ctx)
     total = ce
 
     pca_val = 0.0
     if not disable_pca:
-        pca = pca_loss(ctx) if has_previous else source_pca_loss(ctx)
+        pca = pca_loss(ctx)
         total = dc.add(total, pca)
         pca_val = pca.item()
 
     dis_val = 0.0
-    if has_previous:
+    if ctx.distill_target is not None:
         dis = distill_loss(ctx)
         total = dc.add(total, dis)
         dis_val = dis.item()

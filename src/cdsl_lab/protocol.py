@@ -261,8 +261,8 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
     model = nets.build_network(seq.input_dim, seq.classes, init_rng,
                                hidden=cfg.hidden, bottleneck=cfg.bottleneck)
     previous: nets.Network | None = None  # frozen snapshot after the last stage
-    memory_enabled = not cfg.stationary
-    mem = memory_mod.ExemplarMemory(cfg.memory_capacity) if memory_enabled else None
+    # a continual run's parts: the replay memory and the previous model
+    mem = None if cfg.stationary else memory_mod.ExemplarMemory(cfg.memory_capacity)
     velocities: list[np.ndarray] | None = None
     params = nets.parameters(model)
 
@@ -273,8 +273,8 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
     def train_step(stage: int, epoch: int, step: int, batch_x, batch_y):
         nonlocal velocities
         with dc.Tape() as tape:
-            ctx = objective.build_context(model, None if cfg.stationary else previous,
-                                          batch_x, batch_y, distill_on=cfg.distill_on)
+            ctx = objective.build_context(model, previous, batch_x, batch_y,
+                                          distill_on=cfg.distill_on)
             total, losses = objective.total_loss(ctx, disable_pca=cfg.disable_pca)
         if not np.isfinite(list(losses.values())).all():
             values = " ".join(f"{k}={v!r}" for k, v in losses.items())
@@ -309,7 +309,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
         x, y = (tr_x, tr_y) if source else datasets[stage]
         labels = y if source else None
         augment_kind = "source" if source else "target"  # target rows are gated
-        replay_n = cfg.replay_n if memory_enabled and mem.total() > 0 else 0
+        replay_n = cfg.replay_n if mem is not None and mem.total() > 0 else 0
         for epoch in range(cfg.epochs):
             if not source:
                 labels = pseudo_labels(stage, epoch, x, y)
@@ -327,18 +327,17 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
         for name, t in nets.named_parameters(model):
             if not np.isfinite(t.values).all():
                 raise FloatingPointError(f"non-finite parameter {name} after stage {stage}")
-        if labels is None:  # zero-epoch run still needs labels for admission
-            labels = labeler_mod.assign_labels(model, x, lab_cfg, stage).labels
-
-        if memory_enabled:
+        if mem is not None:
+            if labels is None:  # zero-epoch run still needs labels for admission
+                labels = labeler_mod.assign_labels(model, x, lab_cfg, stage).labels
             logs["admissions"].append(
                 {**memory_mod.admit_domain(mem, model, x, labels, stage), "stage": stage})
-        previous = nets.snapshot(model)
+            previous = nets.snapshot(model)
         matrix_rows.append([_accuracy(model, ex, ey) for ex, ey in eval_sets])
         logs["stage_log"].append({
-            "stage": stage, "snapshot_hash": nets.param_hash(previous),
-            "memory_total": mem.total() if memory_enabled else 0,
-            "bucket_sizes": mem.sizes() if memory_enabled else {}})
+            "stage": stage, "snapshot_hash": nets.param_hash(model),
+            "memory_total": mem.total() if mem is not None else 0,
+            "bucket_sizes": mem.sizes() if mem is not None else {}})
 
     matrix = AccuracyMatrix(np.array(matrix_rows))
     return RunResult(config=cfg, matrix=matrix, metrics=compute_metrics(matrix.values),

@@ -213,14 +213,27 @@ sys.exit(cli.main(["run", "--config", "configs/bitmap5.cfg", "--set", "epochs=1"
 """
 
 
-def run_script(script: str, out: Path) -> subprocess.CompletedProcess:
-    """A Python script in a fresh interpreter, from the repo root, with `src`
-    on the import path and `out` as its one argument."""
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter, from the repo root, with `src`
+    on the import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script, str(out)], cwd=REPO,
+    return subprocess.run([sys.executable, *args], cwd=REPO,
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_script(script: str, out: Path) -> subprocess.CompletedProcess:
+    """A Python script in a fresh interpreter with `out` as its one argument."""
+    return fresh_python("-c", script, str(out))
+
+
+def test_module_entry_point_exits_two_on_a_usage_error(tmp_path):
+    out = tmp_path / "o"
+    proc = fresh_python("-m", "cdsl_lab.cli", "run", "--set", "nope=1", "--out", str(out))
+    assert proc.returncode == 2
+    assert "unknown key" in proc.stderr
+    assert not out.exists()
 
 
 def test_package_imports_and_runs_without_scipy(tmp_path):
@@ -345,6 +358,10 @@ def test_sweep_rejects_bad_param_and_values(tmp_path, capsys):
                      "--param", "r_con", "--values", "0.5,high"]) == 2
     err = capsys.readouterr().err
     assert "--values" in err and "r_con" in err
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--param", "r_con", "--values", " , "]) == 2
+    assert "--values: empty list" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("param,value", [("r_top", "0.5"), ("r_top_prime", "1"),

@@ -158,6 +158,13 @@ def test_source_pca_equals_ce_without_cross_class_pairs():
         objective.ce_loss(ctx).item(), abs=1e-12)
 
 
+def test_pca_loss_without_previous_prototypes_is_the_source_form():
+    feats, labels, protos, _ = rand_instance(6)
+    ctx = make_ctx(feats, labels, protos)
+    assert objective.pca_loss(ctx).values.tobytes() == \
+        objective.source_pca_loss(ctx).values.tobytes()
+
+
 def test_source_pca_gradient_matches_finite_differences():
     feats, labels, protos, _ = rand_instance(6)
     ctx, out, tape = taped(objective.source_pca_loss, feats, labels, protos)
@@ -238,8 +245,6 @@ def test_context_validation():
     with pytest.raises(ValueError, match="labels"):
         make_ctx(np.zeros((2, 2)), [0, 5], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="previous"):
-        objective.pca_loss(make_ctx(np.zeros((2, 2)), [0, 1], np.zeros((2, 2))))
-    with pytest.raises(ValueError, match="previous"):
         objective.distill_loss(make_ctx(np.zeros((2, 2)), [0, 1], np.zeros((2, 2))))
 
 
@@ -247,7 +252,7 @@ def test_total_loss_decomposition_on_target_stage():
     feats, labels, protos, prev = rand_instance(11)
     prev_probs = nets.softmax_rows(feats @ prev.T)
     ctx = make_ctx(feats, labels, protos, prev_protos=prev, target=prev_probs)
-    total, parts = objective.total_loss(ctx)
+    total, parts = objective.total_loss(ctx, disable_pca=False)
     assert list(parts) == ["ce", "pca", "dis", "total"]  # train_log.csv's column order
     assert parts["ce"] >= 0.0 and parts["pca"] >= 0.0 and parts["dis"] >= 0.0
     assert parts["total"] == total.item()
@@ -258,7 +263,7 @@ def test_total_loss_decomposition_on_target_stage():
 def test_total_loss_on_source_stage_has_no_distillation():
     feats, labels, protos, _ = rand_instance(12)
     ctx = make_ctx(feats, labels, protos)
-    total, parts = objective.total_loss(ctx)
+    total, parts = objective.total_loss(ctx, disable_pca=False)
     assert parts["dis"] == 0.0
     assert parts["pca"] == objective.source_pca_loss(ctx).item()
     assert abs(parts["total"] - (parts["ce"] + parts["pca"])) < 1e-12
@@ -283,8 +288,8 @@ def test_build_context_and_backward_through_real_network():
     labels = rng.integers(0, 2, size=8)
     params = nets.parameters(net)
     with dc.Tape() as tape:
-        ctx = objective.build_context(net, prev, x, labels)
-        total, parts = objective.total_loss(ctx)
+        ctx = objective.build_context(net, prev, x, labels, distill_on="logits")
+        total, parts = objective.total_loss(ctx, disable_pca=False)
     dc.backward(tape, total, params=params)
     assert all(p.grad is not None for p in params)
     grads_norm = sum(float(np.abs(p.grad).sum()) for p in params)
@@ -308,8 +313,8 @@ def test_tape_of_one_step_has_one_linear_node_per_product():
     ops = []
     for prev in (None, nets.snapshot(net)):
         with dc.Tape() as tape:
-            ctx = objective.build_context(net, prev, x, labels)
-            objective.total_loss(ctx)
+            ctx = objective.build_context(net, prev, x, labels, distill_on="logits")
+            objective.total_loss(ctx, disable_pca=False)
         ops.append(Counter(node.op for node in tape.nodes))
         scores = [node for node in tape.nodes if any(t is net.prototypes for t in node.inputs)]
         assert [(n.op, n.inputs, n.output) for n in scores] == [

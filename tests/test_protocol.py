@@ -202,6 +202,21 @@ def test_memory_grows_only_when_enabled():
     assert flat.memory is None
 
 
+@pytest.mark.parametrize("stationary", [False, True])
+def test_only_a_continual_run_snapshots_the_model(stationary, monkeypatch):
+    calls = []
+    snapshot = nets.snapshot
+
+    def counting(net):
+        calls.append(None)
+        return snapshot(net)
+
+    monkeypatch.setattr(nets, "snapshot", counting)
+    seq = tiny_sequence()
+    protocol.run_cdsl(tiny_config(stationary=stationary), sequence=seq)
+    assert len(calls) == (0 if stationary else len(seq.specs))
+
+
 def test_evaluation_never_mutates_parameters():
     res = protocol.run_cdsl(tiny_config(), sequence=tiny_sequence())
     before = nets.param_hash(res.model)
