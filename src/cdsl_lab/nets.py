@@ -75,6 +75,8 @@ def feature_values(net: Network, x: np.ndarray) -> np.ndarray:
     widest = max([x.shape[1], *(w.shape[0] for w, _ in layers)])
     step = max(16, dc.BLOCK_ELEMENTS // widest // 16 * 16)
     stops = [*range(step, x.shape[0] - 1, step), x.shape[0]]
+    if len(stops) == 1:  # one block: no copy
+        return features(net, x).values
     out = np.empty((x.shape[0], layers[-1][0].shape[0] if layers else x.shape[1]))
     start = 0
     for stop in stops:

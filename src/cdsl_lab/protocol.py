@@ -260,8 +260,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
 
     model = nets.build_network(seq.input_dim, seq.classes, init_rng,
                                hidden=cfg.hidden, bottleneck=cfg.bottleneck)
-    previous: nets.Network | None = None  # frozen snapshot after the last stage
-    # a continual run's parts: the replay memory and the previous model
+    previous: nets.Network | None = None  # continual runs: frozen snapshot after the last stage
     mem = None if cfg.stationary else memory_mod.ExemplarMemory(cfg.memory_capacity)
     velocities: list[np.ndarray] | None = None
     params = nets.parameters(model)

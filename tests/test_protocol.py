@@ -190,31 +190,28 @@ def test_zero_epochs_rows_equal_untrained_accuracy():
         assert np.array_equal(row, res.matrix.values[0])
 
 
-def test_memory_grows_only_when_enabled():
-    res = protocol.run_cdsl(tiny_config(), sequence=tiny_sequence())
+def test_memory_grows_only_when_enabled(monkeypatch):
+    snapshots = []
+    snapshot = nets.snapshot
+
+    def counting(net):
+        snapshots.append(None)
+        return snapshot(net)
+
+    monkeypatch.setattr(nets, "snapshot", counting)
+    seq = tiny_sequence()
+    res = protocol.run_cdsl(tiny_config(), sequence=seq)
     assert res.memory is not None
     assert res.memory.total() <= 40
     assert list(res.memory.sizes()) == [0, 1, 2]
     for entry in res.logs["stage_log"]:
         assert list(entry["bucket_sizes"]) == list(range(entry["stage"] + 1))
         assert sum(entry["bucket_sizes"].values()) == entry["memory_total"]
+    assert len(snapshots) == len(seq.specs)  # one frozen model per stage
+    snapshots.clear()
     flat = protocol.run_cdsl(tiny_config(stationary=True), sequence=tiny_sequence())
     assert flat.memory is None
-
-
-@pytest.mark.parametrize("stationary", [False, True])
-def test_only_a_continual_run_snapshots_the_model(stationary, monkeypatch):
-    calls = []
-    snapshot = nets.snapshot
-
-    def counting(net):
-        calls.append(None)
-        return snapshot(net)
-
-    monkeypatch.setattr(nets, "snapshot", counting)
-    seq = tiny_sequence()
-    protocol.run_cdsl(tiny_config(stationary=stationary), sequence=seq)
-    assert len(calls) == (0 if stationary else len(seq.specs))
+    assert snapshots == []
 
 
 def test_evaluation_never_mutates_parameters():
