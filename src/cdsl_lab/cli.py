@@ -171,9 +171,8 @@ def _means(rows: list[list[float]]) -> list[float]:
 
 
 def _write_table(path: Path, header: str, rows: list[tuple[str, list[float]]]) -> None:
-    lines = [header] + [f"{label}," + ",".join(f"{c:.6f}" for c in cells)
-                        for label, cells in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(protocol.csv_text(
+        header.split(","), [[label, *(f"{c:.6f}" for c in cells)] for label, cells in rows]))
     print(f"wrote {path}")
 
 
@@ -243,12 +242,10 @@ def _check_metrics(metrics: MetricsReport) -> None:
 
 
 def metrics_to_csv(metrics: MetricsReport) -> str:
-    n = len(metrics.tda)
-    rows = ["metric," + ",".join(f"domain_{j}" for j in range(n)) + ",avg"]
-    for name, cells, avg in _metric_rows(metrics):
-        rows.append(f"{name}," + ",".join("" if c is None else f"{c:.17g}"
-                                          for c in [*cells, avg]))
-    return "\n".join(rows) + "\n"
+    header = ["metric", *(f"domain_{j}" for j in range(len(metrics.tda))), "avg"]
+    return protocol.csv_text(header, [[name, *("" if c is None else f"{c:.17g}"
+                                               for c in [*cells, avg])]
+                                      for name, cells, avg in _metric_rows(metrics)])
 
 
 def render_text_report(metrics: MetricsReport) -> str:

@@ -16,7 +16,6 @@ ingredient never shifts the draws of another.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -368,24 +367,27 @@ def ablate(cfg: RunConfig, variant: str) -> RunResult:
     return run_cdsl(variant_config(cfg, variant))
 
 
+def csv_text(header: list[str], rows: list[list[str]]) -> str:
+    """The lab's one CSV writer: cells joined by commas, every line ended by LF.
+    No cell the lab writes holds a comma, a quote or a newline, so none is quoted."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
 def write_results(result: RunResult, out_dir) -> None:
-    """Deterministic results tree: matrix, metrics, training log, config echo."""
+    """Deterministic results tree: matrix, metrics, training log, config echo.
+    Both tables go through `csv_text`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = result.matrix.values
-    with open(out / "matrix.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"domain_{j}" for j in range(values.shape[1])])
-        for row in values:
-            writer.writerow([f"{v:.6f}" for v in row])
+    (out / "matrix.csv").write_text(csv_text(
+        [f"domain_{j}" for j in range(values.shape[1])],
+        [[f"{v:.6f}" for v in row] for row in values]))
     (out / "metrics.json").write_text(
         json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n")
-    with open(out / "train_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "epoch", "step", "ce", "pca", "dis", "total"])
-        for row in result.logs["train_log"]:
-            writer.writerow([row["stage"], row["epoch"], row["step"],
-                             f"{row['ce']:.17g}", f"{row['pca']:.17g}",
-                             f"{row['dis']:.17g}", f"{row['total']:.17g}"])
+    losses = ("ce", "pca", "dis", "total")
+    (out / "train_log.csv").write_text(csv_text(
+        ["stage", "epoch", "step", *losses],
+        [[str(row["stage"]), str(row["epoch"]), str(row["step"]),
+          *(f"{row[k]:.17g}" for k in losses)] for row in result.logs["train_log"]]))
     (out / "config.resolved.json").write_text(
         json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n")

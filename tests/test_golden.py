@@ -52,69 +52,69 @@ ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
 DIGESTS = {
     "rot5": {
-        "matrix.csv": "74d084a8d9d778b3fb97f30b95adb91d031759cbc7209466ba2bd5f2d24ea983",
+        "matrix.csv": "8e049144160220b1abc89dfe60b6a691959301de4c0e98b016ccf82669396765",
         "metrics.json": "305b1798d4c7c4d4252848140b2785eb7a87f1c9631410515c76fbfe9986dfc9",
-        "train_log.csv": "98e6cc90a30434047b6d15c6a6336d5d6e9f0a81b3c45a568512e29f262e4d0f",
+        "train_log.csv": "b18de0f11f315effcf52a6e48f464c0e870a5cefdcef5d43b9c2fb22667e3ae5",
         "param_hash": "e8f83981f97203fee9c7f5143eb21ec140c48c1328e36fb952da5836e4c19831",
     },
     "bitmap5": {
-        "matrix.csv": "defdd480cfcf7f8f8448a664c6480e9a4e886ec8dffbc8f93534a0a970bcf4da",
+        "matrix.csv": "ec2eee481bcf10f49e7d0e6d9c8a0ec3df47af74f999baf43afbe56b5a624a26",
         "metrics.json": "fce8786f0eb752467da7ec77cd8bda70d746b58ae938c87f0354df72a810533a",
-        "train_log.csv": "84885c66ab0e0390a886ddb12bd673ab70ffab2e6cec2c0e26d73849e5db27bb",
+        "train_log.csv": "0525a34eefb3f3348452ca0728d30a679bb53e688a18d50b5689cbc0bb3d54df",
         "param_hash": "f510e1a9bdbc9408747260994a79bfb3b599be19c76a334291ab9c49064707b9",
     },
     "moons4": {
-        "matrix.csv": "bc6ad0466b19aabbe9d587e9533a636a91cbda5fb51ef724f5433c96d4808ad5",
+        "matrix.csv": "71bdc631bc38f5cc4a992a6367d70e7fb9f29a4a91abcd58d3e8b3187e06ae4f",
         "metrics.json": "694d9b9067e6611f41951e6914e3129bbf83abc84965d8388d227795ad60e34c",
-        "train_log.csv": "d0ed6145170cce6cfe2d8ffcb50ee97faa89996789998e7b0fa5cb4afe60796a",
+        "train_log.csv": "144168ec0de0dc42461710f6e32f31740b339871e74241703bd45b7472964dbd",
         "param_hash": "f7dda2e3c30ed750ba8dfaf20a20aff52ac6f5be07eddbb760537a89e8cd701e",
     },
     "no_randmix": {
-        "matrix.csv": "50487695dce4af5c4d6c53956cdafdd385fec61adc5ee3755e6c91d0b6b795d2",
+        "matrix.csv": "7d9930ed09f3318e946d86297be132fb98a92caa9e61641d7f4fe6cb04d93f23",
         "metrics.json": "d03f44b73242a0f2a5193a3efea57b2891535cc8a8d9b0694951a0ee3d2d7785",
-        "train_log.csv": "96b501f235f26c654aa48e0e92df5074a3870176873cf2c26f0c6610462b5dd7",
+        "train_log.csv": "43b6fed74310a1098e0184282faba86482a43bff340336125e46ba76d2b3e391",
         "param_hash": "cb8445e1329c1ad977fe6d799cc698c9134535d32721dace8a2d154a1c7c5b2c",
     },
     "labeler=softmax": {
-        "matrix.csv": "15d2567ac64096193b4e2b2602a3245c407640393be12b20b880f23c6e8df7c5",
+        "matrix.csv": "34de01c1281007692a6f743b23f11ebab81dc63637ffb0cbf77bb8646159ff03",
         "metrics.json": "fb1a874d9c4904ce372878890f33555b66be5a3f38064f278b5cb9706a70a1e9",
-        "train_log.csv": "0333cb34048f24a2005813fa8821c3f6f5d8c399bc38ddb1bebbc25c20fe9bfd",
+        "train_log.csv": "2f37d7f2a34490717710849bfe7549b7aae142fa0f5ba0173684e855edd53828",
         "param_hash": "a4d2426873644c7de86acf008b079556e51c4038c18905b7a9478c3ed0b41b08",
     },
     "labeler=shot_style": {
-        "matrix.csv": "977d323c811c8c240eb9878c6f7f95cd26d88fe6a20a83ff203dd8207222954d",
+        "matrix.csv": "96ec86bce08fbd0fdc7b6ad9e624b69a039533ea281b992e1ecbab0b0c12c477",
         "metrics.json": "dbd361ef9f36c286415d336df84dfd82a1e968cf43bda54b958efb01a8c5c782",
-        "train_log.csv": "93e8b3be65e55effb6b4ae4587f110abf5f5872c199fb0ddcd1dde50bcf6f429",
+        "train_log.csv": "347e739d357434206ea2e7275bddbd9953dbc208ab085df98be4e0ccbac1dd1d",
         "param_hash": "bafbc3ad4053bea2e7156a675cbbd0d12419d0fddc861eb8a691547f9b7a958f",
     },
     "no_pca": {
-        "matrix.csv": "36c9215d6fbb1d5cc5fb17af80d195f816622f9390cb59699c312362b7a8cb26",
+        "matrix.csv": "566552960863a7852c5ed8351c147010a0d4a7765c37ad8e7083b7e19d53a293",
         "metrics.json": "fb3fa1b10b1d94b52f1d4a9d38bd809808ed2f16c202386dbc53d459a998bf3c",
-        "train_log.csv": "7c89affc31f8a2ea78f9b1da5e2c3c77f2e7423d8767bd2ad64a27c5afc34248",
+        "train_log.csv": "ed3f3f20e997f7727babbe1d1127837b2e5c7457e8ccc89392c9aac79ad9bd76",
         "param_hash": "4c93c27732f4c389f19b3dab7b84342bfd0d6277eacc0af8a18e52cf1cdcc829",
     },
     "stationary": {
-        "matrix.csv": "1e4db49a386df7ecd3f558c218cc0f3cb8ea33b5d5668809ca22e82c5504c64b",
+        "matrix.csv": "b8461b81de7be789641de37349f4ee87a942ae93cf5e77be06bc080f1a992f61",
         "metrics.json": "9bbf96d5b0c2c074503b9a123a9a683ad7bcad148adfb707dc751fcaf8e43a22",
-        "train_log.csv": "b8cf01a31eeeeeaf9b3692aa37dc14420a9bc4af64176428545d3e8f655971b1",
+        "train_log.csv": "b653c8b7fd5d8154c5812779a1106edd105e962ae24354a7e592349ab80c2af0",
         "param_hash": "8b2d3c12fd36c252c5bd332343fb3756fe1b3da0e41dbe8d9c043754f2ce196c",
     },
     "distill_on=representation": {
-        "matrix.csv": "8f3601df239101a2de3e67e7169fc133e312da755c0d36d4b3bd31def8903e2a",
+        "matrix.csv": "17b17e1d200cec75f22de842b02623d056a0359325e6f00c0cf22e04462b18c2",
         "metrics.json": "4e79381f05feafe845e3ff8928459a817da905ebaae4f0a54f9deb312577f0a0",
-        "train_log.csv": "24377fc1aad602e26e8184f41c08654ce4320ec8083d3a2edf45500db9d60c8e",
+        "train_log.csv": "410eccadc8f8261213813211ca9323b0647c5abfcfb6798bcdfe01ae183efbb6",
         "param_hash": "c74baa382756b5e428f02cd953ec2bf5f8966e8f21e2df664150fc6411fadc59",
     },
     "bottleneck=none": {
-        "matrix.csv": "dc3c6f5492b667618d338eeb54dc506c60b594ee500f6ec58000f5b56bc86875",
+        "matrix.csv": "afaea444de28c47111d9e359b881b07cbcbb1b4e0a5049430454525c04429752",
         "metrics.json": "f4f98be67780edab4d6d718a1aa1746cd6537aef2accc3070fcd0d3df2e3ab39",
-        "train_log.csv": "8de79717a0837ba8e99805bb0d05e1d5e0dfcd23a2c55099f0776bb04ca08333",
+        "train_log.csv": "2afc0ac2fafbd064d59ea1e0fe4f3697feeed7ea99d693948fc54f0d0d8f8e05",
         "param_hash": "32c89558a8868d2ce31d0da2609023e6be6b67af89ea2d4ca5bc33902ea66226",
     },
     "moons4-600": {
-        "matrix.csv": "cf617812db33248cf44caf970c36ec021e1de58eb853ae15acccb408dae277ff",
+        "matrix.csv": "cdec4eae0b38efafd203997e8a5a0c4ef6078e404e95bac68d1ab23ff18ca92b",
         "metrics.json": "7fe689a8c0ce70a3396e02d3d3e91b777a95d1d401c3793dc2255801ce7fa702",
-        "train_log.csv": "04a435f9c83972ed9ca24a1356e6b738e5b5dc07527251965c269feff4632510",
+        "train_log.csv": "18d7de0cfc3c5a6bc62e2daf797cfeec4e2fd7d888d3558ed41cbd8a1d96671d",
         "param_hash": "304e7682dae031a1eb1bbe34c69a79e7fb8c29c231f9cf46780b5755d3bb4fe1",
     },
 }

@@ -268,6 +268,10 @@ def test_write_results_files(tmp_path):
     assert len(log_lines) == 1 + len(res.logs["train_log"])
     cfg_echo = json.loads((tmp_path / "config.resolved.json").read_text())
     assert cfg_echo == json.loads(json.dumps(res.config.to_dict()))
+    # read_text's universal newlines hide CR; every file ends its lines with LF alone
+    for name in ("matrix.csv", "metrics.json", "train_log.csv", "config.resolved.json"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), name
 
 
 def test_write_results_bytes_are_reproducible(tmp_path):
