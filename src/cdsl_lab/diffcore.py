@@ -131,26 +131,20 @@ def zero_grads(params: list[Tensor]) -> None:
         p.grad = None
 
 
-def _binary(op: str, a, b, forward, vjp_builder) -> Tensor:
+def _binary(op: str, a, b, forward, vjp) -> Tensor:
     """Elementwise op on two tensors of one shape; nothing broadcasts."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise DiffcoreError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-    return _record(op, (a, b), forward(a.values, b.values), vjp_builder(a, b))
+    return _record(op, (a, b), forward(a.values, b.values), vjp)
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda a, b: lambda g: (g, g))
+    return _binary("add", a, b, np.add, lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda a, b: lambda g: (g, -g))
-
-
-def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply,
-                   lambda a, b: lambda g: (g * b.values if a.requires_grad else None,
-                                           g * a.values if b.requires_grad else None))
+    return _binary("sub", a, b, np.subtract, lambda g: (g, -g))
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -198,13 +192,15 @@ def logsumexp_rows(*blocks) -> Tensor:
                                    for b, e in zip(blocks, exps)))
 
 
-def pick(a, index: np.ndarray) -> Tensor:
-    """Entry index[i] of each row i of a 2-d tensor, as a column [n, 1]."""
+def row_dot(a, w: np.ndarray) -> Tensor:
+    """Row sums of a * w as a column [n, 1], for a constant w of a's 2-d shape.
+    A one-hot w picks each row's entry with its bits where a is finite: every
+    other product is a zero, and a zero added to a nonzero sum leaves it be."""
     a = as_tensor(a)
-    if a.values.ndim != 2 or np.shape(index) != (a.shape[0],):
-        raise DiffcoreError(f"pick: index of shape {np.shape(index)} for shape {a.shape}")
-    hot = np.asarray(index)[:, None] == np.arange(a.shape[1])
-    return _record("pick", (a,), a.values[hot][:, None], lambda g: (np.where(hot, g, 0.0),))
+    if a.values.ndim != 2 or np.shape(w) != a.shape:
+        raise DiffcoreError(f"row_dot: weights of shape {np.shape(w)} for shape {a.shape}")
+    return _record("row_dot", (a,), np.add.reduce(a.values * w, axis=1, keepdims=True),
+                   lambda g: (g * w,))
 
 
 def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,17 +222,6 @@ def standardize_rows(a) -> Tensor:
         gy = np.add.reduce(g * y, axis=1, keepdims=True) / y.shape[1]
         return (inv * (g - gm - y * gy),)
     return _record("standardize_rows", (a,), y, vjp)
-
-
-def reduce_sum(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    def vjp(g):
-        if axis is None:
-            return (np.full(a.shape, g),)
-        kept = list(a.shape)  # a.shape with the summed axis kept at length 1
-        kept[axis] = 1
-        return (np.repeat(g.reshape(kept), a.shape[axis], axis=axis),)
-    return _record("reduce_sum", (a,), np.add.reduce(a.values, axis=axis), vjp)
 
 
 def reduce_mean(a) -> Tensor:

@@ -2,12 +2,13 @@
 alignment across adjacent models, and soft-output distillation.
 
 All losses are diffcore primitives, so one backward pass covers the whole
-objective, and all read one score matrix, features @ prototypes.T. CE and
-alignment are each the row mean of lse(every term) - lse(the assigned class's
-terms). CE's terms are the scores, whose lse logits distillation reads too;
-alignment's are the scores, the scores against the frozen previous prototypes,
-and the feature Gram matrix plus a mask, 0 between rows of different classes
-and -inf elsewhere (so each row with itself too). With no previous model in the
+objective, and all read one score matrix, features @ prototypes.T. Each loss is
+the row mean of lse(every term) - lse(the positives), a positive being a row_dot
+of terms with a target. CE's terms are the scores, its target the one-hot labels;
+alignment adds the scores against the frozen previous prototypes (positive: their
+one-hot column too) and the feature Gram matrix plus a mask, 0 between rows of
+different classes and -inf elsewhere (so each row with itself too). Distillation
+is CE against the frozen model's soft output. With no previous model in the
 batch context alignment collapses to the current-prototypes-only form and
 nothing is distilled."""
 
@@ -34,6 +35,7 @@ class BatchContext:
     # frozen row softmax of the previous model's logits, or of its
     # representations in "representation" mode
     distill_target: np.ndarray | None = None
+    onehot: np.ndarray = field(init=False)  # float one-hot of labels [n, classes]
     scores: Tensor = field(init=False)  # taped linear(features, prototypes)
     assigned: Tensor = field(init=False)  # scores' assigned-class column [n, 1]
     lse: Tensor = field(init=False)  # scores' row log-sum-exp [n]
@@ -46,8 +48,10 @@ class BatchContext:
         classes = self.prototypes.shape[0]
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= classes):
             raise ValueError(f"objective: labels outside [0, {classes})")
+        # built after the range check: a label outside it would give a zero row
+        self.onehot = (self.labels[:, None] == np.arange(classes)).astype(np.float64)
         self.scores = dc.linear(self.features, self.prototypes)
-        self.assigned = dc.pick(self.scores, self.labels)
+        self.assigned = dc.row_dot(self.scores, self.onehot)
         self.lse = dc.logsumexp_rows(self.scores)
 
 
@@ -73,10 +77,11 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
 
 
 def _lse_gap(lse_terms: Tensor, positives: list[Tensor]) -> Tensor:
-    """Row mean of lse_terms (of every term) - lse(positives), the assigned
-    class's terms. Never below 0, with no clamp: each lse is at least its shift,
-    the row max (M of the terms, m <= M of the positives), as its shifted sum
-    holds an exact 1.
+    """Row mean of lse_terms (of every term) - lse(positives).
+    For CE and alignment, whose terms hold their positives (the assigned
+    class's entries, which a one-hot row_dot keeps with their bits), the gap is
+    never below 0, with no clamp: each lse is at least its shift, the row max
+    (M of the terms, m <= M of the positives), as its shifted sum holds an exact 1.
     One positive comes back bit for bit, so the gap is >= M - m. Two with M = m
     share the shift, and the terms' sum holds the positives' exponentials with
     their bits. Two with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e))
@@ -96,7 +101,7 @@ def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
     if prev_prototypes is not None:
         prev = dc.linear(ctx.features, Tensor(prev_prototypes))
         terms.append(prev)
-        positives.append(dc.pick(prev, ctx.labels))
+        positives.append(dc.row_dot(prev, ctx.onehot))
     cross_class = np.where(ctx.labels[:, None] != ctx.labels, 0.0, -np.inf)
     pairs = dc.add(dc.linear(ctx.features, ctx.features), Tensor(cross_class))
     return _lse_gap(dc.logsumexp_rows(*terms, pairs), positives)
@@ -115,8 +120,9 @@ def source_pca_loss(ctx: BatchContext) -> Tensor:
 
 def distill_loss(ctx: BatchContext) -> Tensor:
     """Mean KL from the frozen model's soft outputs t to softmax(z), with z the
-    scores or, in representation mode, the features: per row
-    sum t log t + lse(z) - sum t z, exact however small a probability gets."""
+    scores or, in representation mode, the features: per row the lse gap
+    sum t log t + lse(z) - lse(t . z), the lse of one column being that column,
+    exact however small a probability gets."""
     target = ctx.distill_target
     if target is None:
         raise ValueError("objective: distill_loss needs previous-model outputs")
@@ -124,10 +130,8 @@ def distill_loss(ctx: BatchContext) -> Tensor:
               else (ctx.features, dc.logsumexp_rows(ctx.features)))
     log_t = np.log(target, out=np.zeros_like(target), where=target > 0.0)  # 0 log 0 = 0
     neg_entropy = np.add.reduce(target * log_t, axis=1)
-    cross = dc.reduce_sum(dc.mul(Tensor(target), z), axis=1)
-    kl = dc.reduce_mean(dc.sub(dc.add(Tensor(neg_entropy), lse), cross))
     # exact KL is non-negative; relu only strips float artifacts near zero
-    return dc.relu(kl)
+    return dc.relu(_lse_gap(dc.add(Tensor(neg_entropy), lse), [dc.row_dot(z, target)]))
 
 
 def total_loss(ctx: BatchContext, *, disable_pca: bool) -> tuple[Tensor, dict]:

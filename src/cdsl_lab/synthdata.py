@@ -15,7 +15,7 @@ many classes the circle can carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class DomainSpec:
 @dataclass
 class DomainSequence:
     name: str
-    specs: list[DomainSpec] = field(default_factory=list)
+    specs: list[DomainSpec]
 
     def __post_init__(self):
         if not self.specs:

@@ -17,13 +17,14 @@ def test_evaluate_matches_straight_line_recomputation():
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=(4,))
+    probe = rng.normal(size=(5, 4))
 
     def f(xt, wt, bt):
         h = dc.relu(dc.linear(xt, wt, bt))
-        return dc.reduce_mean(dc.mul(h, h))
+        return dc.reduce_mean(dc.row_dot(h, probe))
 
     out, tape = evaluate(f, *wrap(x, w, b))
-    direct = np.mean(np.maximum(x @ w.T + b, 0.0) ** 2)
+    direct = np.mean((np.maximum(x @ w.T + b, 0.0) * probe).sum(axis=1))
     assert abs(out.item() - direct) < 1e-12
     assert len(tape) > 0
 
@@ -33,7 +34,7 @@ def test_evaluate_is_deterministic_bitwise():
     x = rng.normal(size=(4, 4))
 
     def f(xt):
-        return dc.reduce_sum(dc.logsumexp_rows(dc.linear(xt, xt)))
+        return dc.reduce_mean(dc.logsumexp_rows(dc.linear(xt, xt)))
 
     a, _ = evaluate(f, *wrap(x))
     b, _ = evaluate(f, *wrap(x))
@@ -46,12 +47,12 @@ def test_composite_gradient_matches_finite_differences(seed):
     x = rng.normal(size=(4, 3))
     w1 = rng.normal(size=(5, 3))
     w2 = rng.normal(size=(2, 5))
-    probe = rng.normal(size=4)
+    probe = rng.normal(size=(4, 2))
 
     def loss(xv, w1v, w2v):
         h = dc.standardize_rows(dc.linear(dc.as_tensor(xv), dc.as_tensor(w1v)))
-        lse = dc.logsumexp_rows(dc.linear(dc.relu(h), dc.as_tensor(w2v)))
-        return dc.reduce_mean(dc.mul(lse, dc.Tensor(probe)))
+        z = dc.linear(dc.relu(h), dc.as_tensor(w2v))
+        return dc.reduce_mean(dc.logsumexp_rows(dc.row_dot(z, probe), z))
 
     xt, w1t, w2t = wrap(x, w1, w2)
     out, tape = evaluate(loss, xt, w1t, w2t)
@@ -62,8 +63,6 @@ def test_composite_gradient_matches_finite_differences(seed):
 
 
 CONSTANT_INPUT_CASES = [
-    ("mul", lambda const, var: dc.mul(const, var), 0),
-    ("mul", lambda const, var: dc.mul(var, const), 1),
     ("linear", lambda const, var: dc.linear(const, var), 0),
     ("linear", lambda const, var: dc.linear(var, const), 1),
     ("logsumexp_rows", lambda const, var: dc.logsumexp_rows(const, var), 0),
@@ -72,7 +71,7 @@ CONSTANT_INPUT_CASES = [
 
 
 @pytest.mark.parametrize("op,apply,const_at", CONSTANT_INPUT_CASES,
-                         ids=["mul-a", "mul-b", "linear-x", "linear-w",
+                         ids=["linear-x", "linear-w",
                               "logsumexp_rows-a", "logsumexp_rows-b"])
 def test_vjp_skips_inputs_without_requires_grad(op, apply, const_at):
     rng = np.random.default_rng(11)
@@ -87,10 +86,26 @@ def test_vjp_skips_inputs_without_requires_grad(op, apply, const_at):
     assert grads[1 - const_at].shape == (3, 3)
 
 
+def assert_vjp_matches_finite_differences(op, arrays, rng, name=None):
+    """The one node op records: its vjp at a random probe against a finite
+    difference of probe . op(x), for every input."""
+    out, tape = evaluate(op, *wrap(*arrays))
+    (node,) = tape.nodes
+    probe = rng.normal(size=out.shape)
+    grads = node.vjp(probe)
+    assert len(grads) == len(arrays)
+
+    def dot(*xs):
+        return float(np.sum(probe * op(*map(dc.Tensor, xs)).values))
+
+    for i, g in enumerate(grads):
+        assert max_rel_err(g, fd_gradient(dot, arrays, wrt=i)) < 1e-4, name
+    return node
+
+
 BINARY_CASES = [
     ("add", dc.add, [(3, 4), (3, 4)]),
     ("sub", dc.sub, [(3, 4), (3, 4)]),
-    ("mul", dc.mul, [(3, 4), (3, 4)]),
 ]
 
 
@@ -98,18 +113,7 @@ BINARY_CASES = [
 def test_binary_primitive_gradients(name, op, shapes):
     rng = np.random.default_rng(abs(hash(name)) % 2**32)
     arrays = [rng.normal(size=s) for s in shapes]
-    probe_shape = op(dc.Tensor(arrays[0]), dc.Tensor(arrays[1])).shape
-    probe = rng.normal(size=probe_shape)
-
-    def loss(a, b):
-        return dc.reduce_sum(dc.mul(op(dc.as_tensor(a), dc.as_tensor(b)), dc.Tensor(probe)))
-
-    ts = wrap(*arrays)
-    out, tape = evaluate(loss, *ts)
-    dc.backward(tape, out)
-    for i, t in enumerate(ts):
-        num = fd_gradient(loss, arrays, wrt=i)
-        assert max_rel_err(t.grad, num) < 1e-4, name
+    assert assert_vjp_matches_finite_differences(op, arrays, rng, name).op == name
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
@@ -118,26 +122,17 @@ def test_linear_gradients_match_finite_differences(with_bias):
     arrays = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
     if with_bias:
         arrays.append(rng.normal(size=(2,)))
-    probe = rng.normal(size=(3, 2))
+    assert assert_vjp_matches_finite_differences(dc.linear, arrays, rng).op == "linear"
 
-    def loss(*xs):
-        return dc.reduce_sum(dc.mul(dc.linear(*map(dc.as_tensor, xs)), dc.Tensor(probe)))
 
-    ts = wrap(*arrays)
-    out, tape = evaluate(loss, *ts)
-    dc.backward(tape, out)
-    assert [n.op for n in tape.nodes] == ["linear", "mul", "reduce_sum"]
-    for i, t in enumerate(ts):
-        num = fd_gradient(loss, arrays, wrt=i)
-        assert max_rel_err(t.grad, num) < 1e-4
-
+SOFT_WEIGHTS = np.random.default_rng(23).normal(size=(4, 5))
 
 UNARY_CASES = [
     ("relu", dc.relu),
     ("standardize_rows", dc.standardize_rows),
     ("logsumexp_rows", dc.logsumexp_rows),
-    ("pick", lambda a: dc.pick(a, np.array([0, 4, 2, 4]))),
-    ("sum_axis0", lambda a: dc.reduce_sum(a, axis=0)),
+    ("row_dot", lambda a: dc.row_dot(a, SOFT_WEIGHTS)),
+    ("reduce_mean", dc.reduce_mean),
 ]
 
 
@@ -145,38 +140,28 @@ UNARY_CASES = [
 def test_unary_primitive_gradients(name, op):
     rng = np.random.default_rng(abs(hash(name)) % 2**32)
     x = rng.normal(size=(4, 5)) + 0.1  # keep relu away from the kink
-    probe_shape = op(dc.Tensor(x)).shape
-    probe = rng.normal(size=probe_shape)
-
-    def loss(a):
-        return dc.reduce_sum(dc.mul(op(dc.as_tensor(a)), dc.Tensor(probe)))
-
-    (t,) = wrap(x)
-    out, tape = evaluate(loss, t)
-    dc.backward(tape, out)
-    num = fd_gradient(loss, [x], wrt=0)
-    assert max_rel_err(t.grad, num) < 1e-4, name
+    assert assert_vjp_matches_finite_differences(op, [x], rng, name).op == name
 
 
 def test_gradient_of_elementwise_sum_is_ones_exactly():
-    (t,) = wrap(np.arange(12.0).reshape(3, 4))
-    out, tape = evaluate(lambda a: dc.reduce_sum(a), t)
+    (t,) = wrap(np.arange(12.0).reshape(1, 12))
+    out, tape = evaluate(lambda a: dc.row_dot(a, np.ones((1, 12))), t)
     dc.backward(tape, out)
-    assert np.array_equal(t.grad, np.ones((3, 4)))
+    assert np.array_equal(t.grad, np.ones((1, 12)))
 
 
 def test_unused_input_gets_zero_gradient():
     used, unused = wrap(np.ones((2, 2)), np.ones(3))
-    out, tape = evaluate(lambda a, b: dc.reduce_sum(a), used, unused)
+    out, tape = evaluate(lambda a, b: dc.reduce_mean(a), used, unused)
     dc.backward(tape, out, params=[used, unused])
     assert np.array_equal(unused.grad, np.zeros(3))
-    assert np.array_equal(used.grad, np.ones((2, 2)))
+    assert np.array_equal(used.grad, np.full((2, 2), 0.25))
 
 
 def test_gradients_accumulate_until_zeroed():
-    (t,) = wrap(np.array([2.0, 3.0]))
+    (t,) = wrap(np.array([[2.0, 3.0]]))
 
-    out, tape = evaluate(lambda a: dc.reduce_sum(dc.mul(a, a)), t)
+    out, tape = evaluate(dc.logsumexp_rows, t)
     dc.backward(tape, out)
     first = t.grad.copy()
     dc.backward(tape, out)
@@ -203,13 +188,12 @@ def test_standardize_constant_row_maps_to_zeros():
 def test_logsumexp_rows_gradients_over_several_blocks_and_a_pick():
     rng = np.random.default_rng(13)
     arrays = [rng.normal(size=(4, w)) for w in (3, 1, 5)]
-    probe = rng.normal(size=4)
-    index = np.array([2, 0, 1, 2])
+    onehot = np.eye(3)[[2, 0, 1, 2]]
 
     def loss(a, b, c):
         a, b, c = map(dc.as_tensor, (a, b, c))
-        gap = dc.sub(dc.logsumexp_rows(a, b, c), dc.logsumexp_rows(dc.pick(a, index), b))
-        return dc.reduce_sum(dc.mul(gap, dc.Tensor(probe)))
+        gap = dc.sub(dc.logsumexp_rows(a, b, c), dc.logsumexp_rows(dc.row_dot(a, onehot), b))
+        return dc.reduce_mean(gap)
 
     ts = wrap(*arrays)
     out, tape = evaluate(loss, *ts)
@@ -232,12 +216,12 @@ def test_logsumexp_rows_shifts_large_entries_by_the_row_maximum():
 
 def test_logsumexp_rows_gives_minus_inf_terms_zero_gradient():
     (t,) = wrap(np.array([[0.5, -np.inf, 2.0], [-np.inf, -np.inf, 1.0]]))
-    out, tape = evaluate(lambda a: dc.reduce_sum(dc.logsumexp_rows(a)), t)
-    assert out.item() == pytest.approx(np.log(np.exp(0.5) + np.exp(2.0)) + 1.0)
+    out, tape = evaluate(lambda a: dc.reduce_mean(dc.logsumexp_rows(a)), t)
+    assert out.item() == pytest.approx((np.log(np.exp(0.5) + np.exp(2.0)) + 1.0) / 2)
     dc.backward(tape, out)
     assert t.grad[0, 1] == 0.0 and t.grad[1, 0] == 0.0 and t.grad[1, 1] == 0.0
-    assert t.grad[1, 2] == 1.0
-    assert t.grad[0].sum() == pytest.approx(1.0)
+    assert t.grad[1, 2] == 0.5
+    assert t.grad[0].sum() == pytest.approx(0.5)
 
 
 def test_logsumexp_rows_of_one_column_is_that_column_bit_for_bit():
@@ -245,21 +229,25 @@ def test_logsumexp_rows_of_one_column_is_that_column_bit_for_bit():
     column = np.random.default_rng(17).normal(size=(9, 1)) * scales
     out = dc.logsumexp_rows(dc.Tensor(column)).values
     assert out.tobytes() == column[:, 0].tobytes()
-    picked = dc.pick(dc.Tensor(np.hstack([column, -column])), np.zeros(9, dtype=int))
+    # a one-hot row_dot picks the column with its bits
+    picked = dc.row_dot(dc.Tensor(np.hstack([column, -column])), np.eye(2)[[0] * 9])
+    assert picked.values.tobytes() == column.tobytes()
     assert dc.logsumexp_rows(picked).values.tobytes() == column[:, 0].tobytes()
 
 
-def test_logsumexp_rows_and_pick_reject_mismatched_shapes():
+def test_logsumexp_rows_and_row_dot_reject_mismatched_shapes():
     with pytest.raises(dc.DiffcoreError, match="logsumexp_rows"):
         dc.logsumexp_rows(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((3, 3))))
     with pytest.raises(dc.DiffcoreError, match="logsumexp_rows"):
         dc.logsumexp_rows(dc.Tensor(np.ones(3)))
     with pytest.raises(dc.DiffcoreError, match="logsumexp_rows"):
         dc.logsumexp_rows()
-    with pytest.raises(dc.DiffcoreError, match="pick"):
-        dc.pick(dc.Tensor(np.ones((2, 3))), np.zeros(3, dtype=int))
-    with pytest.raises(dc.DiffcoreError, match="pick"):
-        dc.pick(dc.Tensor(np.ones(3)), np.zeros(3, dtype=int))
+    with pytest.raises(dc.DiffcoreError, match="row_dot"):
+        dc.row_dot(dc.Tensor(np.ones((2, 3))), np.ones((3, 2)))
+    with pytest.raises(dc.DiffcoreError, match="row_dot"):
+        dc.row_dot(dc.Tensor(np.ones((2, 3))), np.ones(3))
+    with pytest.raises(dc.DiffcoreError, match="row_dot"):
+        dc.row_dot(dc.Tensor(np.ones(3)), np.ones(3))
 
 
 def test_shape_mismatch_raises_structured_error():
@@ -277,7 +265,7 @@ def test_shape_mismatch_raises_structured_error():
 
 def test_backward_rejects_non_scalar_output():
     (t,) = wrap(np.ones((2, 2)))
-    out, tape = evaluate(lambda a: dc.mul(a, a), t)
+    out, tape = evaluate(lambda a: dc.add(a, a), t)
     with pytest.raises(dc.DiffcoreError, match="scalar"):
         dc.backward(tape, out)
 
@@ -367,20 +355,14 @@ def test_row_ops_keep_the_bits_of_ndarray_reductions(width):
 
 @pytest.mark.parametrize("width", AWKWARD_WIDTHS)
 def test_reductions_keep_the_bits_of_ndarray_reductions(width):
-    """reduce_sum and reduce_mean, forward and vjp, against ndarray.sum/mean and
+    """row_dot and reduce_mean, forward and vjp, against ndarray.sum/mean and
     broadcast_to(...).copy() byte for byte."""
     rng = np.random.default_rng(width + 2)
-    g_rows, g_cols, g_all = rng.normal(size=3), rng.normal(size=width), np.array(rng.normal())
+    w, g_rows, g_all = rng.normal(size=(3, width)), rng.normal(size=(3, 1)), np.array(rng.normal())
     for x in awkward_rows(width):
-        out, vjp = taped(lambda t: dc.reduce_sum(t, axis=1), x)
-        assert_same_bytes(out, x.sum(axis=1))
-        assert_same_bytes(vjp(g_rows), np.broadcast_to(np.expand_dims(g_rows, 1), x.shape).copy())
-        out, vjp = taped(lambda t: dc.reduce_sum(t, axis=0), x)
-        assert_same_bytes(out, x.sum(axis=0))
-        assert_same_bytes(vjp(g_cols), np.broadcast_to(np.expand_dims(g_cols, 0), x.shape).copy())
-        out, vjp = taped(dc.reduce_sum, x)
-        assert_same_bytes(out, np.asarray(x.sum()))
-        assert_same_bytes(vjp(g_all), np.broadcast_to(g_all, x.shape).copy())
+        out, vjp = taped(lambda t: dc.row_dot(t, w), x)
+        assert_same_bytes(out, (x * w).sum(axis=1, keepdims=True))
+        assert_same_bytes(vjp(g_rows), g_rows * w)
         out, vjp = taped(dc.reduce_mean, x)
         assert_same_bytes(out, np.asarray(x.mean()))
         assert_same_bytes(vjp(g_all), np.broadcast_to(g_all / x.size, x.shape).copy())

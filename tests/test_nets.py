@@ -114,9 +114,10 @@ def test_gradients_flow_to_every_parameter():
     net = tiny_net()
     x = np.random.default_rng(3).normal(size=(6, 3))
     params = nets.parameters(net)
+    weights = np.random.default_rng(4).normal(size=(6, net.prototypes.shape[0]))
     def loss():
         scores = dc.linear(nets.features(net, x), net.prototypes)
-        return dc.reduce_mean(dc.mul(scores, scores))
+        return dc.reduce_mean(dc.row_dot(scores, weights))
 
     out, tape = evaluate(loss)
     dc.backward(tape, out, params=params)

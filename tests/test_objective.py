@@ -129,8 +129,9 @@ def test_lse_gap_is_never_negative_in_any_row(scale):
     prev[rows, labels] = np.where(rng.random(n) < 0.5, top, np.nextafter(top, -np.inf))
     scores[rows[::3], labels[::3]] = np.nextafter(top[::3], -np.inf)
     s, p = Tensor(scores), Tensor(prev)
-    for terms, positives in (([s], [dc.pick(s, labels)]),
-                             ([s, p], [dc.pick(s, labels), dc.pick(p, labels)])):
+    onehot = np.eye(classes)[labels]
+    for terms, positives in (([s], [dc.row_dot(s, onehot)]),
+                             ([s, p], [dc.row_dot(s, onehot), dc.row_dot(p, onehot)])):
         gap = dc.logsumexp_rows(*terms).values - dc.logsumexp_rows(*positives).values
         assert (gap >= 0.0).all()
 
@@ -320,9 +321,8 @@ def test_tape_of_one_step_has_one_linear_node_per_product():
         assert [(n.op, n.inputs, n.output) for n in scores] == [
             ("linear", (ctx.features, net.prototypes), ctx.scores)]
     source, target = ops
-    assert source == Counter(linear=6, relu=2, standardize_rows=1, pick=1,
+    assert source == Counter(linear=6, relu=2, standardize_rows=1, row_dot=1,
                              logsumexp_rows=4, sub=2, reduce_mean=2, add=2)
     # distillation reads the scores' one lse: no softmax_rows or log node
-    assert target == Counter(linear=7, relu=3, standardize_rows=1, pick=2,
-                             logsumexp_rows=4, sub=3, reduce_mean=3, add=4,
-                             mul=1, reduce_sum=1)
+    assert target == Counter(linear=7, relu=3, standardize_rows=1, row_dot=3,
+                             logsumexp_rows=5, sub=3, reduce_mean=3, add=4)

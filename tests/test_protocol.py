@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,23 +28,24 @@ def tiny_sequence(n_domains=3, samples=60):
 # ops of one tiny_config training step, in tape order; perfbench counts nodes per op
 SOURCE_STEP_OPS = [
     "linear", "linear", "standardize_rows", "relu", "linear",  # features
-    "linear", "pick",  # scores and the assigned class's column
+    "linear", "row_dot",  # scores and the assigned class's column
     "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # ce
     "linear", "add", "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # pca
     "add"]
 TARGET_STEP_OPS = [
     "linear", "linear", "standardize_rows", "relu", "linear",  # features
-    "linear", "pick",  # scores and the assigned class's column
+    "linear", "row_dot",  # scores and the assigned class's column
     "logsumexp_rows", "logsumexp_rows", "sub", "reduce_mean",  # ce
-    "linear", "pick", "linear", "add", "logsumexp_rows", "logsumexp_rows", "sub",  # pca
+    "linear", "row_dot", "linear", "add", "logsumexp_rows", "logsumexp_rows", "sub",  # pca
     "reduce_mean", "add",
-    "mul", "reduce_sum", "add", "sub", "reduce_mean", "relu",  # distill
+    "add", "row_dot", "logsumexp_rows", "sub", "reduce_mean", "relu",  # distill
     "add"]
 
 
 def test_training_steps_tape_a_fixed_op_sequence(monkeypatch):
     """A source step and a target step (previous model present) record these
-    nodes, no more and no fewer."""
+    nodes, no more and no fewer, and between them every primitive diffcore
+    records: one that no training step tapes is dead code."""
     tapes = []
     backward = protocol.dc.backward
 
@@ -55,6 +58,8 @@ def test_training_steps_tape_a_fixed_op_sequence(monkeypatch):
     protocol.run_cdsl(cfg, tiny_sequence(n_domains=2))
     steps = cfg.steps_per_epoch
     assert tapes == [SOURCE_STEP_OPS] * steps + [TARGET_STEP_OPS] * steps
+    recorded = set(re.findall(r'_(?:record|binary)\("(\w+)"', inspect.getsource(protocol.dc)))
+    assert set(SOURCE_STEP_OPS) | set(TARGET_STEP_OPS) == recorded
 
 
 # ---------------------------------------------------------------- metrics
