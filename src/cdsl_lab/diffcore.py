@@ -176,19 +176,20 @@ def relu(a) -> Tensor:
 
 
 def logsumexp_rows(*blocks) -> Tensor:
-    """Row log-sum-exp [n] of 2-d blocks read side by side as one row of terms.
-    Each row is shifted by its maximum over all blocks, so no exponential
-    overflows and a one-column block comes back bit for bit; -inf terms add
-    nothing and get zero gradient."""
+    """Row log-sum-exp as a column [n, 1] of 2-d blocks read side by side as one
+    row of terms. Each row is shifted by its maximum over all blocks, so no
+    exponential overflows and a one-column block comes back bit for bit; -inf
+    terms add nothing and get zero gradient."""
     blocks = tuple(as_tensor(b) for b in blocks)
     shapes = [b.shape for b in blocks]
     if not blocks or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
         raise DiffcoreError(f"logsumexp_rows: expected 2-d blocks of one row count, got {shapes}")
-    shift = reduce(np.maximum, [np.maximum.reduce(b.values, axis=1) for b in blocks])
-    exps = [np.exp(b.values - shift[:, None]) for b in blocks]
-    total = reduce(np.add, [np.add.reduce(e, axis=1) for e in exps])
+    shift = reduce(np.maximum, [np.maximum.reduce(b.values, axis=1, keepdims=True)
+                                for b in blocks])
+    exps = [np.exp(b.values - shift) for b in blocks]
+    total = reduce(np.add, [np.add.reduce(e, axis=1, keepdims=True) for e in exps])
     return _record("logsumexp_rows", blocks, shift + np.log(total),
-                   lambda g: tuple(e * (g / total)[:, None] if b.requires_grad else None
+                   lambda g: tuple(e * (g / total) if b.requires_grad else None
                                    for b, e in zip(blocks, exps)))
 
 
@@ -232,12 +233,10 @@ def reduce_mean(a) -> Tensor:
                    lambda g: (np.full(a.shape, g / n),))
 
 
-def sgd_step(params: list[Tensor], velocities: list[np.ndarray] | None = None, *,
-             learning_rate: float, momentum: float, weight_decay: float) -> list[np.ndarray]:
-    """One momentum-SGD update in place: v <- m*v + (g + wd*p); p <- p - lr*v.
-    Returns the velocities, one array per parameter, for the next step."""
-    if velocities is None:
-        velocities = [np.zeros_like(p.values) for p in params]
+def sgd_step(params: list[Tensor], velocities: list[np.ndarray], *,
+             learning_rate: float, momentum: float, weight_decay: float) -> None:
+    """One momentum-SGD update of the parameters and their velocities (one
+    array per parameter), both in place: v <- m*v + (g + wd*p); p <- p - lr*v."""
     if len(velocities) != len(params):
         raise DiffcoreError("sgd: velocities do not match parameter list")
     for p, v in zip(params, velocities):
@@ -246,7 +245,6 @@ def sgd_step(params: list[Tensor], velocities: list[np.ndarray] | None = None, *
         v *= momentum
         v += p.grad + weight_decay * p.values
         p.values -= learning_rate * v
-    return velocities
 
 
 @cache

@@ -241,15 +241,12 @@ def shot_style_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
     """Centroids from all samples, cosine assignment, one refinement round."""
     feats = nets.feature_values(net, x)
     probs = nets.probs_from_features(net, feats)
-    classes = probs.shape[1]
     cents = weighted_centroids(feats, probs)
     labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
-    onehot = np.eye(classes)[labels]
-    counts = onehot.sum(axis=0)
-    refined = cents.copy()
-    filled = counts > 0
-    refined[filled] = (onehot.T @ feats)[filled] / counts[filled, None]
-    labels = np.argmax(cosine_to_centroids(feats, refined), axis=1)
+    onehot = np.eye(probs.shape[1])[labels]
+    filled = onehot.any(axis=0)  # a class no row took keeps its soft centroid
+    cents[filled] = weighted_centroids(feats, onehot[:, filled])
+    labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
     return PseudoLabelSet(labels=labels, method="shot_style", stage=stage, probs=probs)
 
 

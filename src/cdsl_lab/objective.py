@@ -3,14 +3,14 @@ alignment across adjacent models, and soft-output distillation.
 
 All losses are diffcore primitives, so one backward pass covers the whole
 objective, and all read one score matrix, features @ prototypes.T. Each loss is
-the row mean of lse(every term) - lse(the positives), a positive being a row_dot
-of terms with a target. CE's terms are the scores, its target the one-hot labels;
-alignment adds the scores against the frozen previous prototypes (positive: their
-one-hot column too) and the feature Gram matrix plus a mask, 0 between rows of
-different classes and -inf elsewhere (so each row with itself too). Distillation
-is CE against the frozen model's soft output. With no previous model in the
-batch context alignment collapses to the current-prototypes-only form and
-nothing is distilled."""
+the row mean of lse(every term) minus one positive column [n, 1], a row_dot of
+terms with a target. CE's terms are the scores, its target the one-hot labels;
+alignment adds the scores against the frozen previous prototypes (its positive
+then the lse of both one-hot columns) and the feature Gram matrix plus a mask, 0
+between rows of different classes and -inf elsewhere (so each row with itself
+too). Distillation is CE against the frozen model's soft output. With no previous
+model in the batch context alignment collapses to the current-prototypes-only
+form and nothing is distilled."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ class BatchContext:
     onehot: np.ndarray = field(init=False)  # float one-hot of labels [n, classes]
     scores: Tensor = field(init=False)  # taped linear(features, prototypes)
     assigned: Tensor = field(init=False)  # scores' assigned-class column [n, 1]
-    lse: Tensor = field(init=False)  # scores' row log-sum-exp [n]
+    lse: Tensor = field(init=False)  # scores' row log-sum-exp [n, 1]
 
     def __post_init__(self):
         n = self.features.shape[0]
@@ -76,35 +76,37 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
                         distill_on=distill_on)
 
 
-def _lse_gap(lse_terms: Tensor, positives: list[Tensor]) -> Tensor:
-    """Row mean of lse_terms (of every term) - lse(positives).
+def _lse_gap(lse_terms: Tensor, positive: Tensor) -> Tensor:
+    """Row mean of lse_terms (of every term) - positive, both columns [n, 1].
     For CE and alignment, whose terms hold their positives (the assigned
     class's entries, which a one-hot row_dot keeps with their bits), the gap is
-    never below 0, with no clamp: each lse is at least its shift, the row max
-    (M of the terms, m <= M of the positives), as its shifted sum holds an exact 1.
-    One positive comes back bit for bit, so the gap is >= M - m. Two with M = m
-    share the shift, and the terms' sum holds the positives' exponentials with
-    their bits. Two with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e))
-    with e <= 1, exceeds log 1.5, far beyond the rounding of logs of sums in
-    [1, terms], and rounding M + log(sum) and m + log(sum') keeps their order."""
-    return dc.reduce_mean(dc.sub(lse_terms, dc.logsumexp_rows(*positives)))
+    never below 0, with no clamp. One positive p is an entry of its row's terms:
+    lse(terms) is rounded from M + log(S), M the row max and S >= 1 as the shifted
+    sum holds an exact 1, and rounding is monotone, so lse(terms) >= M >= p.
+    Two positives, p = lse(positives): each lse is at least its shift, the row max
+    (M of the terms, m <= M of the positives). Two with M = m share the shift,
+    and the terms' sum holds the positives' exponentials with their bits. Two
+    with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e)) with e <= 1,
+    exceeds log 1.5, far beyond the rounding of logs of sums in [1, terms], and
+    rounding M + log(sum) and m + log(sum') keeps their order."""
+    return dc.reduce_mean(dc.sub(lse_terms, positive))
 
 
 def ce_loss(ctx: BatchContext) -> Tensor:
     """Mean negative log softmax score of the assigned class (bias-free logits)."""
-    return _lse_gap(ctx.lse, [ctx.assigned])
+    return _lse_gap(ctx.lse, ctx.assigned)
 
 
 def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
     """Prototype alignment, with the previous prototypes' terms when given."""
-    terms, positives = [ctx.scores], [ctx.assigned]
+    terms, positive = [ctx.scores], ctx.assigned
     if prev_prototypes is not None:
-        prev = dc.linear(ctx.features, Tensor(prev_prototypes))
+        prev = dc.linear(ctx.features, prev_prototypes)
         terms.append(prev)
-        positives.append(dc.row_dot(prev, ctx.onehot))
+        positive = dc.logsumexp_rows(ctx.assigned, dc.row_dot(prev, ctx.onehot))
     cross_class = np.where(ctx.labels[:, None] != ctx.labels, 0.0, -np.inf)
-    pairs = dc.add(dc.linear(ctx.features, ctx.features), Tensor(cross_class))
-    return _lse_gap(dc.logsumexp_rows(*terms, pairs), positives)
+    pairs = dc.add(dc.linear(ctx.features, ctx.features), cross_class)
+    return _lse_gap(dc.logsumexp_rows(*terms, pairs), positive)
 
 
 def pca_loss(ctx: BatchContext) -> Tensor:
@@ -121,17 +123,16 @@ def source_pca_loss(ctx: BatchContext) -> Tensor:
 def distill_loss(ctx: BatchContext) -> Tensor:
     """Mean KL from the frozen model's soft outputs t to softmax(z), with z the
     scores or, in representation mode, the features: per row the lse gap
-    sum t log t + lse(z) - lse(t . z), the lse of one column being that column,
-    exact however small a probability gets."""
+    sum t log t + lse(z) - t . z, exact however small a probability gets."""
     target = ctx.distill_target
     if target is None:
         raise ValueError("objective: distill_loss needs previous-model outputs")
     z, lse = ((ctx.scores, ctx.lse) if ctx.distill_on == "logits"
               else (ctx.features, dc.logsumexp_rows(ctx.features)))
     log_t = np.log(target, out=np.zeros_like(target), where=target > 0.0)  # 0 log 0 = 0
-    neg_entropy = np.add.reduce(target * log_t, axis=1)
+    neg_entropy = np.add.reduce(target * log_t, axis=1, keepdims=True)
     # exact KL is non-negative; relu only strips float artifacts near zero
-    return dc.relu(_lse_gap(dc.add(Tensor(neg_entropy), lse), [dc.row_dot(z, target)]))
+    return dc.relu(_lse_gap(dc.add(neg_entropy, lse), dc.row_dot(z, target)))
 
 
 def total_loss(ctx: BatchContext, *, disable_pca: bool) -> tuple[Tensor, dict]:

@@ -139,7 +139,7 @@ class AccuracyMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError(f"matrix: expected 2-d values, got shape {self.values.shape}")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+        if not ((self.values >= 0.0) & (self.values <= 1.0)).all():
             raise ValueError("matrix: accuracies must lie in [0, 1]")
 
 
@@ -261,15 +261,14 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
                                hidden=cfg.hidden, bottleneck=cfg.bottleneck)
     previous: nets.Network | None = None  # continual runs: frozen snapshot after the last stage
     mem = None if cfg.stationary else memory_mod.ExemplarMemory(cfg.memory_capacity)
-    velocities: list[np.ndarray] | None = None
     params = nets.parameters(model)
+    velocities = [np.zeros_like(p.values) for p in params]
 
     eval_sets = [(te_x, te_y) if i == 0 else datasets[i]
                  for i in range(len(seq.specs))]
     logs: dict = {"train_log": [], "label_log": [], "stage_log": [], "admissions": []}
 
     def train_step(stage: int, epoch: int, step: int, batch_x, batch_y):
-        nonlocal velocities
         with dc.Tape() as tape:
             ctx = objective.build_context(model, previous, batch_x, batch_y,
                                           distill_on=cfg.distill_on)
@@ -280,8 +279,8 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
                 f"non-finite loss at stage {stage} epoch {epoch} step {step}: {values}")
         dc.zero_grads(params)
         dc.backward(tape, total, params=params)
-        velocities = dc.sgd_step(params, velocities, learning_rate=cfg.learning_rate,
-                                 momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+        dc.sgd_step(params, velocities, learning_rate=cfg.learning_rate,
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 
     def pseudo_labels(stage: int, epoch: int, x, y) -> np.ndarray:

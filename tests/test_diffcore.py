@@ -208,9 +208,11 @@ def test_logsumexp_rows_shifts_large_entries_by_the_row_maximum():
     out = dc.logsumexp_rows(dc.Tensor(a), dc.Tensor(b)).values
     assert np.isfinite(out).all()
     rows = np.hstack([a, b])
-    top = rows.max(axis=1)
-    assert np.array_equal(out, top + np.log(np.exp(rows - top[:, None]).sum(axis=1)))
-    assert out[0] == pytest.approx(1001.25 + np.log(np.exp([-1.25, -2.75, 0.0]).sum()),
+    top = rows.max(axis=1, keepdims=True)
+    assert np.array_equal(out, top + np.log(np.exp(rows - top).sum(axis=1, keepdims=True)))
+    # a per-row column, the shape row_dot gives on the same rows
+    assert out.shape == dc.row_dot(dc.Tensor(rows), np.ones_like(rows)).shape == (2, 1)
+    assert out[0, 0] == pytest.approx(1001.25 + np.log(np.exp([-1.25, -2.75, 0.0]).sum()),
                                    abs=1e-12)
 
 
@@ -228,11 +230,11 @@ def test_logsumexp_rows_of_one_column_is_that_column_bit_for_bit():
     scales = np.repeat([1e-3, 1.0, 1e3], 3)[:, None]
     column = np.random.default_rng(17).normal(size=(9, 1)) * scales
     out = dc.logsumexp_rows(dc.Tensor(column)).values
-    assert out.tobytes() == column[:, 0].tobytes()
+    assert out.tobytes() == column.tobytes()
     # a one-hot row_dot picks the column with its bits
     picked = dc.row_dot(dc.Tensor(np.hstack([column, -column])), np.eye(2)[[0] * 9])
     assert picked.values.tobytes() == column.tobytes()
-    assert dc.logsumexp_rows(picked).values.tobytes() == column[:, 0].tobytes()
+    assert dc.logsumexp_rows(picked).values.tobytes() == column.tobytes()
 
 
 def test_logsumexp_rows_and_row_dot_reject_mismatched_shapes():
@@ -278,30 +280,33 @@ def test_sgd_two_steps_match_hand_derivation():
         return 2.0 * v  # d/dv of v^2
 
     th0 = 2.0
+    velocities = [np.zeros(1)]
     theta.grad = np.array([grad_of(th0)])
-    velocities = dc.sgd_step([theta], **hyper)
+    dc.sgd_step([theta], velocities, **hyper)
     v1 = grad_of(th0) + 0.01 * th0
     th1 = th0 - 0.1 * v1
+    assert velocities[0][0] == v1  # updated in place
     assert theta.values[0] == th1
 
     theta.grad = np.array([grad_of(th1)])
-    assert dc.sgd_step([theta], velocities, **hyper) is velocities  # updated in place
+    dc.sgd_step([theta], velocities, **hyper)
     v2 = 0.9 * v1 + (grad_of(th1) + 0.01 * th1)
     th2 = th1 - 0.1 * v2
+    assert velocities[0][0] == v2
     assert theta.values[0] == th2
 
 
 def test_sgd_without_momentum_or_decay_is_plain_descent():
     p = dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.2, 0.4])
-    dc.sgd_step([p], learning_rate=0.5, momentum=0.0, weight_decay=0.0)
+    dc.sgd_step([p], [np.zeros(2)], learning_rate=0.5, momentum=0.0, weight_decay=0.0)
     assert np.array_equal(p.values, np.array([1.0 - 0.1, -2.0 - 0.2]))
 
 
 def test_sgd_requires_gradients():
     p = dc.Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(dc.DiffcoreError, match="gradient"):
-        dc.sgd_step([p], learning_rate=0.1, momentum=0.9, weight_decay=0.0)
+        dc.sgd_step([p], [np.zeros(2)], learning_rate=0.1, momentum=0.9, weight_decay=0.0)
 
 
 def test_sgd_rejects_velocities_of_another_parameter_list():
