@@ -225,22 +225,6 @@ def _metric_rows(metrics: MetricsReport) -> list[tuple[str, list, float | None]]
             ("fa", metrics.fa, metrics.fa_avg)]
 
 
-def _check_metrics(metrics: MetricsReport) -> None:
-    """ValueError unless tdg, tda and fa are lists of one length whose cells and
-    averages are numbers in [0, 1], with null only where a metric has no value."""
-    lists = [cells for _, cells, _ in _metric_rows(metrics)]
-    if not all(isinstance(cells, list) for cells in lists) or len(set(map(len, lists))) != 1:
-        raise ValueError("tdg, tda and fa must be lists of one length")
-    n = len(metrics.tda)
-    nullable = {"tdg": (0, n), "tda": (), "fa": (n - 1, n)}  # index n is the average
-    for name, cells, avg in _metric_rows(metrics):
-        for j, value in enumerate([*cells, avg]):
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 <= value <= 1) and not (value is None and j in nullable[name]):
-                where = f"{name}_avg" if j == n else f"{name}[{j}]"
-                raise ValueError(f"{where} must be a number in [0, 1], got {value!r}")
-
-
 def metrics_to_csv(metrics: MetricsReport) -> str:
     header = ["metric", *(f"domain_{j}" for j in range(len(metrics.tda))), "avg"]
     return protocol.csv_text(header, [[name, *("" if c is None else f"{c:.17g}"
@@ -269,7 +253,6 @@ def cmd_report(args) -> int:
         raise UsageError(f"no metrics.json under {args.results_dir}")
     try:
         metrics = MetricsReport(**json.loads(path.read_text()))  # keys are the field names
-        _check_metrics(metrics)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"{path} is not a metrics report: {exc}") from exc
     print(REPORT_FORMATS[args.format](metrics), end="")

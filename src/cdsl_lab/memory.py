@@ -5,8 +5,11 @@ buckets shrink as new domains arrive. Within a domain, exemplars are the
 samples nearest their own class centroid in feature space, picked in a
 class-balanced round-robin so no class dominates the bucket.
 
-Each domain's bucket is one (inputs, labels, distances) tuple of arrays
-with rows in admission order; only this module reads that layout.
+Each domain's bucket is one (inputs, labels) pair of arrays with rows in
+round-robin order. That order does not depend on the quota, so a bucket
+shrinks to a prefix: its first q rows are the round-robin pick at quota q,
+and one selection rule serves admission and every later shrink. Only this
+module reads that layout.
 """
 
 from __future__ import annotations
@@ -19,23 +22,14 @@ from . import nets
 class ExemplarMemory:
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.buckets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.buckets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def sizes(self) -> dict[int, int]:
         """Rows held per domain, in admission order."""
-        return {dom: labels.shape[0] for dom, (_, labels, _) in self.buckets.items()}
+        return {dom: labels.shape[0] for dom, (_, labels) in self.buckets.items()}
 
     def total(self) -> int:
         return sum(self.sizes().values())
-
-
-def rebalance(mem: ExemplarMemory) -> None:
-    """Shrink every bucket to its equal share, keeping its nearest rows in
-    stored order; the earlier row wins a distance tie."""
-    quota = mem.capacity // len(mem.buckets)
-    for dom, (inputs, labels, distances) in mem.buckets.items():
-        keep = np.sort(np.argsort(distances, kind="stable")[:quota])
-        mem.buckets[dom] = (inputs[keep], labels[keep], distances[keep])
 
 
 def select_round_robin(distances: np.ndarray, labels: np.ndarray, quota: int) -> list[int]:
@@ -54,7 +48,8 @@ def select_round_robin(distances: np.ndarray, labels: np.ndarray, quota: int) ->
 
 def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
                  domain_id: int) -> dict:
-    """Store a new domain's representative samples and shrink older buckets.
+    """Store a new domain's representative samples and cut every bucket to
+    its equal share, a prefix of its round-robin order.
 
     Returns a record of the selection (per-sample centroid distances and the
     chosen indices) so the choice can be audited against a full sort.
@@ -75,8 +70,9 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
     # the same bits as np.linalg.norm of each row; norm(diff, axis=1) differs
     distances = np.sqrt(np.vecdot(diff, diff))
     chosen = select_round_robin(distances, labels, quota)
-    mem.buckets[domain_id] = (x[chosen], labels[chosen], distances[chosen])
-    rebalance(mem)
+    mem.buckets[domain_id] = (x[chosen], labels[chosen])
+    for dom, bucket in mem.buckets.items():
+        mem.buckets[dom] = tuple(part[:quota] for part in bucket)
     return {"quota": quota, "distances": distances, "labels": labels.copy(),
             "chosen": chosen}
 
@@ -87,6 +83,6 @@ def replay_batch(mem: ExemplarMemory, n: int,
     without replacement when possible."""
     if mem.total() == 0:
         raise ValueError("memory: replay from empty memory")
-    inputs, labels, _ = (np.concatenate(parts) for parts in zip(*mem.buckets.values()))
+    inputs, labels = (np.concatenate(parts) for parts in zip(*mem.buckets.values()))
     idx = rng.choice(labels.shape[0], size=n, replace=n > labels.shape[0])
     return inputs[idx], labels[idx]

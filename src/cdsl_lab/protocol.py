@@ -152,6 +152,22 @@ class MetricsReport:
     tda_avg: float
     fa_avg: float | None
 
+    def __post_init__(self):
+        """ValueError unless tdg, tda and fa are lists of one length whose cells and
+        averages are numbers in [0, 1], with null only where a metric has no value."""
+        names = ("tdg", "tda", "fa")
+        lists = [getattr(self, name) for name in names]
+        if not all(isinstance(cells, list) for cells in lists) or len(set(map(len, lists))) != 1:
+            raise ValueError("tdg, tda and fa must be lists of one length")
+        n = len(self.tda)
+        nullable = {"tdg": (0, n), "tda": (), "fa": (n - 1, n)}  # index n is the average
+        for name, cells in zip(names, lists):
+            for j, value in enumerate([*cells, getattr(self, f"{name}_avg")]):
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not (number and 0 <= value <= 1) and not (value is None and j in nullable[name]):
+                    where = f"{name}_avg" if j == n else f"{name}[{j}]"
+                    raise ValueError(f"{where} must be a number in [0, 1], got {value!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import diffcore as dc
 from . import nets
 
-KERNEL_SIZES = (5, 9, 13, 17)
+KERNEL_SIZES = (5, 7, 7, 7)  # per ensemble member; odd, and no wider than an 8x8 bitmap
 NORM_EPS = 1e-5
 WEIGHT_SUM_FLOOR = 0.1
 _OPEN_LO = 1e-12
@@ -55,14 +55,6 @@ class RandAutoencoder:
     dec: np.ndarray  # [d, d], likewise
     scale: np.ndarray  # [d], multiplicative noise (offset by +1)
     shift: np.ndarray  # [d], additive noise
-
-
-def effective_kernel(size: int, side: int) -> int:
-    """Largest odd kernel size that is <= both the requested size and the side."""
-    k = min(size, side)
-    if k % 2 == 0:
-        k -= 1
-    return max(k, 1)
 
 
 def instance_norm(x: np.ndarray) -> np.ndarray:
@@ -91,9 +83,8 @@ def make_autoencoder(dim: int, rng: np.random.Generator,
     if image_side is not None:
         if image_side * image_side != dim:
             raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
-        k = effective_kernel(kernel_size, image_side)
-        enc = conv_matrix(rng.normal(size=(k, k)), image_side)
-        dec = conv_matrix(rng.normal(size=(k, k)), image_side)
+        enc = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
+        dec = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
     else:
         enc = rng.normal(size=(dim, dim))
         dec = rng.normal(size=(dim, dim))

@@ -4,9 +4,11 @@ Each case is a 2-epoch, 5-step run, on the domains SEQUENCES names or
 else on its config's preset. Its pinned sha256 digests cover
 matrix.csv, metrics.json and train_log.csv, plus the final model's param_hash.
 A change that alters output bits on purpose updates the digests in the same
-commit and says why. ENVIRONMENT records where the digests were taken;
-another numpy or BLAS may round differently without the program being at
-fault, so a failure names any difference from it.
+commit and says why; `PYTHONPATH=src python tests/test_golden.py DIR` runs
+every case into DIR and prints their digests as a DIGESTS literal.
+ENVIRONMENT records where the digests were taken; another numpy or BLAS may
+round differently without the program being at fault, so a failure names any
+difference from it.
 """
 
 import contextlib
@@ -52,46 +54,46 @@ ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
 DIGESTS = {
     "rot5": {
-        "matrix.csv": "8e049144160220b1abc89dfe60b6a691959301de4c0e98b016ccf82669396765",
-        "metrics.json": "305b1798d4c7c4d4252848140b2785eb7a87f1c9631410515c76fbfe9986dfc9",
-        "train_log.csv": "b18de0f11f315effcf52a6e48f464c0e870a5cefdcef5d43b9c2fb22667e3ae5",
-        "param_hash": "e8f83981f97203fee9c7f5143eb21ec140c48c1328e36fb952da5836e4c19831",
+        "matrix.csv": "65d4cd2ebf175c0fbc1a37f3b65e69c6b18b25c4ef382670cd55493f3d5095a7",
+        "metrics.json": "45407dfa58a9f6a57d138bb306afbd6118f577799ba62c442b4f8a0c9fa71e72",
+        "train_log.csv": "3fda253df11f4d2b6bce069c0b1ed06508233624c776dfb96b0a70cc47749248",
+        "param_hash": "6078e0b55dafd21bd60f6c0d1f3ad66983e520967efc0b0cc85033cc7b2a6975",
     },
     "bitmap5": {
-        "matrix.csv": "ec2eee481bcf10f49e7d0e6d9c8a0ec3df47af74f999baf43afbe56b5a624a26",
-        "metrics.json": "fce8786f0eb752467da7ec77cd8bda70d746b58ae938c87f0354df72a810533a",
-        "train_log.csv": "0525a34eefb3f3348452ca0728d30a679bb53e688a18d50b5689cbc0bb3d54df",
-        "param_hash": "f510e1a9bdbc9408747260994a79bfb3b599be19c76a334291ab9c49064707b9",
+        "matrix.csv": "16ff39bef120a3cd0198f0abab9cd4367627ac9080b588b2fd6792d071f3aa4d",
+        "metrics.json": "5e6c606d7e01f87d30d211b3f59f65b0d671566f1558ef444d1b9e8f8e6b0277",
+        "train_log.csv": "64258a1c4758d912c78d3cf6f07d938d140ee8c30cc4d8a18d18af6223d1e4f0",
+        "param_hash": "27ee3928e5441c9b9e7fa70f88800d4ed22e470a3ede4bb561ca3fd79dad9c78",
     },
     "moons4": {
-        "matrix.csv": "71bdc631bc38f5cc4a992a6367d70e7fb9f29a4a91abcd58d3e8b3187e06ae4f",
-        "metrics.json": "694d9b9067e6611f41951e6914e3129bbf83abc84965d8388d227795ad60e34c",
-        "train_log.csv": "144168ec0de0dc42461710f6e32f31740b339871e74241703bd45b7472964dbd",
-        "param_hash": "f7dda2e3c30ed750ba8dfaf20a20aff52ac6f5be07eddbb760537a89e8cd701e",
+        "matrix.csv": "6149be0747d802db2ddd614d10c1a43ce2ca9316299cc1a38bc081811c0b5a59",
+        "metrics.json": "15c2a785d66a50de001c34946a89b17083959ce80bc157725cd9fd2928d4e309",
+        "train_log.csv": "22c3f63084812ed14aaf5d43a8b1a4f92d0e21fdca5241ab0be7f91a71f2733c",
+        "param_hash": "a4df22e0ecb76dcc7f9a27e5319ede33f14ebcfeeca5ea5541522fdcf71f6dfd",
     },
     "no_randmix": {
-        "matrix.csv": "7d9930ed09f3318e946d86297be132fb98a92caa9e61641d7f4fe6cb04d93f23",
-        "metrics.json": "d03f44b73242a0f2a5193a3efea57b2891535cc8a8d9b0694951a0ee3d2d7785",
-        "train_log.csv": "43b6fed74310a1098e0184282faba86482a43bff340336125e46ba76d2b3e391",
-        "param_hash": "cb8445e1329c1ad977fe6d799cc698c9134535d32721dace8a2d154a1c7c5b2c",
+        "matrix.csv": "d9c4e0991348e5a7bae637a8f2ade25ad37343fbe9f29d5c1e911c8186357f3c",
+        "metrics.json": "4a47162b6e230e40bbfa243e58474bb791072e284a7c18af19f8ca0681da7a86",
+        "train_log.csv": "c620c6b84baf3a050f7e786945971da84011beb72a1324dbc0ae017bd594569a",
+        "param_hash": "3b09d6e6cfbc701abaa5d9db2bd48e07dc4f484bdf79fa2c4ae94fd43ae63476",
     },
     "labeler=softmax": {
-        "matrix.csv": "34de01c1281007692a6f743b23f11ebab81dc63637ffb0cbf77bb8646159ff03",
-        "metrics.json": "fb1a874d9c4904ce372878890f33555b66be5a3f38064f278b5cb9706a70a1e9",
-        "train_log.csv": "2f37d7f2a34490717710849bfe7549b7aae142fa0f5ba0173684e855edd53828",
-        "param_hash": "a4d2426873644c7de86acf008b079556e51c4038c18905b7a9478c3ed0b41b08",
+        "matrix.csv": "56c0fdb6ef05f67f7ee44c8b0ddb1a52f0187f3a64093054194d78bc1573af2a",
+        "metrics.json": "74358edb5c6ec533ca794f7232a1a22ccde8618faee0a018bd139c60373e85b3",
+        "train_log.csv": "d2fd292db46c898b4d92870fc2672b577eb3e79fdd7e0778484f8fe5e75ab084",
+        "param_hash": "a615ec5710df2c337ce3f8bebeda74df8d9aee249fd47d8da00780a582b45409",
     },
     "labeler=shot_style": {
-        "matrix.csv": "96ec86bce08fbd0fdc7b6ad9e624b69a039533ea281b992e1ecbab0b0c12c477",
-        "metrics.json": "dbd361ef9f36c286415d336df84dfd82a1e968cf43bda54b958efb01a8c5c782",
-        "train_log.csv": "347e739d357434206ea2e7275bddbd9953dbc208ab085df98be4e0ccbac1dd1d",
-        "param_hash": "bafbc3ad4053bea2e7156a675cbbd0d12419d0fddc861eb8a691547f9b7a958f",
+        "matrix.csv": "97a8b005c8487862a399b84648c5aee7c402f7b9bc590518903d0ef8806e8b3d",
+        "metrics.json": "2d778d2e89d40ee937690dc42a59898431fb529ea2403add0c682f9e5c396ab3",
+        "train_log.csv": "88c86014c35cf7924cc1f1a29d78a8e9bdcbfc0b44a1657fa1808109821ee424",
+        "param_hash": "c0df86c05861434ebc0b6698e33ae941cd13e3f985ed0dcad3cf48ca1dd2e9a3",
     },
     "no_pca": {
-        "matrix.csv": "566552960863a7852c5ed8351c147010a0d4a7765c37ad8e7083b7e19d53a293",
-        "metrics.json": "fb3fa1b10b1d94b52f1d4a9d38bd809808ed2f16c202386dbc53d459a998bf3c",
-        "train_log.csv": "ed3f3f20e997f7727babbe1d1127837b2e5c7457e8ccc89392c9aac79ad9bd76",
-        "param_hash": "4c93c27732f4c389f19b3dab7b84342bfd0d6277eacc0af8a18e52cf1cdcc829",
+        "matrix.csv": "89541beb8be5e72c7544212bf9d690388179a314522bf93792f8b8df846bd32f",
+        "metrics.json": "32317b4319702f9f0fd6b2eede36f35987151eaceb678433e984e914fe2d360f",
+        "train_log.csv": "b67f2bf447c6e8b735080ebf0229f62fdcc5b3ba464cd4ee74c17a075b383b10",
+        "param_hash": "9b44d06363615896fc5afe5a913006ab78637d2a40d635ff94e4c0ec408e3a2e",
     },
     "stationary": {
         "matrix.csv": "b8461b81de7be789641de37349f4ee87a942ae93cf5e77be06bc080f1a992f61",
@@ -100,32 +102,32 @@ DIGESTS = {
         "param_hash": "8b2d3c12fd36c252c5bd332343fb3756fe1b3da0e41dbe8d9c043754f2ce196c",
     },
     "distill_on=representation": {
-        "matrix.csv": "17b17e1d200cec75f22de842b02623d056a0359325e6f00c0cf22e04462b18c2",
-        "metrics.json": "4e79381f05feafe845e3ff8928459a817da905ebaae4f0a54f9deb312577f0a0",
-        "train_log.csv": "410eccadc8f8261213813211ca9323b0647c5abfcfb6798bcdfe01ae183efbb6",
-        "param_hash": "c74baa382756b5e428f02cd953ec2bf5f8966e8f21e2df664150fc6411fadc59",
+        "matrix.csv": "0f1dcd3b85bec302e1f53e4371fe66043bd298d2f6c90452891d6fdea2fa19eb",
+        "metrics.json": "cec11716d07f8d7f8bdc0a0f6a78a058ab163cc217bdb02b9e08a66f95b9a39f",
+        "train_log.csv": "9c1ceeedbe78cd4de47292b729c0af34eac6f62d8c0239d7a5e9d9b7bb92944d",
+        "param_hash": "024b6b5676511538614e998b6e9e4933f2e4dfa9158039186112a789916883c4",
     },
     "bottleneck=none": {
-        "matrix.csv": "afaea444de28c47111d9e359b881b07cbcbb1b4e0a5049430454525c04429752",
-        "metrics.json": "f4f98be67780edab4d6d718a1aa1746cd6537aef2accc3070fcd0d3df2e3ab39",
-        "train_log.csv": "2afc0ac2fafbd064d59ea1e0fe4f3697feeed7ea99d693948fc54f0d0d8f8e05",
-        "param_hash": "32c89558a8868d2ce31d0da2609023e6be6b67af89ea2d4ca5bc33902ea66226",
+        "matrix.csv": "edafdc7217ee43ca8a529e439e5bf6187fd354ed28fe9342a5f933719e1742d4",
+        "metrics.json": "37b49e807752b5c3a76552a4f2b3f367cfbf74478d12a11b82f83b6bb924a1f8",
+        "train_log.csv": "8d979ca3666d6700ae266849c05ab2453b6fbc74a0c9ff3e450e36aef5a261eb",
+        "param_hash": "8109a6e19674c7d05bcdc4bbdb8cc47f9b3d3dd5ed1437d9af86352f17a1be65",
     },
     "moons4-600": {
-        "matrix.csv": "cdec4eae0b38efafd203997e8a5a0c4ef6078e404e95bac68d1ab23ff18ca92b",
-        "metrics.json": "7fe689a8c0ce70a3396e02d3d3e91b777a95d1d401c3793dc2255801ce7fa702",
-        "train_log.csv": "18d7de0cfc3c5a6bc62e2daf797cfeec4e2fd7d888d3558ed41cbd8a1d96671d",
-        "param_hash": "304e7682dae031a1eb1bbe34c69a79e7fb8c29c231f9cf46780b5755d3bb4fe1",
+        "matrix.csv": "712c018441506fef675f9ead837601476818e65a2da695195a577f47058d24e4",
+        "metrics.json": "5ac998abbbf6057d511c06a443c6cc5fd3c90d1ea1bb078e715718aa1ae45de3",
+        "train_log.csv": "63ad43c98007a3c876b5d6f5373cf0c5c64a7b8e206575367dbbe0d851ae7dda",
+        "param_hash": "124c54512855009f9826d972ce13df4eaf8b455a197123f269c2c2c6a3800995",
     },
 }
 
 TABLE_DIGESTS = {
-    "sweep stdout": "9a5d431c2dc31b164015814612bfcffd5da01db3f3d817c0506f128aa727b96a",
-    "ablate stdout": "f77f553f7d1fac17d905aab055f9ddd26fbff338e8465f29032880616f0100ad",
-    "summary.csv": "1f47652a77ce1685351d89bd31b43a0402e543e6df6738dda1d779e5d1243802",
-    "ablation.csv": "aa2ad3329d938ad4e57d741ad0e0908500acfd5d9a6c0c1f0af363d0e1c2267b",
-    "report --format text": "9c7e5ad66d4cde5ad21364d08f5c4f68776c98f068c88b059d997476bcad48a8",
-    "report --format csv": "906e97fa0308e5a22d986c1534127870d41ca30466010df2879473b509836003",
+    "sweep stdout": "08267c01efc1ab2f5004d88fcc369ce506d54407dbd33c2be35cd65d2f77af8d",
+    "ablate stdout": "3a2c190e48859a324cb0f2b19a9cb300a65a94b1040d8e2370359972d2f4bed6",
+    "summary.csv": "f34b54b929ce5e0df9d3d1eb5d47c21571849344f7e433940f9a6951b79ca537",
+    "ablation.csv": "aa7ef3a028a31dbc640c21ef46fff8db04e3776599e6295817c03957ce8cc82e",
+    "report --format text": "07577138d38634b7c4dc55ec59f208c95181fed510c86cb0a73d4fdc520a7105",
+    "report --format csv": "a0d8e53d0f91ccdcd71faebfd534b7f88b4e313754866c54c3cfe5b4eabcfeab",
 }
 
 
@@ -160,22 +162,11 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == DIGESTS[name], environment_note()
 
 
-ONE_THREAD_RUNS = """
-import json, sys
-from pathlib import Path
-import test_golden
-out = Path(sys.argv[1])
-print(json.dumps({name: test_golden.run_digests(name, out / name)
-                  for name in test_golden.CASES}))
-"""
-
-
 def test_one_blas_thread_gives_the_same_digests(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                      str(REPO / "tests"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", ONE_THREAD_RUNS, str(tmp_path)],
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path)],
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -212,3 +203,8 @@ def test_cli_tables_match_golden_digests(tmp_path, capsys):
                          "--format", fmt]) == 0
         got[f"report --format {fmt}"] = sha256(capsys.readouterr().out.encode())
     assert got == TABLE_DIGESTS, environment_note()
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1])
+    print(json.dumps({name: run_digests(name, out / name) for name in CASES}, indent=4))

@@ -12,36 +12,32 @@ def identity_net(dim=2):
     return nets.Network([layer], [], Tensor(np.eye(dim), requires_grad=True))
 
 
-def bucket(distances, labels=None, first_input=0):
-    """A stored bucket whose rows are told apart by their first input."""
-    m = len(distances)
+def bucket(m, labels=None, first_input=0):
+    """A stored bucket of m rows told apart by their first input."""
     inputs = np.stack([np.arange(first_input, first_input + m, dtype=float),
                        np.zeros(m)], axis=1)
     labels = np.zeros(m, dtype=int) if labels is None else np.asarray(labels)
-    return inputs, labels, np.asarray(distances, dtype=float)
+    return inputs, labels
 
 
-def test_rebalance_keeps_smallest_distances():
+def test_shrink_keeps_every_class_when_the_nearest_rows_are_one_class():
+    """Class 0 lies nearer its centroid than class 1 does, so domain 0's two
+    nearest rows are both class 0; the shrink to quota 2 keeps the prefix of
+    the round-robin order, one row of each class."""
+    net = identity_net()
+    x = np.array([[0.0, 0.1], [0.0, -0.1], [0.2, 0.0], [-0.2, 0.0],
+                  [11.0, 10.0], [9.0, 10.0], [10.0, 13.0], [10.0, 7.0]])
+    labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     mem = memory.ExemplarMemory(capacity=4)
-    mem.buckets[0] = bucket((0.3, 0.9, 0.1, 0.5))
-    mem.buckets[1] = bucket((0.2, 0.8, 0.4), first_input=10)
-    memory.rebalance(mem)
-    # the nearest rows, still in stored order, with their inputs and labels
-    inputs, labels, distances = mem.buckets[0]
-    assert list(distances) == [0.3, 0.1]
-    assert list(inputs[:, 0]) == [0.0, 2.0]
-    assert labels.shape == (2,)
-    assert list(mem.buckets[1][2]) == [0.2, 0.4]
-    assert list(mem.buckets[1][0][:, 0]) == [10.0, 12.0]
+    record = memory.admit_domain(mem, net, x, labels, domain_id=0)
+    assert list(record["distances"]) == [0.1, 0.1, 0.2, 0.2, 1.0, 1.0, 3.0, 3.0]
+    assert record["chosen"] == [0, 4, 1, 5]
+    memory.admit_domain(mem, net, x + 1.0, labels, domain_id=1)
     assert mem.sizes() == {0: 2, 1: 2}
     assert mem.total() == 4
-
-
-def test_rebalance_is_stable_on_distance_ties():
-    mem = memory.ExemplarMemory(capacity=2)
-    mem.buckets[0] = bucket([0.5] * 4, labels=range(4))
-    memory.rebalance(mem)
-    assert list(mem.buckets[0][1]) == [0, 1]
+    inputs, kept_labels = mem.buckets[0]
+    assert np.array_equal(inputs, x[[0, 4]])
+    assert list(kept_labels) == [0, 1]
 
 
 def round_robin_oracle(distances, labels, quota):
@@ -96,14 +92,13 @@ def test_admit_picks_nearest_to_class_centroids():
     mem = memory.ExemplarMemory(capacity=4)
     record = memory.admit_domain(mem, net, x, labels, domain_id=0)
     assert record["quota"] == 4
-    inputs, kept_labels, distances = mem.buckets[0]
+    inputs, kept_labels = mem.buckets[0]
     kept = {tuple(row) for row in inputs}
     assert (3.0, 3.0) not in kept
     assert (7.0, 7.0) not in kept
     assert len(kept) == 4
     assert np.array_equal(inputs, x[record["chosen"]])
     assert np.array_equal(kept_labels, labels[record["chosen"]])
-    assert np.array_equal(distances, record["distances"][record["chosen"]])
 
 
 def test_admit_distances_match_a_per_row_norm_bit_for_bit():
@@ -138,22 +133,28 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
     rng = np.random.default_rng(0)
     net = identity_net(dim=3)
     mem = memory.ExemplarMemory(capacity=20)
+    xs, records = {}, {}
     for dom in range(5):
-        x = rng.normal(size=(30, 3))
+        xs[dom] = rng.normal(size=(30, 3))
         labels = rng.integers(0, 3, size=30)
-        record = memory.admit_domain(mem, net, x, labels, domain_id=dom)
+        records[dom] = record = memory.admit_domain(mem, net, xs[dom], labels, domain_id=dom)
         t = dom + 1
         assert mem.total() <= 20
         assert all(size <= 20 // t for size in mem.sizes().values())
 
         assert record["chosen"] == round_robin_oracle(
             record["distances"], record["labels"], record["quota"])
+        # every bucket is its own admission's round-robin pick at today's quota
+        for d, (inputs, kept_labels) in mem.buckets.items():
+            rows = records[d]["chosen"][:record["quota"]]
+            assert np.array_equal(inputs, xs[d][rows]), (dom, d)
+            assert np.array_equal(kept_labels, records[d]["labels"][rows]), (dom, d)
 
 
 def test_replay_is_uniform_over_memory():
     mem = memory.ExemplarMemory(capacity=10)
     for dom in range(2):
-        mem.buckets[dom] = bucket([0.1 * i for i in range(5)], first_input=5 * dom)
+        mem.buckets[dom] = bucket(5, first_input=5 * dom)
     rng = np.random.default_rng(1)
     counts = np.zeros(10)
     for _ in range(2500):
@@ -165,7 +166,7 @@ def test_replay_is_uniform_over_memory():
 
 def test_replay_without_replacement_when_batch_fits():
     mem = memory.ExemplarMemory(capacity=10)
-    mem.buckets[0] = bucket([0.0] * 6, labels=range(6))
+    mem.buckets[0] = bucket(6, labels=range(6))
     x, labels = memory.replay_batch(mem, 6, np.random.default_rng(2))
     assert sorted(labels) == list(range(6))
     assert sorted(x[:, 0]) == list(range(6))

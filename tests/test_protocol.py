@@ -91,6 +91,18 @@ def test_metrics_roundtrip_through_dict():
     assert again == rep
 
 
+def test_metrics_report_checks_its_lists_and_values():
+    good = protocol.compute_metrics(np.eye(2) * 0.5 + 0.25).to_dict()
+    assert good["tdg"][0] is None and good["fa"][1] is None
+    MetricsReport(**{**good, "tdg_avg": None, "fa_avg": None})  # no value to average
+    with pytest.raises(ValueError, match=r"tdg\[1\] must be a number in \[0, 1\], got 1\.7"):
+        MetricsReport(**{**good, "tdg": [None, 1.7]})
+    with pytest.raises(ValueError, match=r"tda\[0\] must be a number in \[0, 1\], got None"):
+        MetricsReport(**{**good, "tda": [None, 0.75]})
+    with pytest.raises(ValueError, match="lists of one length"):
+        MetricsReport(**{**good, "fa": [0.5]})
+
+
 def test_accuracy_matrix_validates_range():
     with pytest.raises(ValueError, match="0, 1"):
         AccuracyMatrix(np.array([[0.5, 1.2], [0.1, 0.3]]))

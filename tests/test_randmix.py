@@ -5,6 +5,8 @@ from conftest import AWKWARD_WIDTHS, awkward_rows
 
 from cdsl_lab import nets, randmix
 
+DISTINCT_KERNEL_SIZES = sorted(set(randmix.KERNEL_SIZES))
+
 
 def tiny_net(seed=0, input_dim=4, classes=3):
     rng = np.random.default_rng(seed)
@@ -18,16 +20,8 @@ def test_autoencoder_preserves_outer_shape_dense_and_conv():
     assert randmix.autoencode(ae, x).shape == (5, 6)
 
     imgs = rng.normal(size=(3, 64))
-    conv = randmix.make_autoencoder(64, rng, image_side=8, kernel_size=13)
+    conv = randmix.make_autoencoder(64, rng, image_side=8, kernel_size=7)
     assert randmix.autoencode(conv, imgs).shape == (3, 64)
-
-
-def test_effective_kernel_clips_to_odd_sizes():
-    assert randmix.effective_kernel(5, 8) == 5
-    assert randmix.effective_kernel(9, 8) == 7
-    assert randmix.effective_kernel(13, 8) == 7
-    assert randmix.effective_kernel(17, 8) == 7
-    assert randmix.effective_kernel(3, 2) == 1
 
 
 def test_autoencode_matches_hand_rolled_formula():
@@ -160,11 +154,10 @@ def _same_conv_by_taps(imgs, w):
     return out
 
 
-@pytest.mark.parametrize("size", randmix.KERNEL_SIZES)
+@pytest.mark.parametrize("size", DISTINCT_KERNEL_SIZES)
 def test_bitmap_map_is_a_same_convolution(size):
     rng = np.random.default_rng(size)
-    k = randmix.effective_kernel(size, 8)
-    w = rng.normal(size=(k, k))
+    w = rng.normal(size=(size, size))
     for rows in (1, 7, 64, 160):
         x = rng.normal(size=(rows, 64))
         want = _same_conv_by_taps(x.reshape(rows, 8, 8), w).reshape(rows, 64)
@@ -188,7 +181,7 @@ def test_conv_matrix_matches_entry_by_entry_construction(k, side):
         assert np.array_equal(randmix.conv_matrix(w, side), want)
 
 
-@pytest.mark.parametrize("kernel_size", [*randmix.KERNEL_SIZES, None])
+@pytest.mark.parametrize("kernel_size", [*DISTINCT_KERNEL_SIZES, None])
 def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
     """Dense: enc, dec, noise, w_scale, w_shift. Bitmap: enc, dec, noise, z_scale,
     z_shift. Replaying the draws rebuilds every field."""
@@ -206,9 +199,8 @@ def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
         dim = 64
         ae = randmix.make_autoencoder(dim, np.random.default_rng(31), image_side=8,
                                       kernel_size=kernel_size)
-        k = randmix.effective_kernel(kernel_size, 8)
-        enc = randmix.conv_matrix(rng.normal(size=(k, k)), 8)
-        dec = randmix.conv_matrix(rng.normal(size=(k, k)), 8)
+        enc = randmix.conv_matrix(rng.normal(size=(kernel_size, kernel_size)), 8)
+        dec = randmix.conv_matrix(rng.normal(size=(kernel_size, kernel_size)), 8)
         noise = rng.normal(size=dim)
         r = 0.1 * np.sqrt(noise @ noise)
         z_scale = rng.normal(size=dim)
