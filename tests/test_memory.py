@@ -40,6 +40,46 @@ def test_shrink_keeps_every_class_when_the_nearest_rows_are_one_class():
     assert list(kept_labels) == [0, 1]
 
 
+def test_rebalance_keeps_smallest_distances():
+    """Every shrink of an older bucket keeps, within each class, that class's
+    nearest rows."""
+    rng = np.random.default_rng(3)
+    net = identity_net(dim=3)
+    mem = memory.ExemplarMemory(capacity=24)
+    xs, records = {}, {}
+    for dom in range(4):
+        xs[dom] = rng.normal(size=(30, 3))
+        labels = rng.integers(0, 3, size=30)
+        records[dom] = memory.admit_domain(mem, net, xs[dom], labels, domain_id=dom)
+        assert mem.sizes() == {d: 24 // (dom + 1) for d in range(dom + 1)}
+        for d, (inputs, kept_labels) in mem.buckets.items():
+            row_of = {tuple(row): i for i, row in enumerate(xs[d])}
+            kept = np.array([row_of[tuple(row)] for row in inputs])
+            distances, all_labels = records[d]["distances"], records[d]["labels"]
+            assert np.array_equal(kept_labels, all_labels[kept])
+            for c in np.unique(kept_labels):
+                ours = np.sort(distances[kept[kept_labels == c]])
+                nearest = np.sort(distances[all_labels == c])[:ours.shape[0]]
+                assert np.array_equal(ours, nearest), (dom, d, c)
+
+
+def test_rebalance_is_stable_on_distance_ties():
+    """Every row lies at distance 1 from its class centroid, so the shrink keeps
+    the lowest-index row of each class."""
+    net = identity_net()
+    ring = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    x = np.stack([ring, ring + 10.0], axis=1).reshape(8, 2)
+    labels = np.array([0, 1] * 4)
+    mem = memory.ExemplarMemory(capacity=4)
+    record = memory.admit_domain(mem, net, x, labels, domain_id=0)
+    assert list(record["distances"]) == [1.0] * 8
+    assert record["chosen"] == [0, 1, 2, 3]
+    memory.admit_domain(mem, net, x, labels, domain_id=1)
+    inputs, kept_labels = mem.buckets[0]
+    assert np.array_equal(inputs, x[[0, 1]])
+    assert list(kept_labels) == [0, 1]
+
+
 def round_robin_oracle(distances, labels, quota):
     """Per-class queues sorted by (distance, index), popped in turn by
     ascending class id."""

@@ -5,7 +5,9 @@ from conftest import AWKWARD_WIDTHS, awkward_rows
 
 from cdsl_lab import nets, randmix
 
-DISTINCT_KERNEL_SIZES = sorted(set(randmix.KERNEL_SIZES))
+# the sizes the ensemble draws, and wider ones than an 8x8 bitmap, whose
+# outer taps never land inside the image
+CHECKED_KERNEL_SIZES = (5, 7, 9, 13, 17)
 
 
 def tiny_net(seed=0, input_dim=4, classes=3):
@@ -154,7 +156,7 @@ def _same_conv_by_taps(imgs, w):
     return out
 
 
-@pytest.mark.parametrize("size", DISTINCT_KERNEL_SIZES)
+@pytest.mark.parametrize("size", CHECKED_KERNEL_SIZES)
 def test_bitmap_map_is_a_same_convolution(size):
     rng = np.random.default_rng(size)
     w = rng.normal(size=(size, size))
@@ -181,7 +183,7 @@ def test_conv_matrix_matches_entry_by_entry_construction(k, side):
         assert np.array_equal(randmix.conv_matrix(w, side), want)
 
 
-@pytest.mark.parametrize("kernel_size", [*DISTINCT_KERNEL_SIZES, None])
+@pytest.mark.parametrize("kernel_size", [*CHECKED_KERNEL_SIZES, None])
 def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
     """Dense: enc, dec, noise, w_scale, w_shift. Bitmap: enc, dec, noise, z_scale,
     z_shift. Replaying the draws rebuilds every field."""
