@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import nets
+from . import labeler, nets, synthdata
 
 
 class ExemplarMemory:
@@ -63,9 +63,10 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
             f"memory: capacity {mem.capacity} cannot hold {new_count} domains")
     feats = nets.feature_values(net, x)
     labels = np.asarray(labels, dtype=int)
-    centroids = np.zeros((labels.max() + 1, feats.shape[1]))  # absent classes stay 0
-    for c in np.flatnonzero(np.bincount(labels)):
-        centroids[c] = feats[labels == c].mean(axis=0)
+    onehot = np.eye(labels.max() + 1)[labels]
+    present = onehot.any(axis=0)
+    centroids = np.zeros((onehot.shape[1], feats.shape[1]))  # absent classes stay 0, unread
+    centroids[present] = labeler.weighted_centroids(feats, onehot[:, present])
     diff = feats - centroids[labels]
     # the same bits as np.linalg.norm of each row; norm(diff, axis=1) differs
     distances = np.sqrt(np.vecdot(diff, diff))
@@ -84,5 +85,4 @@ def replay_batch(mem: ExemplarMemory, n: int,
     if mem.total() == 0:
         raise ValueError("memory: replay from empty memory")
     inputs, labels = (np.concatenate(parts) for parts in zip(*mem.buckets.values()))
-    idx = rng.choice(labels.shape[0], size=n, replace=n > labels.shape[0])
-    return inputs[idx], labels[idx]
+    return synthdata.draw_rows(inputs, labels, n, rng)

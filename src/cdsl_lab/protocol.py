@@ -30,7 +30,12 @@ from . import nets, objective, randmix, synthdata
 
 STREAM_DATA, STREAM_INIT, STREAM_RANDMIX, STREAM_REPLAY = range(4)
 
-ABLATION_VARIANTS = ("no_randmix", "labeler=softmax", "labeler=shot_style", "no_pca")
+ABLATION_VARIANTS = {  # each variant and the RunConfig settings it changes
+    "no_randmix": {"disable_randmix": True},
+    "labeler=softmax": {"labeler_method": "softmax"},
+    "labeler=shot_style": {"labeler_method": "shot_style"},
+    "no_pca": {"disable_pca": True},
+}
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -312,10 +317,6 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
             for method, assigned in scored)
         return pls.labels
 
-    def draw_batch(rng, x, y, size):
-        idx = rng.choice(x.shape[0], size=size, replace=size > x.shape[0])
-        return x[idx], y[idx]
-
     matrix_rows = []
     for stage in range(len(seq.specs)):
         source = stage == 0
@@ -327,7 +328,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
             if not source:
                 labels = pseudo_labels(stage, epoch, x, y)
             for step in range(cfg.steps_per_epoch):
-                pieces = [draw_batch(batch_rng, x, labels, cfg.batch_size - replay_n)]
+                pieces = [synthdata.draw_rows(x, labels, cfg.batch_size - replay_n, batch_rng)]
                 if replay_n:
                     pieces.append(memory_mod.replay_batch(mem, replay_n, replay_rng))
                 if not cfg.disable_randmix:
@@ -369,12 +370,8 @@ def variant_config(cfg: RunConfig, variant: str) -> RunConfig:
     """The config for one ablation variant; everything else untouched."""
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"protocol: unknown ablation {variant!r}, "
-                         f"expected one of {ABLATION_VARIANTS}")
-    if variant == "no_randmix":
-        return replace(cfg, disable_randmix=True)
-    if variant == "no_pca":
-        return replace(cfg, disable_pca=True)
-    return replace(cfg, labeler_method=variant.split("=", 1)[1])
+                         f"expected one of {tuple(ABLATION_VARIANTS)}")
+    return replace(cfg, **ABLATION_VARIANTS[variant])
 
 
 def ablate(cfg: RunConfig, variant: str) -> RunResult:

@@ -80,27 +80,24 @@ def make_autoencoder(dim: int, rng: np.random.Generator,
                      image_side: int | None = None,
                      kernel_size: int = KERNEL_SIZES[0]) -> RandAutoencoder:
     """Draw one throwaway autoencoder. Consumes rng in a fixed order."""
-    if image_side is not None:
-        if image_side * image_side != dim:
-            raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
-        enc = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
-        dec = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
-    else:
+    if image_side is None:
         enc = rng.normal(size=(dim, dim))
         dec = rng.normal(size=(dim, dim))
+        noise = rng.normal(size=dim)
+        w_scale = rng.normal(scale=0.1, size=(dim, dim))
+        w_shift = rng.normal(scale=0.1, size=(dim, dim))
+        return RandAutoencoder(enc=enc, dec=dec, scale=noise @ w_scale + 1.0,
+                               shift=noise @ w_shift)
+    if image_side * image_side != dim:
+        raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
+    enc = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
+    dec = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
     noise = rng.normal(size=dim)
-    if image_side is not None:
-        # the dense branch's law from d normals per vector (module docstring);
-        # bitmaps only, so every dense run (rot5, moons4) keeps its stream
-        r = 0.1 * np.linalg.norm(noise)
-        z_scale = rng.normal(size=dim)
-        z_shift = rng.normal(size=dim)
-        return RandAutoencoder(enc=enc, dec=dec, scale=1.0 + r * z_scale, shift=r * z_shift)
-    w_scale = rng.normal(scale=0.1, size=(dim, dim))
-    w_shift = rng.normal(scale=0.1, size=(dim, dim))
-    return RandAutoencoder(enc=enc, dec=dec,
-                           scale=noise @ w_scale + 1.0,
-                           shift=noise @ w_shift)
+    # the dense branch's law from d normals per vector (module docstring)
+    r = 0.1 * np.linalg.norm(noise)
+    z_scale = rng.normal(size=dim)
+    z_shift = rng.normal(size=dim)
+    return RandAutoencoder(enc=enc, dec=dec, scale=1.0 + r * z_scale, shift=r * z_shift)
 
 
 def autoencode(ae: RandAutoencoder, x: np.ndarray) -> np.ndarray:

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GENERATORS = ("gauss_mix", "two_moons", "bitmap8")
-
 # Blob layout lives inside the unit box so augmented samples (squashed to
 # (0, 1) by the mixing sigmoid) share the data's range, as pixel data would.
 GAUSS_CENTER = np.array([0.5, 0.5])
@@ -176,14 +174,12 @@ def _bitmap8(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np
     return np.abs(base - flips.astype(np.float64)), y
 
 
+GENERATORS = {"gauss_mix": _gauss_mix, "two_moons": _two_moons, "bitmap8": _bitmap8}
+
+
 def generate(spec: DomainSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic dataset for (spec, seed); labels exactly balanced."""
-    rng = np.random.default_rng(seed)
-    if spec.kind == "gauss_mix":
-        return _gauss_mix(spec, rng)
-    if spec.kind == "two_moons":
-        return _two_moons(spec, rng)
-    return _bitmap8(spec, rng)
+    return GENERATORS[spec.kind](spec, np.random.default_rng(seed))
 
 
 def split_source(x: np.ndarray, y: np.ndarray, fraction: float,
@@ -194,6 +190,13 @@ def split_source(x: np.ndarray, y: np.ndarray, fraction: float,
     cut = int(x.shape[0] * fraction)
     train, test = perm[:cut], perm[cut:]
     return x[train], y[train], x[test], y[test]
+
+
+def draw_rows(x: np.ndarray, y: np.ndarray, n: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n uniformly drawn (x, y) rows; without replacement when n fits."""
+    idx = rng.choice(x.shape[0], size=n, replace=n > x.shape[0])
+    return x[idx], y[idx]
 
 
 def standard_sequences() -> dict[str, DomainSequence]:

@@ -5,7 +5,8 @@ else on its config's preset. Its pinned sha256 digests cover
 matrix.csv, metrics.json and train_log.csv, plus the final model's param_hash.
 A change that alters output bits on purpose updates the digests in the same
 commit and says why; `PYTHONPATH=src python tests/test_golden.py DIR` runs
-every case into DIR and prints their digests as a DIGESTS literal.
+every case and the CLI tables into DIR and prints one JSON object whose
+"DIGESTS" and "TABLE_DIGESTS" entries are the two literals to pin.
 ENVIRONMENT records where the digests were taken; another numpy or BLAS may
 round differently without the program being at fault, so a failure names any
 difference from it.
@@ -13,6 +14,7 @@ difference from it.
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -170,7 +172,8 @@ def test_one_blas_thread_gives_the_same_digests(tmp_path):
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == DIGESTS, environment_note()
+    assert json.loads(proc.stdout) == {"DIGESTS": DIGESTS, "TABLE_DIGESTS": TABLE_DIGESTS}, \
+        environment_note()
 
 
 @pytest.mark.parametrize("name", ["rot5", "bitmap5", "moons4", "moons4-600"])
@@ -186,25 +189,35 @@ def without_wrote_lines(stdout: str) -> bytes:
     return "".join(line for line in lines if not line.startswith("wrote ")).encode()
 
 
-def test_cli_tables_match_golden_digests(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    sweep, ablate = tmp_path / "sweep", tmp_path / "ablate"
+def table_digests(out_dir: Path) -> dict[str, str]:
+    """Digests of the sweep, ablate and report tables for `test_cli.TINY`, run in out_dir."""
+    cfg = write_cfg(out_dir)
+    sweep, ablate = out_dir / "sweep", out_dir / "ablate"
+
+    def stdout_of(*argv: str) -> str:
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(list(argv)) == 0
+        return buf.getvalue()
+
     got = {}
-    assert cli.main(["sweep", "--config", cfg, "--out", str(sweep), "--param", "r_top",
-                     "--values", "2,4", "--jobs", "2"]) == 0
-    got["sweep stdout"] = sha256(without_wrote_lines(capsys.readouterr().out))
-    assert cli.main(["ablate", "--config", cfg, "--out", str(ablate),
-                     "--variant", "labeler=softmax"]) == 0
-    got["ablate stdout"] = sha256(without_wrote_lines(capsys.readouterr().out))
+    got["sweep stdout"] = sha256(without_wrote_lines(stdout_of(
+        "sweep", "--config", cfg, "--out", str(sweep), "--param", "r_top",
+        "--values", "2,4", "--jobs", "2")))
+    got["ablate stdout"] = sha256(without_wrote_lines(stdout_of(
+        "ablate", "--config", cfg, "--out", str(ablate), "--variant", "labeler=softmax")))
     got["summary.csv"] = sha256((sweep / "summary.csv").read_bytes())
     got["ablation.csv"] = sha256((ablate / "ablation.csv").read_bytes())
     for fmt in ("text", "csv"):
-        assert cli.main(["report", str(sweep / "r_top=2" / "seed2022"),
-                         "--format", fmt]) == 0
-        got[f"report --format {fmt}"] = sha256(capsys.readouterr().out.encode())
-    assert got == TABLE_DIGESTS, environment_note()
+        got[f"report --format {fmt}"] = sha256(stdout_of(
+            "report", str(sweep / "r_top=2" / "seed2022"), "--format", fmt).encode())
+    return got
+
+
+def test_cli_tables_match_golden_digests(tmp_path):
+    assert table_digests(tmp_path) == TABLE_DIGESTS, environment_note()
 
 
 if __name__ == "__main__":
     out = Path(sys.argv[1])
-    print(json.dumps({name: run_digests(name, out / name) for name in CASES}, indent=4))
+    print(json.dumps({"DIGESTS": {name: run_digests(name, out / name) for name in CASES},
+                      "TABLE_DIGESTS": table_digests(out)}, indent=4))

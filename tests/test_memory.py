@@ -141,18 +141,32 @@ def test_admit_picks_nearest_to_class_centroids():
     assert np.array_equal(kept_labels, labels[record["chosen"]])
 
 
-def test_admit_distances_match_a_per_row_norm_bit_for_bit():
-    rng = np.random.default_rng(5)
-    net = identity_net(dim=16)
-    x = rng.normal(size=(500, 16))
-    labels = rng.integers(0, 4, size=500)
-    record = memory.admit_domain(memory.ExemplarMemory(capacity=20), net, x, labels,
+def assert_admission_matches_oracles(x, labels, capacity):
+    """Distances equal a per-row norm from each present class's plain mean,
+    bit for bit, and the chosen rows are the queue oracle's."""
+    net = identity_net(dim=x.shape[1])
+    record = memory.admit_domain(memory.ExemplarMemory(capacity=capacity), net, x, labels,
                                  domain_id=0)
     feats = nets.feature_values(net, x)
     centroids = {k: feats[labels == k].mean(axis=0) for k in np.unique(labels)}
     oracle = np.array([np.linalg.norm(feats[i] - centroids[labels[i]])
                        for i in range(x.shape[0])])
     assert np.array_equal(record["distances"], oracle)
+    assert record["chosen"] == round_robin_oracle(oracle, labels, capacity)
+
+
+def test_admit_distances_match_a_per_row_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    assert_admission_matches_oracles(rng.normal(size=(500, 16)),
+                                     rng.integers(0, 4, size=500), capacity=20)
+
+
+@pytest.mark.parametrize("present", [(0, 2), (1, 2)], ids=["no_class_1", "no_class_0"])
+def test_admit_when_the_labels_skip_a_class(present):
+    """Pseudo labels can leave a class out; its centroid is never read."""
+    rng = np.random.default_rng(7)
+    assert_admission_matches_oracles(rng.normal(size=(90, 8)),
+                                     rng.choice(present, size=90), capacity=25)
 
 
 def test_admit_rejects_duplicate_domains_and_overflow():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -260,14 +261,16 @@ def test_stationary_helper_matches_engine():
 def test_ablate_variants():
     cfg = tiny_config()
     full = protocol.run_cdsl(cfg, sequence=tiny_sequence())
-    for variant in protocol.ABLATION_VARIANTS:
+    for variant, settings in protocol.ABLATION_VARIANTS.items():
         res = protocol.ablate(cfg, variant)
         assert res.matrix.values.shape == (5, 5)  # preset rot5 (config default)
+        # the run's config differs from cfg in exactly the table's fields and values
+        assert res.config == protocol.variant_config(cfg, variant)
+        changed = {f.name: getattr(res.config, f.name) for f in dataclasses.fields(cfg)
+                   if getattr(res.config, f.name) != getattr(cfg, f.name)}
+        assert changed == settings, variant
     with pytest.raises(ValueError, match="unknown ablation"):
         protocol.ablate(cfg, "no_memory")
-    # variant flag reflected in the resolved config
-    assert protocol.ablate(cfg, "no_pca").config.disable_pca
-    assert protocol.ablate(cfg, "labeler=softmax").config.labeler_method == "softmax"
     assert full.config == cfg  # caller's config never mutated
 
 
