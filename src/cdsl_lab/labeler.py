@@ -20,7 +20,7 @@ or class index so repeated runs agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,18 +48,24 @@ class PseudoLabelSet:
     probs: np.ndarray  # the model's class probabilities of the same rows
 
 
-def _class_list_size(n: int, classes: int, ratio: float) -> int:
+def class_share(n: int, classes: int, ratio: float) -> int:
+    """Rows per class at a ratio: t2pl's list size at r_top, its kappa at r_top_prime."""
+    return int(n // (ratio * classes))
+
+
+def _top_per_class(scores: np.ndarray, r_top: float) -> np.ndarray:
+    """[m, classes] rows of each class's m largest scores, largest first, ties
+    toward the smaller row; m is the class share at r_top, at least 1."""
+    n, classes = scores.shape
     if n < classes:
         raise ValueError(f"labeler: need at least {classes} samples, got {n}")
-    return max(1, int(n // (ratio * classes)))
+    return np.argsort(-scores, axis=0, kind="stable")[:max(1, class_share(n, classes, r_top))]
 
 
 def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
     """Sorted unique indices of each class's most confident samples."""
-    n, classes = probs.shape
-    m = _class_list_size(n, classes, r_top)
-    chosen = np.zeros(n, dtype=bool)
-    chosen[np.argsort(-probs, axis=0, kind="stable")[:m]] = True
+    chosen = np.zeros(probs.shape[0], dtype=bool)
+    chosen[_top_per_class(probs, r_top)] = True
     return np.flatnonzero(chosen)
 
 
@@ -71,6 +77,15 @@ def weighted_centroids(feats: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"labeler: class {np.argmax(denom <= 0.0)} has zero total weight "
                          "in the centroid pool")
     return (weights.T @ feats) / denom[:, None]
+
+
+def class_means(feats: np.ndarray, labels: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Set the row of means of each class present in labels to that class's
+    mean feature row and return means; other rows keep their values."""
+    onehot = np.eye(means.shape[0])[labels]
+    present = onehot.any(axis=0)
+    means[present] = weighted_centroids(feats, onehot[:, present])
+    return means
 
 
 def cosine_to_centroids(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -90,12 +105,8 @@ def top_similarity_sets(feats: np.ndarray, centroids: np.ndarray,
     samples by descending similarity. A sample picked by several classes
     appears once per pick.
     """
-    n = feats.shape[0]
-    classes = centroids.shape[0]
-    m = _class_list_size(n, classes, r_top)
-    sims = cosine_to_centroids(feats, centroids)
-    idx = np.argsort(-sims, axis=0, kind="stable")[:m].T.ravel()
-    return idx, np.repeat(np.arange(classes), m)  # m <= n, so every class gives m
+    top = _top_per_class(cosine_to_centroids(feats, centroids), r_top)
+    return top.T.ravel(), np.repeat(np.arange(top.shape[1]), top.shape[0])
 
 
 def _nearest(member_feats: np.ndarray, q: np.ndarray, cand: np.ndarray,
@@ -214,45 +225,26 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     return labels
 
 
-def t2pl_kappa(n: int, classes: int, r_top_prime: float) -> int:
-    """Neighbours in t2pl's kNN vote over a domain of n samples."""
-    return int(n // (r_top_prime * classes))
-
-
-def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
+def assign_labels(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
+    """Pseudo-labels of one domain by cfg.method, from one forward of x."""
     feats = nets.feature_values(net, x)
     probs = nets.probs_from_features(net, feats)
     n, classes = probs.shape
-    pool = top_confidence_pool(probs, cfg.r_top)
-    cents = weighted_centroids(feats[pool], probs[pool])
-    member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
-    kappa = t2pl_kappa(n, classes, cfg.r_top_prime)
-    labels = knn_assign(feats, member_idx, member_labels, kappa, classes)
-    return PseudoLabelSet(labels=labels, method="t2pl", stage=stage, probs=probs)
-
-
-def softmax_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
-    probs = nets.predict_probs(net, x)
-    return PseudoLabelSet(labels=np.argmax(probs, axis=1), method="softmax", stage=stage,
-                          probs=probs)
-
-
-def shot_style_labels(net, x: np.ndarray, stage: int) -> PseudoLabelSet:
-    """Centroids from all samples, cosine assignment, one refinement round."""
-    feats = nets.feature_values(net, x)
-    probs = nets.probs_from_features(net, feats)
-    cents = weighted_centroids(feats, probs)
-    labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
-    onehot = np.eye(probs.shape[1])[labels]
-    filled = onehot.any(axis=0)  # a class no row took keeps its soft centroid
-    cents[filled] = weighted_centroids(feats, onehot[:, filled])
-    labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
-    return PseudoLabelSet(labels=labels, method="shot_style", stage=stage, probs=probs)
-
-
-def assign_labels(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
     if cfg.method == "t2pl":
-        return t2pl(net, x, cfg, stage)
-    if cfg.method == "softmax":
-        return softmax_labels(net, x, stage)
-    return shot_style_labels(net, x, stage)
+        pool = top_confidence_pool(probs, cfg.r_top)
+        cents = weighted_centroids(feats[pool], probs[pool])
+        member_idx, member_labels = top_similarity_sets(feats, cents, cfg.r_top)
+        kappa = class_share(n, classes, cfg.r_top_prime)
+        labels = knn_assign(feats, member_idx, member_labels, kappa, classes)
+    elif cfg.method == "softmax":
+        labels = np.argmax(probs, axis=1)
+    else:  # shot_style: centroids from all rows, cosine assignment, one refinement
+        cents = weighted_centroids(feats, probs)
+        labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
+        cents = class_means(feats, labels, cents)  # a class no row took keeps its soft centroid
+        labels = np.argmax(cosine_to_centroids(feats, cents), axis=1)
+    return PseudoLabelSet(labels=labels, method=cfg.method, stage=stage, probs=probs)
+
+
+def t2pl(net, x: np.ndarray, cfg: LabelerConfig, stage: int) -> PseudoLabelSet:
+    return assign_labels(net, x, replace(cfg, method="t2pl"), stage)

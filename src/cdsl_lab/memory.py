@@ -63,10 +63,8 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
             f"memory: capacity {mem.capacity} cannot hold {new_count} domains")
     feats = nets.feature_values(net, x)
     labels = np.asarray(labels, dtype=int)
-    onehot = np.eye(labels.max() + 1)[labels]
-    present = onehot.any(axis=0)
-    centroids = np.zeros((onehot.shape[1], feats.shape[1]))  # absent classes stay 0, unread
-    centroids[present] = labeler.weighted_centroids(feats, onehot[:, present])
+    # an absent class keeps a zero row, which nothing reads
+    centroids = labeler.class_means(feats, labels, np.zeros((labels.max() + 1, feats.shape[1])))
     diff = feats - centroids[labels]
     # the same bits as np.linalg.norm of each row; norm(diff, axis=1) differs
     distances = np.sqrt(np.vecdot(diff, diff))

@@ -61,11 +61,11 @@ class RunConfig:
     weight_decay: float = 0.0005
     hidden: tuple[int, ...] = (64, 64)
     bottleneck: tuple[int, int] | None = (32, 16)
-    n_aug: int = 4
-    r_con: float = 0.8
-    r_top: float = 2.0
-    r_top_prime: float = 20.0
-    labeler_method: str = "t2pl"
+    n_aug: int = randmix.RandMixConfig.n_aug
+    r_con: float = randmix.RandMixConfig.r_con
+    r_top: float = labeler_mod.LabelerConfig.r_top
+    r_top_prime: float = labeler_mod.LabelerConfig.r_top_prime
+    labeler_method: str = labeler_mod.LabelerConfig.method
     memory_capacity: int = 200
     source_fraction: float = 0.8
     distill_on: str = "logits"
@@ -240,7 +240,7 @@ def check_sequence(cfg: RunConfig, seq: synthdata.DomainSequence) -> None:
                          f"training row of the {rows} source rows")
     if cfg.labeler_method == "t2pl":
         for spec in seq.specs[1:]:
-            if labeler_mod.t2pl_kappa(spec.samples, spec.classes, cfg.r_top_prime) < 1:
+            if labeler_mod.class_share(spec.samples, spec.classes, cfg.r_top_prime) < 1:
                 raise ValueError(f"config: r_top_prime {cfg.r_top_prime} leaves t2pl no "
                                  f"neighbour on a target domain of {spec.samples} rows")
 
@@ -307,7 +307,10 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
     def pseudo_labels(stage: int, epoch: int, x, y) -> np.ndarray:
         """One target epoch's labels, logged with the softmax baseline's once;
         the baseline is the argmax of the labeler's own class probabilities."""
-        pls = labeler_mod.assign_labels(model, x, lab_cfg, stage)
+        try:
+            pls = labeler_mod.assign_labels(model, x, lab_cfg, stage)
+        except ValueError as exc:
+            raise ValueError(f"pseudo labels at stage {stage} epoch {epoch}: {exc}") from exc
         scored = [(pls.method, pls.labels)]
         if epoch == 0:
             scored.append(("softmax_baseline", np.argmax(pls.probs, axis=1)))

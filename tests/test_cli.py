@@ -276,6 +276,17 @@ def test_run_fails_loudly_on_non_finite_loss(tmp_path, capsys):
     assert not (out / "matrix.csv").exists()
 
 
+def test_run_names_the_stage_when_pseudo_labels_fail(tmp_path, capsys):
+    # at this learning rate the model collapses and a class gets no weight in
+    # t2pl's centroid pool at the first epoch of a target stage
+    out = tmp_path / "collapsed"
+    assert cli.main(["run", "--set", "learning_rate=0.1", "--set", "epochs=2",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: pseudo labels at stage 2 epoch 1: labeler: class" in err
+    assert not (out / "matrix.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["rot5", "moons4", "bitmap5"])
 def test_source_stage_losses_stay_finite_at_a_large_learning_rate(name):
     # warnings are errors here, so an overflowing exponential fails the test

@@ -34,8 +34,8 @@ def test_top_selection_breaks_ties_by_ascending_index():
 
 
 def test_list_size_clamps_to_one():
-    assert labeler._class_list_size(4, 2, 4.0) == 1  # floor(4/8) = 0 -> 1
     probs = np.full((4, 2), 0.5)
+    assert labeler._top_per_class(probs, 4.0).shape == (1, 2)  # floor(4/8) = 0 -> 1
     # both classes keep only their top sample, the tied sample 0
     assert list(labeler.top_confidence_pool(probs, r_top=4.0)) == [0]
     with pytest.raises(ValueError, match="samples"):
@@ -489,7 +489,7 @@ def test_t2pl_kappa_guard_fires_for_tiny_domains():
 def test_softmax_labels_are_argmax():
     net = tiny_net()
     x = np.random.default_rng(5).normal(size=(20, 4))
-    got = labeler.softmax_labels(net, x, stage=2)
+    got = labeler.assign_labels(net, x, labeler.LabelerConfig(method="softmax"), stage=2)
     assert np.array_equal(got.labels, np.argmax(nets.predict_probs(net, x), axis=1))
     assert got.method == "softmax"
     assert got.stage == 2
@@ -506,24 +506,29 @@ def test_every_method_carries_the_bits_of_predict_probs():
 
 
 def test_shot_style_matches_small_brute_force():
-    net = tiny_net(seed=7)
-    x = np.random.default_rng(6).normal(size=(15, 4))
-    got = labeler.shot_style_labels(net, x, stage=1)
+    # the second case's first assignment leaves a class without rows, which
+    # keeps its soft centroid through the refinement
+    for net_seed, x_seed, empty in ((7, 6, False), (3, 103, True)):
+        net = tiny_net(seed=net_seed)
+        x = np.random.default_rng(x_seed).normal(size=(15, 4))
+        cfg = labeler.LabelerConfig(method="shot_style")
+        got = labeler.assign_labels(net, x, cfg, stage=1)
 
-    probs = nets.predict_probs(net, x)
-    feats = nets.feature_values(net, x)
-    classes = probs.shape[1]
-    cents = np.stack([
-        sum(probs[i, k] * feats[i] for i in range(15)) / probs[:, k].sum()
-        for k in range(classes)])
-    first = np.argmax(labeler.cosine_to_centroids(feats, cents), axis=1)
-    refined = cents.copy()
-    for k in range(classes):
-        mask = first == k
-        if mask.any():
-            refined[k] = feats[mask].mean(axis=0)
-    expected = np.argmax(labeler.cosine_to_centroids(feats, refined), axis=1)
-    assert np.array_equal(got.labels, expected)
+        probs = nets.predict_probs(net, x)
+        feats = nets.feature_values(net, x)
+        classes = probs.shape[1]
+        cents = np.stack([
+            sum(probs[i, k] * feats[i] for i in range(15)) / probs[:, k].sum()
+            for k in range(classes)])
+        first = np.argmax(labeler.cosine_to_centroids(feats, cents), axis=1)
+        assert (np.bincount(first, minlength=classes) == 0).any() == empty
+        refined = cents.copy()
+        for k in range(classes):
+            mask = first == k
+            if mask.any():
+                refined[k] = feats[mask].mean(axis=0)
+        expected = np.argmax(labeler.cosine_to_centroids(feats, refined), axis=1)
+        assert np.array_equal(got.labels, expected)
 
 
 def test_assign_labels_dispatches_by_method():

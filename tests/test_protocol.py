@@ -180,12 +180,18 @@ def test_run_shapes_and_logs():
 
 
 def test_softmax_baseline_takes_no_pass_of_its_own(monkeypatch):
-    def no_pass(*args):
-        raise AssertionError("the baseline re-ran the model over the domain")
+    feature_values, domain_passes = nets.feature_values, []
 
-    monkeypatch.setattr(protocol.labeler_mod, "softmax_labels", no_pass)
+    def counted(net, x):
+        domain_passes.append(x.shape[0] == 60)  # a whole target domain of tiny_sequence
+        return feature_values(net, x)
+
+    monkeypatch.setattr(nets, "feature_values", counted)
     res = protocol.run_cdsl(tiny_config(epochs=1), sequence=tiny_sequence())
     assert [r["method"] for r in res.logs["label_log"]] == ["t2pl", "softmax_baseline"] * 2
+    # per target stage one labeler pass and one admission pass, and after each
+    # of the 3 stages one evaluation pass per target domain: no baseline pass
+    assert sum(domain_passes) == 2 * 2 + 3 * 2
 
 
 def test_run_is_deterministic():
