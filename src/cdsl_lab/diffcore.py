@@ -131,20 +131,25 @@ def zero_grads(params: list[Tensor]) -> None:
         p.grad = None
 
 
-def _binary(op: str, a, b, forward, vjp) -> Tensor:
-    """Elementwise op on two tensors of one shape; nothing broadcasts."""
+def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:
+    """Two tensors of one shape, for an elementwise op; nothing broadcasts."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise DiffcoreError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-    return _record(op, (a, b), forward(a.values, b.values), vjp)
+    return a, b
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g: (g, g))
+    a, b = _same_shape("add", a, b)
+    return _record("add", (a, b), a.values + b.values, lambda g: (g, g))
 
 
-def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g: (g, -g))
+def mean_gap(a, b) -> Tensor:
+    """Mean of every entry of a - b, as a scalar."""
+    a, b = _same_shape("mean_gap", a, b)
+    n = a.values.size
+    return _record("mean_gap", (a, b), np.add.reduce(a.values - b.values, axis=None) / n,
+                   lambda g: (np.full(a.shape, g / n), -np.full(a.shape, g / n)))
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -223,14 +228,6 @@ def standardize_rows(a) -> Tensor:
         gy = np.add.reduce(g * y, axis=1, keepdims=True) / y.shape[1]
         return (inv * (g - gm - y * gy),)
     return _record("standardize_rows", (a,), y, vjp)
-
-
-def reduce_mean(a) -> Tensor:
-    """Mean of every entry, as a scalar."""
-    a = as_tensor(a)
-    n = a.values.size
-    return _record("reduce_mean", (a,), np.add.reduce(a.values, axis=None) / n,
-                   lambda g: (np.full(a.shape, g / n),))
 
 
 def sgd_step(params: list[Tensor], velocities: list[np.ndarray], *,

@@ -3,14 +3,26 @@ alignment across adjacent models, and soft-output distillation.
 
 All losses are diffcore primitives, so one backward pass covers the whole
 objective, and all read one score matrix, features @ prototypes.T. Each loss is
-the row mean of lse(every term) minus one positive column [n, 1], a row_dot of
-terms with a target. CE's terms are the scores, its target the one-hot labels;
-alignment adds the scores against the frozen previous prototypes (its positive
-then the lse of both one-hot columns) and the feature Gram matrix plus a mask, 0
-between rows of different classes and -inf elsewhere (so each row with itself
-too). Distillation is CE against the frozen model's soft output. With no previous
-model in the batch context alignment collapses to the current-prototypes-only
-form and nothing is distilled."""
+one mean_gap, the row mean of lse(every term) minus one positive column [n, 1],
+a row_dot of terms with a target. CE's terms are the scores, its target the
+one-hot labels; alignment adds the scores against the frozen previous prototypes
+(its positive then the lse of both one-hot columns) and the feature Gram matrix
+plus a mask, 0 between rows of different classes and -inf elsewhere (so each row
+with itself too). Distillation is CE against the frozen model's soft output.
+With no previous model in the batch context alignment collapses to the
+current-prototypes-only form and nothing is distilled.
+
+For CE and alignment, whose terms hold their positives (the assigned
+class's entries, which a one-hot row_dot keeps with their bits), the gap is
+never below 0, with no clamp. One positive p is an entry of its row's terms:
+lse(terms) is rounded from M + log(S), M the row max and S >= 1 as the shifted
+sum holds an exact 1, and rounding is monotone, so lse(terms) >= M >= p.
+Two positives, p = lse(positives): each lse is at least its shift, the row max
+(M of the terms, m <= M of the positives). Two with M = m share the shift,
+and the terms' sum holds the positives' exponentials with their bits. Two
+with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e)) with e <= 1,
+exceeds log 1.5, far beyond the rounding of logs of sums in [1, terms], and
+rounding M + log(sum) and m + log(sum') keeps their order."""
 
 from __future__ import annotations
 
@@ -76,25 +88,9 @@ def build_context(net, prev_net, x: np.ndarray, labels: np.ndarray,
                         distill_on=distill_on)
 
 
-def _lse_gap(lse_terms: Tensor, positive: Tensor) -> Tensor:
-    """Row mean of lse_terms (of every term) - positive, both columns [n, 1].
-    For CE and alignment, whose terms hold their positives (the assigned
-    class's entries, which a one-hot row_dot keeps with their bits), the gap is
-    never below 0, with no clamp. One positive p is an entry of its row's terms:
-    lse(terms) is rounded from M + log(S), M the row max and S >= 1 as the shifted
-    sum holds an exact 1, and rounding is monotone, so lse(terms) >= M >= p.
-    Two positives, p = lse(positives): each lse is at least its shift, the row max
-    (M of the terms, m <= M of the positives). Two with M = m share the shift,
-    and the terms' sum holds the positives' exponentials with their bits. Two
-    with M > m: the exact gap, at least log(1 + e^(M - m) / (1 + e)) with e <= 1,
-    exceeds log 1.5, far beyond the rounding of logs of sums in [1, terms], and
-    rounding M + log(sum) and m + log(sum') keeps their order."""
-    return dc.reduce_mean(dc.sub(lse_terms, positive))
-
-
 def ce_loss(ctx: BatchContext) -> Tensor:
     """Mean negative log softmax score of the assigned class (bias-free logits)."""
-    return _lse_gap(ctx.lse, ctx.assigned)
+    return dc.mean_gap(ctx.lse, ctx.assigned)
 
 
 def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
@@ -106,7 +102,7 @@ def _alignment(ctx: BatchContext, prev_prototypes: np.ndarray | None) -> Tensor:
         positive = dc.logsumexp_rows(ctx.assigned, dc.row_dot(prev, ctx.onehot))
     cross_class = np.where(ctx.labels[:, None] != ctx.labels, 0.0, -np.inf)
     pairs = dc.add(dc.linear(ctx.features, ctx.features), cross_class)
-    return _lse_gap(dc.logsumexp_rows(*terms, pairs), positive)
+    return dc.mean_gap(dc.logsumexp_rows(*terms, pairs), positive)
 
 
 def pca_loss(ctx: BatchContext) -> Tensor:
@@ -132,7 +128,7 @@ def distill_loss(ctx: BatchContext) -> Tensor:
     log_t = np.log(target, out=np.zeros_like(target), where=target > 0.0)  # 0 log 0 = 0
     neg_entropy = np.add.reduce(target * log_t, axis=1, keepdims=True)
     # exact KL is non-negative; relu only strips float artifacts near zero
-    return dc.relu(_lse_gap(dc.add(neg_entropy, lse), dc.row_dot(z, target)))
+    return dc.relu(dc.mean_gap(dc.add(neg_entropy, lse), dc.row_dot(z, target)))
 
 
 def total_loss(ctx: BatchContext, *, disable_pca: bool) -> tuple[Tensor, dict]:

@@ -21,7 +21,8 @@ def test_evaluate_matches_straight_line_recomputation():
 
     def f(xt, wt, bt):
         h = dc.relu(dc.linear(xt, wt, bt))
-        return dc.reduce_mean(dc.row_dot(h, probe))
+        rows = dc.row_dot(h, probe)
+        return dc.mean_gap(rows, np.zeros(rows.shape))
 
     out, tape = evaluate(f, *wrap(x, w, b))
     direct = np.mean((np.maximum(x @ w.T + b, 0.0) * probe).sum(axis=1))
@@ -34,7 +35,8 @@ def test_evaluate_is_deterministic_bitwise():
     x = rng.normal(size=(4, 4))
 
     def f(xt):
-        return dc.reduce_mean(dc.logsumexp_rows(dc.linear(xt, xt)))
+        lse = dc.logsumexp_rows(dc.linear(xt, xt))
+        return dc.mean_gap(lse, np.zeros(lse.shape))
 
     a, _ = evaluate(f, *wrap(x))
     b, _ = evaluate(f, *wrap(x))
@@ -52,7 +54,8 @@ def test_composite_gradient_matches_finite_differences(seed):
     def loss(xv, w1v, w2v):
         h = dc.standardize_rows(dc.linear(dc.as_tensor(xv), dc.as_tensor(w1v)))
         z = dc.linear(dc.relu(h), dc.as_tensor(w2v))
-        return dc.reduce_mean(dc.logsumexp_rows(dc.row_dot(z, probe), z))
+        lse = dc.logsumexp_rows(dc.row_dot(z, probe), z)
+        return dc.mean_gap(lse, np.zeros(lse.shape))
 
     xt, w1t, w2t = wrap(x, w1, w2)
     out, tape = evaluate(loss, xt, w1t, w2t)
@@ -105,7 +108,7 @@ def assert_vjp_matches_finite_differences(op, arrays, rng, name=None):
 
 BINARY_CASES = [
     ("add", dc.add, [(3, 4), (3, 4)]),
-    ("sub", dc.sub, [(3, 4), (3, 4)]),
+    ("mean_gap", dc.mean_gap, [(3, 4), (3, 4)]),
 ]
 
 
@@ -132,7 +135,6 @@ UNARY_CASES = [
     ("standardize_rows", dc.standardize_rows),
     ("logsumexp_rows", dc.logsumexp_rows),
     ("row_dot", lambda a: dc.row_dot(a, SOFT_WEIGHTS)),
-    ("reduce_mean", dc.reduce_mean),
 ]
 
 
@@ -152,7 +154,7 @@ def test_gradient_of_elementwise_sum_is_ones_exactly():
 
 def test_unused_input_gets_zero_gradient():
     used, unused = wrap(np.ones((2, 2)), np.ones(3))
-    out, tape = evaluate(lambda a, b: dc.reduce_mean(a), used, unused)
+    out, tape = evaluate(lambda a, b: dc.mean_gap(a, np.zeros(a.shape)), used, unused)
     dc.backward(tape, out, params=[used, unused])
     assert np.array_equal(unused.grad, np.zeros(3))
     assert np.array_equal(used.grad, np.full((2, 2), 0.25))
@@ -192,8 +194,8 @@ def test_logsumexp_rows_gradients_over_several_blocks_and_a_pick():
 
     def loss(a, b, c):
         a, b, c = map(dc.as_tensor, (a, b, c))
-        gap = dc.sub(dc.logsumexp_rows(a, b, c), dc.logsumexp_rows(dc.row_dot(a, onehot), b))
-        return dc.reduce_mean(gap)
+        return dc.mean_gap(dc.logsumexp_rows(a, b, c),
+                           dc.logsumexp_rows(dc.row_dot(a, onehot), b))
 
     ts = wrap(*arrays)
     out, tape = evaluate(loss, *ts)
@@ -218,7 +220,7 @@ def test_logsumexp_rows_shifts_large_entries_by_the_row_maximum():
 
 def test_logsumexp_rows_gives_minus_inf_terms_zero_gradient():
     (t,) = wrap(np.array([[0.5, -np.inf, 2.0], [-np.inf, -np.inf, 1.0]]))
-    out, tape = evaluate(lambda a: dc.reduce_mean(dc.logsumexp_rows(a)), t)
+    out, tape = evaluate(lambda a: dc.mean_gap(dc.logsumexp_rows(a), np.zeros((2, 1))), t)
     assert out.item() == pytest.approx((np.log(np.exp(0.5) + np.exp(2.0)) + 1.0) / 2)
     dc.backward(tape, out)
     assert t.grad[0, 1] == 0.0 and t.grad[1, 0] == 0.0 and t.grad[1, 1] == 0.0
@@ -258,6 +260,11 @@ def test_shape_mismatch_raises_structured_error():
     # nothing broadcasts: a bias row goes through linear, not add
     with pytest.raises(dc.DiffcoreError, match="add"):
         dc.add(dc.Tensor(np.ones((3, 4))), dc.Tensor(np.ones(4)))
+    with pytest.raises(dc.DiffcoreError, match="mean_gap"):
+        dc.mean_gap(dc.Tensor(np.ones((2, 1))), dc.Tensor(np.ones((3, 1))))
+    # a column and a row of one size are not one shape either
+    with pytest.raises(dc.DiffcoreError, match="mean_gap"):
+        dc.mean_gap(dc.Tensor(np.ones((3, 1))), dc.Tensor(np.ones(3)))
     with pytest.raises(dc.DiffcoreError, match="linear"):
         dc.linear(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((3, 2))))
     with pytest.raises(dc.DiffcoreError, match="linear"):
@@ -360,17 +367,21 @@ def test_row_ops_keep_the_bits_of_ndarray_reductions(width):
 
 @pytest.mark.parametrize("width", AWKWARD_WIDTHS)
 def test_reductions_keep_the_bits_of_ndarray_reductions(width):
-    """row_dot and reduce_mean, forward and vjp, against ndarray.sum/mean and
+    """row_dot and mean_gap, forward and vjp, against ndarray.sum/mean and
     broadcast_to(...).copy() byte for byte."""
     rng = np.random.default_rng(width + 2)
     w, g_rows, g_all = rng.normal(size=(3, width)), rng.normal(size=(3, 1)), np.array(rng.normal())
+    y = rng.normal(size=(3, width))
     for x in awkward_rows(width):
         out, vjp = taped(lambda t: dc.row_dot(t, w), x)
         assert_same_bytes(out, (x * w).sum(axis=1, keepdims=True))
         assert_same_bytes(vjp(g_rows), g_rows * w)
-        out, vjp = taped(dc.reduce_mean, x)
-        assert_same_bytes(out, np.asarray(x.mean()))
-        assert_same_bytes(vjp(g_all), np.broadcast_to(g_all / x.size, x.shape).copy())
+        out, tape = evaluate(dc.mean_gap, *wrap(x, y))
+        assert_same_bytes(out.values, np.asarray((x - y).mean()))
+        want = np.broadcast_to(g_all / x.size, x.shape).copy()
+        grad_x, grad_y = tape.nodes[0].vjp(g_all)
+        assert_same_bytes(grad_x, want)
+        assert_same_bytes(grad_y, -want)
 
 
 # ---------------------------------------------------------------- blas threads

@@ -6,13 +6,15 @@ matrix.csv, metrics.json and train_log.csv, plus the final model's param_hash.
 A change that alters output bits on purpose updates the digests in the same
 commit and says why; `PYTHONPATH=src python tests/test_golden.py DIR` runs
 every case and the CLI tables into DIR and prints one JSON object whose
-"DIGESTS" and "TABLE_DIGESTS" entries are the two literals to pin.
-ENVIRONMENT records where the digests were taken; another numpy or BLAS may
-round differently without the program being at fault, so a failure names any
-difference from it.
+"ENVIRONMENT", "DIGESTS" and "TABLE_DIGESTS" entries are the three literals to
+pin. ENVIRONMENT records where the digests were taken: numpy, its BLAS, the
+OpenBLAS core kernels it picked for this CPU and the SIMD extensions numpy's
+loops found. Another numpy, BLAS, core or SIMD level may round differently
+without the program being at fault, so a failure names any difference from it.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -52,7 +54,9 @@ SEQUENCES = {
                        for spec in synthdata.standard_sequences()["moons4"].specs]),
 }
 
-ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
+               "blas_core": "SkylakeX",
+               "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
 
 DIGESTS = {
     "rot5": {
@@ -133,9 +137,21 @@ TABLE_DIGESTS = {
 }
 
 
-def environment() -> dict[str, str]:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+def blas_core() -> str | None:
+    """The core name numpy's bundled OpenBLAS picked for this CPU, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def environment() -> dict:
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "blas_core": blas_core(), "simd": config["SIMD Extensions"]["found"]}
 
 
 def environment_note() -> str:
@@ -144,7 +160,7 @@ def environment_note() -> str:
              for key in ENVIRONMENT if now[key] != ENVIRONMENT[key]]
     if drift:
         return "digests taken in another environment: " + "; ".join(drift)
-    return "same numpy and BLAS as the digests: the output bytes changed"
+    return "same numpy, BLAS, BLAS core and SIMD as the digests: the output bytes changed"
 
 
 def sha256(data: bytes) -> str:
@@ -172,8 +188,8 @@ def test_one_blas_thread_gives_the_same_digests(tmp_path):
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"DIGESTS": DIGESTS, "TABLE_DIGESTS": TABLE_DIGESTS}, \
-        environment_note()
+    assert json.loads(proc.stdout) == {"ENVIRONMENT": ENVIRONMENT, "DIGESTS": DIGESTS,
+                                       "TABLE_DIGESTS": TABLE_DIGESTS}, environment_note()
 
 
 @pytest.mark.parametrize("name", ["rot5", "bitmap5", "moons4", "moons4-600"])
@@ -219,5 +235,6 @@ def test_cli_tables_match_golden_digests(tmp_path):
 
 if __name__ == "__main__":
     out = Path(sys.argv[1])
-    print(json.dumps({"DIGESTS": {name: run_digests(name, out / name) for name in CASES},
+    print(json.dumps({"ENVIRONMENT": environment(),
+                      "DIGESTS": {name: run_digests(name, out / name) for name in CASES},
                       "TABLE_DIGESTS": table_digests(out)}, indent=4))

@@ -323,7 +323,7 @@ def test_tape_of_one_step_has_one_linear_node_per_product():
             ("linear", (ctx.features, net.prototypes), ctx.scores)]
     source, target = ops
     assert source == Counter(linear=6, relu=2, standardize_rows=1, row_dot=1,
-                             logsumexp_rows=2, sub=2, reduce_mean=2, add=2)
+                             logsumexp_rows=2, mean_gap=2, add=2)
     # distillation reads the scores' one lse: no softmax_rows or log node
     assert target == Counter(linear=7, relu=3, standardize_rows=1, row_dot=3,
-                             logsumexp_rows=3, sub=3, reduce_mean=3, add=4)
+                             logsumexp_rows=3, mean_gap=3, add=4)
