@@ -24,6 +24,23 @@ STANDARDIZE_EPS = 1e-5
 BLOCK_ELEMENTS = 2 ** 14
 
 
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices that tile n rows in order, about BLOCK_ELEMENTS elements a block
+    at this width: max(16, BLOCK_ELEMENTS // width // 16 * 16) rows each, the
+    last holding the rest. A row keeps the bits of one product over all rows,
+    since BLAS splits a product's rows and never its inner sum, as long as no
+    row meets other arithmetic in a block than in the whole product:
+    - numpy sends a 1-row product to gemv, so a lone last row joins the block
+      before it;
+    - OpenBLAS computes the last (rows mod 4) rows of a product with 3 or
+      fewer outputs another way, so blocks start at multiples of 16 rows (a
+      multiple of the unroll on x86-64) and only the last block has such rows.
+    """
+    step = max(16, BLOCK_ELEMENTS // width // 16 * 16)
+    stops = [*range(step, n - 1, step), n] if n else []
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 class DiffcoreError(ValueError):
     """Raised for shape or usage errors, naming the offending primitive."""
 

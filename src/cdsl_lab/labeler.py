@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import diffcore as dc
 from . import nets
-from .diffcore import BLOCK_ELEMENTS
 
 METHODS = ("t2pl", "softmax", "shot_style")
 
@@ -153,10 +153,11 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     np.linalg.norm(member_feats - x, axis=1) and sorts the pool by
     (distance, entry). A Gram score |q|^2 + |m|^2 - 2 q.m and the brute
     force's squared norm each lie within B = gamma_{d+2} (|q| + max |m|)^2 of
-    the true squared distance (Higham, ch. 3). Rows go in blocks whose score
-    matrix holds at most BLOCK_ELEMENTS elements, through three tiers; when
-    kappa + KNN_SLACK reaches the pool, every row takes the whole pool as
-    its candidates at once.
+    the true squared distance (Higham, ch. 3). Rows go through three tiers in
+    the blocks of `dc.row_blocks` at the width of a tier's score or candidate
+    matrix; with its 16-row floor, a `moons-wide` candidate block holds
+    16 x 1 056 elements, 3% over `dc.BLOCK_ELEMENTS`. When kappa + KNN_SLACK
+    reaches the pool, every row takes the whole pool as its candidates at once.
     - Gram vote: let S hold a row's kappa smallest scores, s_K the largest
       of them and s_F the smallest one outside S. An entry of S has a squared
       norm at most s_K + 2B, one outside at least s_F - 2B; so if
@@ -192,9 +193,7 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
     labels = np.full(feats.shape[0], -1)
     if width < pool:
         onehot = (member_labels[:, None] == np.arange(classes)).astype(float)
-        step = max(1, BLOCK_ELEMENTS // pool)
-        for start in range(0, feats.shape[0], step):
-            rows = slice(start, start + step)
+        for rows in dc.row_blocks(feats.shape[0], pool):
             score = _gram(feats[rows], member_t2, member_sq)
             part = np.partition(score, kappa, axis=1)
             s_k = part[:, :kappa].max(axis=1)
@@ -204,9 +203,8 @@ def knn_assign(feats: np.ndarray, member_idx: np.ndarray, member_labels: np.ndar
             sure &= (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) == 1
             labels[rows] = np.where(sure, votes.argmax(axis=1), -1)
     rest = np.flatnonzero(labels < 0)
-    step = max(1, BLOCK_ELEMENTS // max(pool, width * dim))  # also bounds the refine's block
-    for start in range(0, rest.shape[0], step):
-        rows = rest[start:start + step]
+    for block in dc.row_blocks(rest.shape[0], max(pool, width * dim)):  # bounds the refine too
+        rows = rest[block]
         q = feats[rows]
         if width < pool:
             score = _gram(q, member_t2, member_sq)

@@ -5,11 +5,11 @@ buckets shrink as new domains arrive. Within a domain, exemplars are the
 samples nearest their own class centroid in feature space, picked in a
 class-balanced round-robin so no class dominates the bucket.
 
-Each domain's bucket is one (inputs, labels) pair of arrays with rows in
-round-robin order. That order does not depend on the quota, so a bucket
-shrinks to a prefix: its first q rows are the round-robin pick at quota q,
-and one selection rule serves admission and every later shrink. Only this
-module reads that layout.
+The buckets are a list in admission order, one (inputs, labels) pair of
+arrays per admitted domain with rows in round-robin order. That order does
+not depend on the quota, so a bucket shrinks to a prefix: its first q rows
+are the round-robin pick at quota q, and one selection rule serves admission
+and every later shrink. Only this module reads that layout.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from . import labeler, nets, synthdata
 class ExemplarMemory:
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.buckets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.buckets: list[tuple[np.ndarray, np.ndarray]] = []
 
     def sizes(self) -> dict[int, int]:
-        """Rows held per domain, in admission order."""
-        return {dom: labels.shape[0] for dom, (_, labels) in self.buckets.items()}
+        """Rows held per bucket, keyed by admission position."""
+        return {i: labels.shape[0] for i, (_, labels) in enumerate(self.buckets)}
 
     def total(self) -> int:
         return sum(self.sizes().values())
@@ -46,16 +46,13 @@ def select_round_robin(distances: np.ndarray, labels: np.ndarray, quota: int) ->
     return by_class[np.lexsort((sorted_labels, rank))][:quota].tolist()
 
 
-def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
-                 domain_id: int) -> dict:
+def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray) -> dict:
     """Store a new domain's representative samples and cut every bucket to
     its equal share, a prefix of its round-robin order.
 
     Returns a record of the selection (per-sample centroid distances and the
     chosen indices) so the choice can be audited against a full sort.
     """
-    if domain_id in mem.buckets:
-        raise ValueError(f"memory: domain {domain_id} was already admitted")
     new_count = len(mem.buckets) + 1
     quota = mem.capacity // new_count
     if quota < 1:
@@ -69,9 +66,8 @@ def admit_domain(mem: ExemplarMemory, net, x: np.ndarray, labels: np.ndarray,
     # the same bits as np.linalg.norm of each row; norm(diff, axis=1) differs
     distances = np.sqrt(np.vecdot(diff, diff))
     chosen = select_round_robin(distances, labels, quota)
-    mem.buckets[domain_id] = (x[chosen], labels[chosen])
-    for dom, bucket in mem.buckets.items():
-        mem.buckets[dom] = tuple(part[:quota] for part in bucket)
+    mem.buckets.append((x[chosen], labels[chosen]))
+    mem.buckets = [tuple(part[:quota] for part in bucket) for bucket in mem.buckets]
     return {"quota": quota, "distances": distances, "labels": labels.copy(),
             "chosen": chosen}
 
@@ -82,5 +78,5 @@ def replay_batch(mem: ExemplarMemory, n: int,
     without replacement when possible."""
     if mem.total() == 0:
         raise ValueError("memory: replay from empty memory")
-    inputs, labels = (np.concatenate(parts) for parts in zip(*mem.buckets.values()))
+    inputs, labels = (np.concatenate(parts) for parts in zip(*mem.buckets))
     return synthdata.draw_rows(inputs, labels, n, rng)

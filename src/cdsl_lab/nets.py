@@ -59,29 +59,17 @@ def features(net: Network, x) -> Tensor:
 
 
 def feature_values(net: Network, x: np.ndarray) -> np.ndarray:
-    """`features(net, x).values`, untaped, in row blocks written into one output.
-
-    A block holds at most dc.BLOCK_ELEMENTS in its widest layer, so what a
-    call takes beyond its output does not grow with the rows. Each row keeps
-    its bits, since BLAS splits a product's rows and never its inner sum, as
-    long as no row meets other arithmetic in a block than in one forward:
-    - numpy sends a 1-row product to gemv, so a lone last row joins the block
-      before it;
-    - OpenBLAS computes the last (rows mod 4) rows of a product with 3 or
-      fewer outputs another way, so blocks start at multiples of 16 rows (a
-      multiple of the unroll on x86-64) and only the last block has such rows.
-    """
+    """`features(net, x).values`, untaped, in the row blocks of `dc.row_blocks`
+    at the widest layer, written into one output: what a call takes beyond its
+    output does not grow with the rows, and each row keeps its bits."""
     layers = net.trunk + net.neck
     widest = max([x.shape[1], *(w.shape[0] for w, _ in layers)])
-    step = max(16, dc.BLOCK_ELEMENTS // widest // 16 * 16)
-    stops = [*range(step, x.shape[0] - 1, step), x.shape[0]]
-    if len(stops) == 1:  # one block: no copy
+    blocks = dc.row_blocks(x.shape[0], widest)
+    if len(blocks) == 1:  # one block: no copy
         return features(net, x).values
     out = np.empty((x.shape[0], layers[-1][0].shape[0] if layers else x.shape[1]))
-    start = 0
-    for stop in stops:
-        out[start:stop] = features(net, x[start:stop]).values
-        start = stop
+    for rows in blocks:
+        out[rows] = features(net, x[rows]).values
     return out
 
 

@@ -39,6 +39,7 @@ ABLATION_VARIANTS = {  # each variant and the RunConfig settings it changes
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
+    """Stream `key` of the seed; the package's one maker of Generators."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -348,7 +349,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
             if labels is None:  # zero-epoch run still needs labels for admission
                 labels = labeler_mod.assign_labels(model, x, lab_cfg, stage).labels
             logs["admissions"].append(
-                {**memory_mod.admit_domain(mem, model, x, labels, stage), "stage": stage})
+                {**memory_mod.admit_domain(mem, model, x, labels), "stage": stage})
             previous = nets.snapshot(model)
         matrix_rows.append([_accuracy(model, ex, ey) for ex, ey in eval_sets])
         logs["stage_log"].append({

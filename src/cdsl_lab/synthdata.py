@@ -177,15 +177,14 @@ def _bitmap8(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np
 GENERATORS = {"gauss_mix": _gauss_mix, "two_moons": _two_moons, "bitmap8": _bitmap8}
 
 
-def generate(spec: DomainSpec, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic dataset for (spec, seed); labels exactly balanced."""
-    return GENERATORS[spec.kind](spec, np.random.default_rng(seed))
+def generate(spec: DomainSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Dataset for spec drawn from rng; labels exactly balanced."""
+    return GENERATORS[spec.kind](spec, rng)
 
 
 def split_source(x: np.ndarray, y: np.ndarray, fraction: float,
-                 seed) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test split; fraction applies to the whole set."""
-    rng = np.random.default_rng(seed)
     perm = rng.permutation(x.shape[0])
     cut = int(x.shape[0] * fraction)
     train, test = perm[:cut], perm[cut:]

@@ -444,3 +444,16 @@ def test_run_cdsl_trains_on_one_blas_thread(two_blas_threads, monkeypatch):
     protocol.run_cdsl(tiny_config(epochs=1), tiny_sequence(n_domains=2))
     assert seen and set(seen) == {1}
     assert get() == 2
+
+
+@pytest.mark.parametrize("width", [1, 48, 64, 400, 1056, 2 ** 15])
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 255, 256, 257, 513])
+def test_row_blocks_tile_the_rows_at_multiples_of_16(n, width):
+    blocks = dc.row_blocks(n, width)
+    step = max(16, dc.BLOCK_ELEMENTS // width // 16 * 16)
+    edges = [0, *(b.stop for b in blocks)]
+    assert [b.start for b in blocks] == edges[:-1] and edges[-1] == n
+    assert all(b.start % 16 == 0 for b in blocks)
+    assert all(b.stop - b.start > 1 for b in blocks) or n == 1
+    assert all(b.stop - b.start == step for b in blocks[:-1])
+    assert step * width <= dc.BLOCK_ELEMENTS or step == 16

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cdsl_lab import diffcore as dc
 from cdsl_lab import labeler, nets
-from cdsl_lab.diffcore import BLOCK_ELEMENTS
 
 
 def tiny_net(seed=0, input_dim=4, classes=3):
@@ -268,22 +268,29 @@ def test_knn_matches_brute_force_across_blocks(monkeypatch):
     feats = rng.normal(size=(200, 16))
     member_idx, member_labels = t2pl_style_pool(rng, 200, 400, 2)
     kappa = 10
-    rows_per_block = BLOCK_ELEMENTS // max(400, (kappa + labeler.KNN_SLACK) * 16)
-    assert 1 < rows_per_block < 200 / 4  # several blocks, the last one short
-    blocks = []
+    want = knn_oracle(feats, member_idx, member_labels, kappa, 2)
     gram = labeler._gram
+    for block_elements in (2 ** 10, 2 ** 14, 2 ** 20):
+        blocks = []
 
-    def spy(q, member_t2, member_sq):
-        blocks.append(q.shape[0])
-        return gram(q, member_t2, member_sq)
+        def spy(q, member_t2, member_sq):
+            blocks.append(q.shape[0])
+            return gram(q, member_t2, member_sq)
 
-    monkeypatch.setattr(labeler, "_gram", spy)
-    got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
-    assert got.tolist() == knn_oracle(feats, member_idx, member_labels, kappa, 2)
-    # the Gram vote scores BLOCK_ELEMENTS // pool rows at a time: several blocks too
-    filter_rows = BLOCK_ELEMENTS // 400
-    assert 1 < filter_rows < 200 / 4
-    assert blocks[:200 // filter_rows] == [filter_rows] * (200 // filter_rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(dc, "BLOCK_ELEMENTS", block_elements)
+            patch.setattr(labeler, "_gram", spy)
+            got = labeler.knn_assign(feats, member_idx, member_labels, kappa, 2)
+            # the Gram vote scores every row in the blocks at the pool's width,
+            # and the rows it leaves go on in the blocks at the candidates' width
+            gram_blocks = [rows.stop - rows.start for rows in dc.row_blocks(200, 400)]
+            rest = blocks[len(gram_blocks):]
+            width = max(400, (kappa + labeler.KNN_SLACK) * 16)
+            rest_blocks = [rows.stop - rows.start for rows in dc.row_blocks(sum(rest), width)]
+        assert got.tolist() == want, block_elements
+        assert blocks[:len(gram_blocks)] == gram_blocks, block_elements
+        assert (len(gram_blocks) > 1) == (block_elements < 2 ** 20), block_elements
+        assert rest == rest_blocks, block_elements
 
 
 def spy_on_full_pool_refines(monkeypatch):

@@ -29,10 +29,10 @@ def test_shrink_keeps_every_class_when_the_nearest_rows_are_one_class():
                   [11.0, 10.0], [9.0, 10.0], [10.0, 13.0], [10.0, 7.0]])
     labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     mem = memory.ExemplarMemory(capacity=4)
-    record = memory.admit_domain(mem, net, x, labels, domain_id=0)
+    record = memory.admit_domain(mem, net, x, labels)
     assert list(record["distances"]) == [0.1, 0.1, 0.2, 0.2, 1.0, 1.0, 3.0, 3.0]
     assert record["chosen"] == [0, 4, 1, 5]
-    memory.admit_domain(mem, net, x + 1.0, labels, domain_id=1)
+    memory.admit_domain(mem, net, x + 1.0, labels)
     assert mem.sizes() == {0: 2, 1: 2}
     assert mem.total() == 4
     inputs, kept_labels = mem.buckets[0]
@@ -50,9 +50,9 @@ def test_rebalance_keeps_smallest_distances():
     for dom in range(4):
         xs[dom] = rng.normal(size=(30, 3))
         labels = rng.integers(0, 3, size=30)
-        records[dom] = memory.admit_domain(mem, net, xs[dom], labels, domain_id=dom)
+        records[dom] = memory.admit_domain(mem, net, xs[dom], labels)
         assert mem.sizes() == {d: 24 // (dom + 1) for d in range(dom + 1)}
-        for d, (inputs, kept_labels) in mem.buckets.items():
+        for d, (inputs, kept_labels) in enumerate(mem.buckets):
             row_of = {tuple(row): i for i, row in enumerate(xs[d])}
             kept = np.array([row_of[tuple(row)] for row in inputs])
             distances, all_labels = records[d]["distances"], records[d]["labels"]
@@ -71,10 +71,10 @@ def test_rebalance_is_stable_on_distance_ties():
     x = np.stack([ring, ring + 10.0], axis=1).reshape(8, 2)
     labels = np.array([0, 1] * 4)
     mem = memory.ExemplarMemory(capacity=4)
-    record = memory.admit_domain(mem, net, x, labels, domain_id=0)
+    record = memory.admit_domain(mem, net, x, labels)
     assert list(record["distances"]) == [1.0] * 8
     assert record["chosen"] == [0, 1, 2, 3]
-    memory.admit_domain(mem, net, x, labels, domain_id=1)
+    memory.admit_domain(mem, net, x, labels)
     inputs, kept_labels = mem.buckets[0]
     assert np.array_equal(inputs, x[[0, 1]])
     assert list(kept_labels) == [0, 1]
@@ -130,7 +130,7 @@ def test_admit_picks_nearest_to_class_centroids():
     ])
     labels = np.array([0, 0, 0, 1, 1, 1])
     mem = memory.ExemplarMemory(capacity=4)
-    record = memory.admit_domain(mem, net, x, labels, domain_id=0)
+    record = memory.admit_domain(mem, net, x, labels)
     assert record["quota"] == 4
     inputs, kept_labels = mem.buckets[0]
     kept = {tuple(row) for row in inputs}
@@ -145,8 +145,7 @@ def assert_admission_matches_oracles(x, labels, capacity):
     """Distances equal a per-row norm from each present class's plain mean,
     bit for bit, and the chosen rows are the queue oracle's."""
     net = identity_net(dim=x.shape[1])
-    record = memory.admit_domain(memory.ExemplarMemory(capacity=capacity), net, x, labels,
-                                 domain_id=0)
+    record = memory.admit_domain(memory.ExemplarMemory(capacity=capacity), net, x, labels)
     feats = nets.feature_values(net, x)
     centroids = {k: feats[labels == k].mean(axis=0) for k in np.unique(labels)}
     oracle = np.array([np.linalg.norm(feats[i] - centroids[labels[i]])
@@ -174,13 +173,13 @@ def test_admit_rejects_duplicate_domains_and_overflow():
     x = np.zeros((4, 2))
     labels = np.zeros(4, dtype=int)
     mem = memory.ExemplarMemory(capacity=3)
-    memory.admit_domain(mem, net, x, labels, domain_id=0)
-    with pytest.raises(ValueError, match="already admitted"):
-        memory.admit_domain(mem, net, x, labels, domain_id=0)
-    memory.admit_domain(mem, net, x, labels, domain_id=1)
-    memory.admit_domain(mem, net, x, labels, domain_id=2)
+    memory.admit_domain(mem, net, x, labels)
+    # buckets are numbered by admission: the same rows again open the next one
+    memory.admit_domain(mem, net, x, labels)
+    assert mem.sizes() == {0: 1, 1: 1}
+    memory.admit_domain(mem, net, x, labels)
     with pytest.raises(ValueError, match="cannot hold"):
-        memory.admit_domain(mem, net, x, labels, domain_id=3)
+        memory.admit_domain(mem, net, x, labels)
 
 
 def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
@@ -191,7 +190,7 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
     for dom in range(5):
         xs[dom] = rng.normal(size=(30, 3))
         labels = rng.integers(0, 3, size=30)
-        records[dom] = record = memory.admit_domain(mem, net, xs[dom], labels, domain_id=dom)
+        records[dom] = record = memory.admit_domain(mem, net, xs[dom], labels)
         t = dom + 1
         assert mem.total() <= 20
         assert all(size <= 20 // t for size in mem.sizes().values())
@@ -199,7 +198,7 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
         assert record["chosen"] == round_robin_oracle(
             record["distances"], record["labels"], record["quota"])
         # every bucket is its own admission's round-robin pick at today's quota
-        for d, (inputs, kept_labels) in mem.buckets.items():
+        for d, (inputs, kept_labels) in enumerate(mem.buckets):
             rows = records[d]["chosen"][:record["quota"]]
             assert np.array_equal(inputs, xs[d][rows]), (dom, d)
             assert np.array_equal(kept_labels, records[d]["labels"][rows]), (dom, d)
@@ -208,7 +207,7 @@ def test_five_domain_run_respects_quotas_and_matches_exhaustive_sort():
 def test_replay_is_uniform_over_memory():
     mem = memory.ExemplarMemory(capacity=10)
     for dom in range(2):
-        mem.buckets[dom] = bucket(5, first_input=5 * dom)
+        mem.buckets.append(bucket(5, first_input=5 * dom))
     rng = np.random.default_rng(1)
     counts = np.zeros(10)
     for _ in range(2500):
@@ -220,7 +219,7 @@ def test_replay_is_uniform_over_memory():
 
 def test_replay_without_replacement_when_batch_fits():
     mem = memory.ExemplarMemory(capacity=10)
-    mem.buckets[0] = bucket(6, labels=range(6))
+    mem.buckets.append(bucket(6, labels=range(6)))
     x, labels = memory.replay_batch(mem, 6, np.random.default_rng(2))
     assert sorted(labels) == list(range(6))
     assert sorted(x[:, 0]) == list(range(6))

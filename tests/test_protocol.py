@@ -244,7 +244,7 @@ def test_evaluation_never_mutates_parameters():
     res = protocol.run_cdsl(tiny_config(), sequence=tiny_sequence())
     before = nets.param_hash(res.model)
     for i, spec in enumerate(tiny_sequence().specs):
-        x, _ = synthdata.generate(spec, seed=i)
+        x, _ = synthdata.generate(spec, np.random.default_rng(i))
         nets.predict_labels(res.model, x)
     assert nets.param_hash(res.model) == before
 

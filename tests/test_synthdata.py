@@ -25,22 +25,22 @@ def test_spec_validation():
 ])
 def test_shapes_balance_and_determinism(kind, classes, dim):
     spec = DomainSpec(kind, classes=classes, samples=101, sigma=0.1)
-    x, y = synthdata.generate(spec, seed=2022)
+    x, y = synthdata.generate(spec, np.random.default_rng(2022))
     assert x.shape == (101, dim)
     assert y.shape == (101,)
     counts = np.bincount(y, minlength=classes)
     assert counts.max() - counts.min() <= 1
-    x2, y2 = synthdata.generate(spec, seed=2022)
+    x2, y2 = synthdata.generate(spec, np.random.default_rng(2022))
     assert np.array_equal(x, x2)
     assert np.array_equal(y, y2)
-    x3, _ = synthdata.generate(spec, seed=2023)
+    x3, _ = synthdata.generate(spec, np.random.default_rng(2023))
     assert not np.array_equal(x, x3)
 
 
 def test_gauss_mix_class_means_obey_law_of_large_numbers():
     spec = DomainSpec("gauss_mix", classes=3, samples=600, sigma=0.2,
                       rotation_deg=30.0)
-    x, y = synthdata.generate(spec, seed=7)
+    x, y = synthdata.generate(spec, np.random.default_rng(7))
     rot = synthdata.rotation_matrix(30.0)
     angles = 2.0 * np.pi * np.arange(3) / 3
     centers = synthdata.GAUSS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -55,8 +55,8 @@ def test_full_turn_rotation_equals_no_rotation():
     for kind, classes in (("gauss_mix", 3), ("two_moons", 2), ("bitmap8", 2)):
         a = DomainSpec(kind, classes=classes, samples=40, rotation_deg=0.0, sigma=0.05)
         b = DomainSpec(kind, classes=classes, samples=40, rotation_deg=360.0, sigma=0.05)
-        xa, _ = synthdata.generate(a, seed=3)
-        xb, _ = synthdata.generate(b, seed=3)
+        xa, _ = synthdata.generate(a, np.random.default_rng(3))
+        xb, _ = synthdata.generate(b, np.random.default_rng(3))
         assert np.array_equal(xa, xb), kind
 
 
@@ -64,8 +64,8 @@ def test_rotation_moves_gauss_centers():
     base = DomainSpec("gauss_mix", classes=4, samples=400, sigma=0.05)
     turned = DomainSpec("gauss_mix", classes=4, samples=400, sigma=0.05,
                         rotation_deg=45.0)
-    xa, ya = synthdata.generate(base, seed=5)
-    xb, yb = synthdata.generate(turned, seed=5)
+    xa, ya = synthdata.generate(base, np.random.default_rng(5))
+    xb, yb = synthdata.generate(turned, np.random.default_rng(5))
     for k in range(4):
         # a 45 degree turn displaces each center by 2 R sin(22.5) ~ 0.27
         assert np.linalg.norm(xa[ya == k].mean(axis=0) - xb[yb == k].mean(axis=0)) > 0.2
@@ -74,8 +74,8 @@ def test_rotation_moves_gauss_centers():
 def test_bitmap_values_are_binary_and_flips_scale_with_sigma():
     clean = DomainSpec("bitmap8", classes=4, samples=80, sigma=0.0)
     noisy = DomainSpec("bitmap8", classes=4, samples=80, sigma=0.25)
-    xc, yc = synthdata.generate(clean, seed=11)
-    xn, _ = synthdata.generate(noisy, seed=11)
+    xc, yc = synthdata.generate(clean, np.random.default_rng(11))
+    xn, _ = synthdata.generate(noisy, np.random.default_rng(11))
     assert set(np.unique(xc)) <= {0.0, 1.0}
     assert set(np.unique(xn)) <= {0.0, 1.0}
     assert np.array_equal(xc[0], xc[4])  # same class, no noise -> same glyph
@@ -85,13 +85,13 @@ def test_bitmap_values_are_binary_and_flips_scale_with_sigma():
 
 def test_split_source_is_disjoint_and_exhaustive():
     spec = DomainSpec("gauss_mix", classes=2, samples=50, sigma=0.1)
-    x, y = synthdata.generate(spec, seed=1)
-    xt, yt, xv, yv = synthdata.split_source(x, y, fraction=0.8, seed=9)
+    x, y = synthdata.generate(spec, np.random.default_rng(1))
+    xt, yt, xv, yv = synthdata.split_source(x, y, fraction=0.8, rng=np.random.default_rng(9))
     assert xt.shape[0] == 40
     assert xv.shape[0] == 10
     joined = np.vstack([xt, xv])
     assert np.array_equal(np.sort(joined, axis=0), np.sort(x, axis=0))
-    xt2, _, _, _ = synthdata.split_source(x, y, fraction=0.8, seed=9)
+    xt2, _, _, _ = synthdata.split_source(x, y, fraction=0.8, rng=np.random.default_rng(9))
     assert np.array_equal(xt, xt2)
 
 
