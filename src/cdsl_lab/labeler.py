@@ -70,7 +70,7 @@ def top_confidence_pool(probs: np.ndarray, r_top: float) -> np.ndarray:
 
 
 def weighted_centroids(feats: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-class weighted feature means, [classes, feature_dim]; class k
+    """Per-class soft-weighted feature means, [classes, feature_dim]; class k
     weights row i of feats by weights[i, k]."""
     denom = weights.sum(axis=0)
     if np.any(denom <= 0.0):
@@ -80,11 +80,11 @@ def weighted_centroids(feats: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def class_means(feats: np.ndarray, labels: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Set the row of means of each class present in labels to that class's
-    mean feature row and return means; other rows keep their values."""
-    onehot = np.eye(means.shape[0])[labels]
-    present = onehot.any(axis=0)
-    means[present] = weighted_centroids(feats, onehot[:, present])
+    """Set the row of means of each class present in labels to
+    feats[labels == k].mean(axis=0) and return means; other rows keep their
+    values. No BLAS product, so the bits are the same on every kernel."""
+    for k in np.flatnonzero(np.bincount(labels)):
+        means[k] = feats[labels == k].mean(axis=0)
     return means
 
 

@@ -1,7 +1,10 @@
-"""Shared test helpers: taped evaluation, finite-difference oracle and error
-measures."""
+"""Shared test helpers: taped evaluation, finite-difference oracle, error
+measures and the OpenBLAS core numpy runs on."""
 
 from __future__ import annotations
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +16,16 @@ def evaluate(fn, *inputs: Tensor) -> tuple[Tensor, Tape]:
     with Tape() as tape:
         out = fn(*inputs)
     return out, tape
+
+
+def blas_core() -> str | None:
+    """The core name numpy's bundled OpenBLAS picked for this CPU, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 # row widths that straddle numpy's pairwise-summation blocks

@@ -213,10 +213,10 @@ sys.exit(cli.main(["run", "--config", "configs/bitmap5.cfg", "--set", "epochs=1"
 """
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, **extra_env: str) -> subprocess.CompletedProcess:
     """`python *args` in a fresh interpreter, from the repo root, with `src`
-    on the import path."""
-    env = dict(os.environ)
+    on the import path and extra_env added to its environment."""
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=REPO,

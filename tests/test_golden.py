@@ -14,7 +14,6 @@ without the program being at fault, so a failure names any difference from it.
 """
 
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -29,6 +28,7 @@ import pytest
 
 from cdsl_lab import cli, nets, protocol, synthdata
 from cdsl_lab.protocol import RunConfig
+from conftest import blas_core
 from test_cli import write_cfg
 
 REPO = Path(__file__).parents[1]
@@ -135,16 +135,6 @@ TABLE_DIGESTS = {
     "report --format text": "07577138d38634b7c4dc55ec59f208c95181fed510c86cb0a73d4fdc520a7105",
     "report --format csv": "a0d8e53d0f91ccdcd71faebfd534b7f88b4e313754866c54c3cfe5b4eabcfeab",
 }
-
-
-def blas_core() -> str | None:
-    """The core name numpy's bundled OpenBLAS picked for this CPU, or None."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = (), ctypes.c_char_p
-            return corename().decode()
-    return None
 
 
 def environment() -> dict:

@@ -1,4 +1,7 @@
 import hashlib
+import json
+import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 
 from cdsl_lab import diffcore as dc
 from cdsl_lab import labeler, nets
+from conftest import blas_core
+from test_cli import fresh_python
 
 
 def tiny_net(seed=0, input_dim=4, classes=3):
@@ -69,6 +74,47 @@ def test_weighted_centroids_name_a_class_with_zero_weight():
     weights = np.array([[0.7, 0.0, 0.3], [0.4, 0.0, 0.6]])
     with pytest.raises(ValueError, match="class 1 has zero total weight"):
         labeler.weighted_centroids(np.ones((2, 4)), weights)
+
+
+def class_means_mismatches() -> list[str]:
+    """The draws, 10 at each of widths 2, 16 and 64, whose class_means differs
+    in any bit from each present class's feats[labels == k].mean(axis=0) or
+    moves the row of class 2, which no label names."""
+    bad = []
+    for width in (2, 16, 64):
+        for seed in range(10):
+            rng = np.random.default_rng([width, seed])
+            feats = rng.normal(size=(300, width))
+            labels = rng.choice([0, 1, 3], size=300)
+            expected = np.full((4, width), 7.0)
+            for k in (0, 1, 3):
+                expected[k] = feats[labels == k].mean(axis=0)
+            got = labeler.class_means(feats, labels, np.full((4, width), 7.0))
+            if not np.array_equal(got, expected):
+                bad.append(f"width {width} seed {seed}")
+    return bad
+
+
+def test_class_means_are_per_class_row_means_bit_for_bit():
+    assert class_means_mismatches() == []
+
+
+def runs_openblas_haswell_kernels() -> bool:
+    """Whether numpy's BLAS is the bundled scipy-openblas on an x86-64 CPU
+    with AVX2, so OpenBLAS can be told to use its Haswell kernels."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return (platform.machine().lower() in ("x86_64", "amd64") and blas_core() is not None
+            and __cpu_features__.get("AVX2", False))
+
+
+@pytest.mark.skipif(not runs_openblas_haswell_kernels(),
+                    reason="needs numpy's bundled OpenBLAS on an x86-64 CPU with AVX2")
+def test_class_means_keep_their_bits_on_the_haswell_kernels():
+    """The same check in a child interpreter whose OpenBLAS runs its Haswell
+    kernels, which round a BLAS product differently from other cores."""
+    proc = fresh_python(__file__, OPENBLAS_CORETYPE="Haswell")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"blas_core": "Haswell", "mismatches": []}
 
 
 def test_union_counts_each_sample_once():
@@ -545,3 +591,7 @@ def test_assign_labels_dispatches_by_method():
         cfg = labeler.LabelerConfig(r_top=2.0, r_top_prime=2.5, method=method)
         out = labeler.assign_labels(net, x, cfg, stage=3)
         assert out.method == method
+
+
+if __name__ == "__main__":
+    json.dump({"blas_core": blas_core(), "mismatches": class_means_mismatches()}, sys.stdout)

@@ -155,9 +155,14 @@ def assert_admission_matches_oracles(x, labels, capacity):
 
 
 def test_admit_distances_match_a_per_row_norm_bit_for_bit():
+    """At 16-d and at 2-d features; at 2-d a one-hot BLAS product of the
+    class sums can round apart from mean(axis=0), as OpenBLAS's SkylakeX gemm does."""
     rng = np.random.default_rng(5)
     assert_admission_matches_oracles(rng.normal(size=(500, 16)),
                                      rng.integers(0, 4, size=500), capacity=20)
+    rng = np.random.default_rng(11)
+    assert_admission_matches_oracles(rng.normal(size=(200, 2)),
+                                     rng.integers(0, 2, size=200), capacity=20)
 
 
 @pytest.mark.parametrize("present", [(0, 2), (1, 2)], ids=["no_class_1", "no_class_0"])
