@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-Tensors wrap numpy arrays. Primitive ops compute eagerly and, while a Tape
-is active, append a record of how to push gradients back to their inputs.
-Records are stored in execution order, so walking the tape in reverse visits
-every node after all of its consumers. Reductions call `np.add.reduce` and
+Tensors wrap numpy arrays. Primitive ops compute eagerly. One Tape at a time
+records: while it does, an op with an input that requires a gradient returns
+a gradient-tracking output and appends a record of how to push gradients back
+to its inputs. Outside the tape every op returns a constant. Records are
+stored in execution order, so walking the tape in reverse visits every node
+after all of its consumers. Reductions call `np.add.reduce` and
 `np.maximum.reduce` directly, in the order `ndarray.mean`/`var`/`sum`/`max` do: same bits.
 `one_blas_thread` runs a block with numpy's OpenBLAS on one thread.
 """
@@ -83,33 +85,36 @@ class TapeNode:
 
 @dataclass
 class Tape:
-    """Ordered record of primitive applications for one backward pass."""
+    """Ordered record of primitive applications for one backward pass.
+    Tapes do not nest: entering one while another records raises."""
 
     nodes: list[TapeNode] = field(default_factory=list)
 
     def __enter__(self) -> "Tape":
-        _ACTIVE.append(self)
+        global _RECORDING
+        if _RECORDING is not None:
+            raise DiffcoreError("tape: another tape is already recording")
+        _RECORDING = self
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _ACTIVE.pop()
-        if popped is not self:
-            raise DiffcoreError("tape: unbalanced enter/exit")
+        global _RECORDING
+        _RECORDING = None
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-_ACTIVE: list[Tape] = []
+_RECORDING: Tape | None = None
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_values: np.ndarray, vjp) -> Tensor:
-    for t in inputs:
-        if t.requires_grad:
-            out = Tensor(out_values, requires_grad=True)
-            if _ACTIVE:
-                _ACTIVE[-1].nodes.append(TapeNode(op, inputs, out, vjp))
-            return out
+    if _RECORDING is not None:
+        for t in inputs:
+            if t.requires_grad:
+                out = Tensor(out_values, requires_grad=True)
+                _RECORDING.nodes.append(TapeNode(op, inputs, out, vjp))
+                return out
     return Tensor(out_values)
 
 

@@ -270,6 +270,8 @@ def test_shape_mismatch_raises_structured_error():
     with pytest.raises(dc.DiffcoreError, match="linear"):
         dc.linear(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((4, 3))),
                   dc.Tensor(np.ones(3)))
+    with pytest.raises(dc.DiffcoreError, match=r"standardize_rows: expected 2-d, got shape \(3,\)"):
+        dc.standardize_rows(dc.Tensor(np.ones(3)))
 
 
 def test_backward_rejects_non_scalar_output():
@@ -277,6 +279,63 @@ def test_backward_rejects_non_scalar_output():
     out, tape = evaluate(lambda a: dc.add(a, a), t)
     with pytest.raises(dc.DiffcoreError, match="scalar"):
         dc.backward(tape, out)
+
+
+def test_tapes_do_not_nest():
+    (t,) = wrap(np.ones((2, 3)))
+    with dc.Tape() as outer:
+        with pytest.raises(dc.DiffcoreError, match="already recording"):
+            with dc.Tape():
+                pass
+        out = dc.relu(t)
+    assert [node.op for node in outer.nodes] == ["relu"]
+    assert outer.nodes[0].output is out and out.requires_grad
+
+
+def small_training_batch(seed=21):
+    rng = np.random.default_rng(seed)
+    net = nets.build_network(3, 2, rng, hidden=(6,), bottleneck=(5, 4))
+    return net, rng.normal(size=(8, 3)), rng.integers(0, 2, size=8)
+
+
+def test_a_primitive_outside_the_tape_returns_a_constant():
+    net, x, _ = small_training_batch()
+    feats = nets.features(net, x)
+    assert not feats.requires_grad
+    # a constant carries nothing into a later tape
+    with dc.Tape() as tape:
+        gap = dc.mean_gap(feats, np.zeros(feats.shape))
+    assert len(tape) == 0 and not gap.requires_grad
+    with dc.Tape() as tape:
+        taped = nets.features(net, x)
+    assert taped.requires_grad and len(tape) > 0
+    assert taped.values.tobytes() == feats.values.tobytes()
+
+
+def test_a_tape_left_by_an_exception_lets_the_next_one_record():
+    net, x, labels = small_training_batch()
+    params = nets.parameters(net)
+
+    def step():
+        with dc.Tape() as tape:
+            ctx = objective.build_context(net, None, x, labels, distill_on="logits")
+            total, _ = objective.total_loss(ctx, disable_pca=False)
+        return tape, total
+
+    clean_tape, clean_total = step()
+    with pytest.raises(RuntimeError, match="inside"):
+        with dc.Tape():
+            nets.features(net, x)
+            raise RuntimeError("inside")
+    assert not nets.features(net, x).requires_grad
+    tape, total = step()
+    assert [n.op for n in tape.nodes] == [n.op for n in clean_tape.nodes]
+    assert total.item() == clean_total.item()
+    dc.backward(tape, total, params=params)
+    before = nets.param_hash(net)
+    dc.sgd_step(params, [np.zeros_like(p.values) for p in params],
+                learning_rate=0.1, momentum=0.9, weight_decay=0.0)
+    assert nets.param_hash(net) != before
 
 
 def test_sgd_two_steps_match_hand_derivation():

@@ -109,6 +109,8 @@ def test_accuracy_matrix_validates_range():
         AccuracyMatrix(np.array([[0.5, 1.2], [0.1, 0.3]]))
     with pytest.raises(ValueError, match="0, 1"):
         AccuracyMatrix(np.array([[np.nan, 0.5], [0.1, 0.3]]))
+    with pytest.raises(ValueError, match=r"expected 2-d values, got shape \(3,\)"):
+        AccuracyMatrix(np.array([0.5, 0.5, 0.5]))
 
 
 # ---------------------------------------------------------------- config

@@ -77,6 +77,24 @@ def test_mix_weight_sum_never_near_zero():
         assert abs(w.sum()) >= randmix.WEIGHT_SUM_FLOOR
 
 
+BAD_INPUT_CASES = [
+    ("image_side 7 does not square to dim 64",
+     lambda rng: randmix.make_autoencoder(64, rng, image_side=7)),
+    ("3 weights for 4 encodings",
+     lambda rng: randmix.mix(np.ones((2, 4)), [np.ones((2, 4))] * 4, np.ones(3))),
+    ("unknown stage kind 'replay'",
+     lambda rng: randmix.augment_batch(tiny_net(), np.ones((3, 4)), np.zeros(3, dtype=int),
+                                       randmix.RandMixConfig(), "replay", rng)),
+]
+
+
+@pytest.mark.parametrize("message,call", BAD_INPUT_CASES,
+                         ids=["image_side", "mix_weights", "stage_kind"])
+def test_bad_inputs_raise_naming_the_problem(message, call):
+    with pytest.raises(ValueError, match=f"randmix: {message}"):
+        call(np.random.default_rng(0))
+
+
 def test_gate_is_monotone_in_threshold():
     net = tiny_net()
     x = np.random.default_rng(4).normal(size=(40, 4))

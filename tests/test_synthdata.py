@@ -6,6 +6,8 @@ from cdsl_lab.synthdata import DomainSpec
 
 
 def test_spec_validation():
+    with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+        DomainSpec("gauss_mix", classes=1, samples=50)
     with pytest.raises(ValueError, match="generator"):
         DomainSpec("spirals", classes=2, samples=50)
     with pytest.raises(ValueError, match="at least 8 samples"):
