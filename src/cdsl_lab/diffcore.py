@@ -153,17 +153,25 @@ def zero_grads(params: list[Tensor]) -> None:
         p.grad = None
 
 
-def _same_shape(op: str, a, b) -> tuple[Tensor, Tensor]:
-    """Two tensors of one shape, for an elementwise op; nothing broadcasts."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise DiffcoreError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-    return a, b
+def _same_shape(op: str, *terms) -> tuple[Tensor, ...]:
+    """Tensors of one shape, for an elementwise op; nothing broadcasts."""
+    terms = tuple(as_tensor(t) for t in terms)
+    for t in terms[1:]:
+        if t.shape != terms[0].shape:
+            raise DiffcoreError(f"{op}: incompatible shapes {terms[0].shape} and {t.shape}")
+    return terms
 
 
-def add(a, b) -> Tensor:
-    a, b = _same_shape("add", a, b)
-    return _record("add", (a, b), a.values + b.values, lambda g: (g, g))
+def add(*terms) -> Tensor:
+    """Sum of one or more same-shape terms, left to right, as one node; a
+    single term comes back as itself."""
+    if not terms:
+        raise DiffcoreError("add: no terms")
+    terms = _same_shape("add", *terms)
+    if len(terms) == 1:
+        return terms[0]
+    return _record("add", terms, reduce(np.add, [t.values for t in terms]),
+                   lambda g: (g,) * len(terms))
 
 
 def mean_gap(a, b) -> Tensor:

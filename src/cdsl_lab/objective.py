@@ -10,7 +10,8 @@ one-hot labels; alignment adds the scores against the frozen previous prototypes
 plus a mask, 0 between rows of different classes and -inf elsewhere (so each row
 with itself too). Distillation is CE against the frozen model's soft output.
 With no previous model in the batch context alignment collapses to the
-current-prototypes-only form and nothing is distilled.
+current-prototypes-only form and nothing is distilled. The step's loss is one
+add over the parts present; LOSS_COLUMNS names the parts and their sum.
 
 For CE and alignment, whose terms hold their positives (the assigned
 class's entries, which a one-hot row_dot keeps with their bits), the gap is
@@ -35,6 +36,8 @@ from . import nets
 from .diffcore import Tensor
 
 DISTILL_MODES = ("logits", "representation")
+# the logged loss parts, then their sum: train_log.csv's loss columns in order
+LOSS_COLUMNS = ("ce", "pca", "dis", "total")
 
 
 @dataclass
@@ -132,22 +135,14 @@ def distill_loss(ctx: BatchContext) -> Tensor:
 
 
 def total_loss(ctx: BatchContext, *, disable_pca: bool) -> tuple[Tensor, dict]:
-    """Stage loss and its logged parts {ce, pca, dis, total}, total = ce + pca + dis.
-    `pca_loss` reads the context's `prev_prototypes`, and the context's
-    `distill_target`, when there is one, adds distillation."""
-    ce = ce_loss(ctx)
-    total = ce
-
-    pca_val = 0.0
+    """Stage loss, one add over the parts present, and the logged values of
+    LOSS_COLUMNS, 0.0 for an absent part. `pca_loss` reads the context's
+    `prev_prototypes`, and the context's `distill_target`, when there is one,
+    adds distillation."""
+    parts = {"ce": ce_loss(ctx)}
     if not disable_pca:
-        pca = pca_loss(ctx)
-        total = dc.add(total, pca)
-        pca_val = pca.item()
-
-    dis_val = 0.0
+        parts["pca"] = pca_loss(ctx)
     if ctx.distill_target is not None:
-        dis = distill_loss(ctx)
-        total = dc.add(total, dis)
-        dis_val = dis.item()
-
-    return total, {"ce": ce.item(), "pca": pca_val, "dis": dis_val, "total": total.item()}
+        parts["dis"] = distill_loss(ctx)
+    parts["total"] = dc.add(*parts.values())
+    return parts["total"], {k: parts[k].item() if k in parts else 0.0 for k in LOSS_COLUMNS}

@@ -400,7 +400,7 @@ def write_results(result: RunResult, out_dir) -> None:
         [[f"{v:.6f}" for v in row] for row in values]))
     (out / "metrics.json").write_text(
         json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n")
-    losses = ("ce", "pca", "dis", "total")
+    losses = objective.LOSS_COLUMNS
     (out / "train_log.csv").write_text(csv_text(
         ["stage", "epoch", "step", *losses],
         [[str(row["stage"]), str(row["epoch"]), str(row["step"]),

@@ -109,10 +109,11 @@ def assert_vjp_matches_finite_differences(op, arrays, rng, name=None):
 BINARY_CASES = [
     ("add", dc.add, [(3, 4), (3, 4)]),
     ("mean_gap", dc.mean_gap, [(3, 4), (3, 4)]),
+    ("add", dc.add, [(3, 4), (3, 4), (3, 4)]),  # add sums any number of terms
 ]
 
 
-@pytest.mark.parametrize("name,op,shapes", BINARY_CASES, ids=[c[0] for c in BINARY_CASES])
+@pytest.mark.parametrize("name,op,shapes", BINARY_CASES, ids=["add", "mean_gap", "add-3"])
 def test_binary_primitive_gradients(name, op, shapes):
     rng = np.random.default_rng(abs(hash(name)) % 2**32)
     arrays = [rng.normal(size=s) for s in shapes]
@@ -272,6 +273,24 @@ def test_shape_mismatch_raises_structured_error():
                   dc.Tensor(np.ones(3)))
     with pytest.raises(dc.DiffcoreError, match=r"standardize_rows: expected 2-d, got shape \(3,\)"):
         dc.standardize_rows(dc.Tensor(np.ones(3)))
+
+
+def test_add_rejects_a_mismatched_third_term():
+    with pytest.raises(dc.DiffcoreError, match=r"add: incompatible shapes \(2, 3\) and \(3, 2\)"):
+        dc.add(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((2, 3))),
+               dc.Tensor(np.ones((3, 2))))
+
+
+def test_add_of_one_term_is_that_term_and_tapes_nothing():
+    (t,) = wrap(np.ones((2, 3)))
+    with dc.Tape() as tape:
+        assert dc.add(t) is t
+    assert len(tape) == 0
+
+
+def test_add_of_no_terms_raises():
+    with pytest.raises(dc.DiffcoreError, match="add"):
+        dc.add()
 
 
 def test_backward_rejects_non_scalar_output():

@@ -326,4 +326,4 @@ def test_tape_of_one_step_has_one_linear_node_per_product():
                              logsumexp_rows=2, mean_gap=2, add=2)
     # distillation reads the scores' one lse: no softmax_rows or log node
     assert target == Counter(linear=7, relu=3, standardize_rows=1, row_dot=3,
-                             logsumexp_rows=3, mean_gap=3, add=4)
+                             logsumexp_rows=3, mean_gap=3, add=3)

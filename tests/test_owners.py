@@ -1,6 +1,7 @@
 """Each decision the package makes in several places has one owner module:
-only `diffcore` reads BLOCK_ELEMENTS (through `row_blocks`), and only
-`protocol` turns a seed into a Generator (through `rng_for`)."""
+only `diffcore` reads BLOCK_ELEMENTS (through `row_blocks`), only
+`protocol` turns a seed into a Generator (through `rng_for`), and only
+`objective` spells the logged loss parts (through `LOSS_COLUMNS`)."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,12 @@ def names_used(path: Path) -> set[str]:
 def test_one_module_owns_each_decision(name, owner):
     users = sorted(p.stem for p in SRC.glob("*.py") if name in names_used(p))
     assert users == [owner]
+
+
+def test_only_objective_spells_the_loss_parts():
+    def strings(path: Path) -> set[str]:
+        return {node.value for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+    parts = {"ce", "pca", "dis", "total"}
+    assert sorted(p.stem for p in SRC.glob("*.py") if parts & strings(p)) == ["objective"]

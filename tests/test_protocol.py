@@ -38,7 +38,7 @@ TARGET_STEP_OPS = [
     "linear", "row_dot",  # scores and the assigned class's column
     "logsumexp_rows", "mean_gap",  # ce
     "linear", "row_dot", "logsumexp_rows", "linear", "add", "logsumexp_rows",  # pca
-    "mean_gap", "add",
+    "mean_gap",
     "add", "row_dot", "mean_gap", "relu",  # distill
     "add"]
 
