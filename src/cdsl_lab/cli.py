@@ -21,11 +21,11 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from . import protocol
-from .protocol import MetricsReport, RunConfig
+from .protocol import METRICS, MetricsReport, RunConfig
 
 SWEEP_PARAMS = ("r_con", "r_top", "r_top_prime")
 SWEEP_SEEDS = (2022, 2023, 2024)
-AVERAGES = ("tdg_avg", "tda_avg", "fa_avg")
+AVERAGES = tuple(f"{name}_avg" for name in METRICS)
 
 
 class UsageError(ValueError):
@@ -147,6 +147,15 @@ def _fmt(value) -> str:
     return "-" if value is None else f"{value:.6f}"
 
 
+def text_table(rows: list[list[str]]) -> str:
+    """The console counterpart of `protocol.csv_text`: each column as wide as its widest
+    cell, two spaces apart, the first left-aligned and the rest right-aligned; no final LF."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.rjust(w) if i else cell.ljust(w)
+                              for i, (cell, w) in enumerate(zip(row, widths))).rstrip()
+                     for row in rows)
+
+
 def cmd_run(args) -> int:
     cfg = build_config(args)
     (m,) = _run_many([(cfg, args.out)], 1, Path(args.out), args.argv)
@@ -170,9 +179,8 @@ def _means(rows: list[list[float]]) -> list[float]:
     return [sum(column) / len(rows) for column in zip(*rows)]
 
 
-def _write_table(path: Path, header: str, rows: list[tuple[str, list[float]]]) -> None:
-    path.write_text(protocol.csv_text(
-        header.split(","), [[label, *(f"{c:.6f}" for c in cells)] for label, cells in rows]))
+def _write_table(path: Path, header: list[str], rows: list[tuple[str, list[float]]]) -> None:
+    path.write_text(protocol.csv_text(header, [[label, *map(_fmt, c)] for label, c in rows]))
     print(f"wrote {path}")
 
 
@@ -194,10 +202,9 @@ def cmd_sweep(args) -> int:
 
     table = [(name.partition("=")[2], _means([[r[k] for k in AVERAGES] for r in reports]))
              for name, reports in panel.items()]
-    print(f"{args.param:>12}  tdg_mean  tda_mean  fa_mean")
-    for label, cells in table:
-        print(f"{label:>12}  " + "  ".join(f"{m:.6f}" for m in cells))
-    _write_table(Path(args.out) / "summary.csv", "value,tdg_mean,tda_mean,fa_mean", table)
+    means = [f"{name}_mean" for name in METRICS]
+    print(text_table([[args.param, *means], *([value, *map(_fmt, c)] for value, c in table)]))
+    _write_table(Path(args.out) / "summary.csv", ["value", *means], table)
     return 0
 
 
@@ -210,19 +217,16 @@ def cmd_ablate(args) -> int:
             for full, abl in zip(panel["full"], panel[args.variant])]
     table = [*zip(map(str, SWEEP_SEEDS), rows), ("mean", _means(rows))]
     print(f"variant: {args.variant}   (delta = full - ablated)")
-    print("seed      d_tdg      d_tda      d_fa")
-    for label, cells in table:
-        print(f"{label:<4}  " + "  ".join(f"{d:+9.6f}" for d in cells[2::3]))
-    _write_table(Path(args.out) / "ablation.csv",
-                 "seed,full_tdg,ablated_tdg,delta_tdg,full_tda,ablated_tda,delta_tda,"
-                 "full_fa,ablated_fa,delta_fa", table)
+    print(text_table([["seed", *(f"d_{name}" for name in METRICS)],
+                      *([label, *(f"{d:+.6f}" for d in cells[2::3])] for label, cells in table)]))
+    _write_table(Path(args.out) / "ablation.csv", ["seed", *(
+        f"{kind}_{name}" for name in METRICS for kind in ("full", "ablated", "delta"))], table)
     return 0
 
 
 def _metric_rows(metrics: MetricsReport) -> list[tuple[str, list, float | None]]:
     """The (name, per-domain cells, average) rows that both report formats print."""
-    return [("tdg", metrics.tdg, metrics.tdg_avg), ("tda", metrics.tda, metrics.tda_avg),
-            ("fa", metrics.fa, metrics.fa_avg)]
+    return [(name, getattr(metrics, name), getattr(metrics, f"{name}_avg")) for name in METRICS]
 
 
 def metrics_to_csv(metrics: MetricsReport) -> str:
@@ -233,15 +237,11 @@ def metrics_to_csv(metrics: MetricsReport) -> str:
 
 
 def render_text_report(metrics: MetricsReport) -> str:
-    n = len(metrics.tda)
-    table = [["metric"] + [f"domain_{j}" for j in range(n)]]
-    table += [[name] + [_fmt(c) for c in cells] for name, cells, _ in _metric_rows(metrics)]
-    widths = [max(len(r[i]) for r in table) for i in range(n + 1)]
-    out = [" ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-           for row in table]
-    out.append("")
-    out += [f"{name}_avg {_fmt(avg)}" for name, _, avg in _metric_rows(metrics)]
-    return "\n".join(out) + "\n"
+    """The metric table, a blank line, then the `<name>_avg` table."""
+    rows = _metric_rows(metrics)
+    return (text_table([["metric", *(f"domain_{j}" for j in range(len(metrics.tda)))],
+                        *([name, *map(_fmt, cells)] for name, cells, _ in rows)])
+            + "\n\n" + text_table([[f"{name}_avg", _fmt(avg)] for name, _, avg in rows]) + "\n")
 
 
 REPORT_FORMATS = {"text": render_text_report, "csv": metrics_to_csv}

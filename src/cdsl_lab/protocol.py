@@ -29,6 +29,7 @@ from . import memory as memory_mod
 from . import nets, objective, randmix, synthdata
 
 STREAM_DATA, STREAM_INIT, STREAM_RANDMIX, STREAM_REPLAY = range(4)
+METRICS = ("tdg", "tda", "fa")  # the transfer metrics, in report order
 
 ABLATION_VARIANTS = {  # each variant and the RunConfig settings it changes
     "no_randmix": {"disable_randmix": True},
@@ -161,13 +162,12 @@ class MetricsReport:
     def __post_init__(self):
         """ValueError unless tdg, tda and fa are lists of one length whose cells and
         averages are numbers in [0, 1], with null only where a metric has no value."""
-        names = ("tdg", "tda", "fa")
-        lists = [getattr(self, name) for name in names]
+        lists = [getattr(self, name) for name in METRICS]
         if not all(isinstance(cells, list) for cells in lists) or len(set(map(len, lists))) != 1:
             raise ValueError("tdg, tda and fa must be lists of one length")
         n = len(self.tda)
         nullable = {"tdg": (0, n), "tda": (), "fa": (n - 1, n)}  # index n is the average
-        for name, cells in zip(names, lists):
+        for name, cells in zip(METRICS, lists):
             for j, value in enumerate([*cells, getattr(self, f"{name}_avg")]):
                 number = isinstance(value, (int, float)) and not isinstance(value, bool)
                 if not (number and 0 <= value <= 1) and not (value is None and j in nullable[name]):

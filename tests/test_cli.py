@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -292,7 +293,7 @@ def test_source_stage_losses_stay_finite_at_a_large_learning_rate(name):
     # warnings are errors here, so an overflowing exponential fails the test
     domain0 = synthdata.DomainSequence(name, synthdata.standard_sequences()[name].specs[:1])
     result = protocol.run_cdsl(RunConfig(sequence=name, learning_rate=0.1, epochs=6), domain0)
-    losses = [[row[k] for k in ("ce", "pca", "dis", "total")] for row in result.logs["train_log"]]
+    losses = [[row[k] for k in objective.LOSS_COLUMNS] for row in result.logs["train_log"]]
     assert len(losses) == 6 * 25
     assert np.isfinite(losses).all()
 
@@ -540,6 +541,46 @@ def test_report_csv_roundtrips(results_dir, capsys):
     text = capsys.readouterr().out
     stored = MetricsReport(**json.loads((results_dir / "metrics.json").read_text()))
     assert metrics_from_csv(text) == stored
+
+
+def console_tables(stdout: str) -> list[list[str]]:
+    """The tables a command prints: runs of lines split by blank lines, without
+    the `wrote <path>` and `variant:` lines."""
+    tables = [[]]
+    for line in stdout.splitlines():
+        if not line:
+            tables.append([])
+        elif not line.startswith(("wrote ", "variant: ")):
+            tables[-1].append(line)
+    return [table for table in tables if table]
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["sweep", "--param", "r_top", "--values", "2,4"], 1),
+    (["ablate", "--variant", "labeler=softmax"], 1),
+    (["report"], 2),
+], ids=["sweep", "ablate", "report"])
+def test_console_tables_align_every_column(argv, count, results_dir, tmp_path, capsys):
+    if argv == ["report"]:
+        argv = ["report", str(results_dir)]
+    else:
+        argv = [*argv, "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    tables = console_tables(capsys.readouterr().out)
+    assert len(tables) == count
+    for table in tables:
+        spans = [[m.span() for m in re.finditer(r"\S+", line)] for line in table]
+        columns = list(zip(*spans))
+        assert all(len(row) == len(columns) for row in spans), table
+        assert len({start for start, _ in columns[0]}) == 1, table  # one left edge
+        for column in columns[1:]:
+            assert len({end for _, end in column}) == 1, table  # one right edge
+        for left, right in zip(columns, columns[1:]):  # the widest cells two spaces apart
+            assert min(b[0] - a[1] for a, b in zip(left, right)) == 2, table
+
+
+def test_text_table_pads_to_the_widest_cell():
+    assert cli.text_table([["a", "bb", "c"], ["dddd", "e", "-"]]) == "a     bb  c\ndddd   e  -"
 
 
 def test_report_missing_dir_exits_two(tmp_path):

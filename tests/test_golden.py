@@ -128,11 +128,11 @@ DIGESTS = {
 }
 
 TABLE_DIGESTS = {
-    "sweep stdout": "08267c01efc1ab2f5004d88fcc369ce506d54407dbd33c2be35cd65d2f77af8d",
-    "ablate stdout": "3a2c190e48859a324cb0f2b19a9cb300a65a94b1040d8e2370359972d2f4bed6",
+    "sweep stdout": "21d9fff3941baaade55732c30556142e5a9edfadefe4555fc0c6ff894ea4e512",
+    "ablate stdout": "f63afaa07e02d42186659e2bcdb2b76ffc4095d346212f30e93a1cf716d0c63f",
     "summary.csv": "f34b54b929ce5e0df9d3d1eb5d47c21571849344f7e433940f9a6951b79ca537",
     "ablation.csv": "aa7ef3a028a31dbc640c21ef46fff8db04e3776599e6295817c03957ce8cc82e",
-    "report --format text": "07577138d38634b7c4dc55ec59f208c95181fed510c86cb0a73d4fdc520a7105",
+    "report --format text": "5a351b8fddb0f96aef605ebd34a40e808724f514c1cab68a4b890917c8737c43",
     "report --format csv": "a0d8e53d0f91ccdcd71faebfd534b7f88b4e313754866c54c3cfe5b4eabcfeab",
 }
 
