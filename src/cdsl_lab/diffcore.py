@@ -240,9 +240,10 @@ def row_dot(a, w: np.ndarray) -> Tensor:
 
 
 def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x - mean, var) along axis 1, with the bits of ndarray.mean and var."""
-    centred = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
-    return centred, np.add.reduce(centred * centred, axis=1, keepdims=True) / x.shape[1]
+    """(x - mean, var) along the last axis, with the bits of ndarray.mean and var."""
+    width = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / width
+    return centred, np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
 
 
 def standardize_rows(a) -> Tensor:
@@ -263,15 +264,24 @@ def standardize_rows(a) -> Tensor:
 def sgd_step(params: list[Tensor], velocities: list[np.ndarray], *,
              learning_rate: float, momentum: float, weight_decay: float) -> None:
     """One momentum-SGD update of the parameters and their velocities (one
-    array per parameter), both in place: v <- m*v + (g + wd*p); p <- p - lr*v."""
+    array per parameter), both in place: v <- m*v + (g + wd*p); p <- p - lr*v.
+    Every operation is elementwise, so a run passes one packed buffer
+    (`nets.pack_parameters`) and its one velocity, and each entry gets the
+    bits of the update of its own parameter."""
     if len(velocities) != len(params):
         raise DiffcoreError("sgd: velocities do not match parameter list")
     for p, v in zip(params, velocities):
         if p.grad is None:
             raise DiffcoreError("sgd: parameter has no gradient; run backward first")
+        # one scratch array, first wd*p + g (the bits of g + wd*p) and then
+        # lr*v: a packed buffer's temporaries are large, and each one freed
+        # can trim the heap, so that the next step faults its pages back in
+        step = np.multiply(weight_decay, p.values)
+        step += p.grad
         v *= momentum
-        v += p.grad + weight_decay * p.values
-        p.values -= learning_rate * v
+        v += step
+        np.multiply(learning_rate, v, out=step)
+        p.values -= step
 
 
 @cache

@@ -105,6 +105,19 @@ def parameters(net: Network) -> list[Tensor]:
     return [t for _, t in named_parameters(net)]
 
 
+def pack_parameters(net: Network) -> Tensor:
+    """One trainable Tensor of every parameter's values, in `named_parameters`
+    order. Each parameter's values become a view of it, so one update of the
+    packed values moves every parameter."""
+    params = parameters(net)
+    packed = Tensor(np.concatenate([p.values for p in params], axis=None), requires_grad=True)
+    offset = 0
+    for p in params:
+        p.values = packed.values[offset:offset + p.values.size].reshape(p.shape)
+        offset += p.values.size
+    return packed
+
+
 def param_hash(net: Network) -> str:
     digest = hashlib.sha256()
     for name, t in named_parameters(net):

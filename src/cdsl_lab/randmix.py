@@ -9,6 +9,12 @@ Bitmap autoencoders draw small random kernels, as in RandConv, and store each
 as the matrix of its "same" convolution, so every autoencoder is two [d, d]
 matmuls.
 
+An ensemble is one `RandAutoencoder` whose fields carry a leading member axis.
+`draw_ensemble` takes every member's normals in one draw, in the order of
+drawing the members one at a time, `autoencode` runs the whole stack in one
+stacked product (one gemm per member, with the bits of its own) and `mix`
+blends the [members, n, d] result. Iterating the stack yields its members.
+
 The noise scale and shift modulate the normalized code as in AdaIN. Dense
 autoencoders form them as `noise @ w_scale + 1` and `noise @ w_shift` with two
 [d, d] matrices of N(0, 0.1^2) entries. Given `noise`, each column gives
@@ -51,10 +57,16 @@ class RandMixConfig:
 
 @dataclass
 class RandAutoencoder:
-    enc: np.ndarray  # [d, d], dense or the matrix of a "same" convolution
-    dec: np.ndarray  # [d, d], likewise
-    scale: np.ndarray  # [d], multiplicative noise (offset by +1)
-    shift: np.ndarray  # [d], additive noise
+    """One autoencoder, or an ensemble stacked along a leading member axis;
+    iterating a stack yields its members."""
+
+    enc: np.ndarray  # [d, d] or [members, d, d], dense or the matrix of a "same" convolution
+    dec: np.ndarray  # likewise
+    scale: np.ndarray  # [d] or [members, d], multiplicative noise (offset by +1)
+    shift: np.ndarray  # likewise, additive noise
+
+    def __iter__(self):
+        return map(RandAutoencoder, self.enc, self.dec, self.scale, self.shift)
 
 
 def instance_norm(x: np.ndarray) -> np.ndarray:
@@ -76,33 +88,64 @@ def conv_matrix(kernel: np.ndarray, side: int) -> np.ndarray:
     return np.append(kernel, 0.0)[_conv_index(kernel.shape[0], side)].reshape(side * side, -1)
 
 
+@functools.cache
+def _bitmap_layout(kernel_sizes: tuple[int, ...], side: int):
+    """Where a bitmap stack's fields sit in its one draw followed by a zero:
+    the [members, 2, d, d] gather index of the enc and dec matrices, the
+    [3, members, d] index of noise, z_scale and z_shift, and the draw's length."""
+    dim = side * side
+    sizes = np.array(kernel_sizes)
+    starts = np.cumsum([0, *(2 * sizes * sizes + 3 * dim)])
+    total = int(starts[-1])
+    maps = []
+    for start, k in zip(starts, kernel_sizes):
+        tap = _conv_index(k, side).reshape(dim, dim)
+        maps.append([np.where(tap < k * k, start + j * k * k + tap, total) for j in (0, 1)])
+    vectors = starts[:-1, None] + 2 * sizes[:, None] ** 2 + np.arange(3 * dim)
+    return np.array(maps), vectors.reshape(-1, 3, dim).transpose(1, 0, 2).copy(), total
+
+
+def _draw_stack(dim: int, rng: np.random.Generator, image_side: int | None,
+                kernel_sizes: tuple[int, ...]) -> RandAutoencoder:
+    """len(kernel_sizes) autoencoders stacked, from one normal draw in the
+    one-at-a-time order: enc, dec, noise, w_scale, w_shift for each dense
+    member, enc, dec, noise, z_scale, z_shift for each bitmap member.
+    Dense members take no kernel size."""
+    members = len(kernel_sizes)
+    if image_side is None:
+        sq = dim * dim
+        z = rng.normal(size=(members, 4 * sq + dim))
+        noise = z[:, None, None, 2 * sq:2 * sq + dim]
+        w = 0.1 * z[:, 2 * sq + dim:].reshape(members, 2, dim, dim)  # w_scale, w_shift
+        mod = (noise @ w)[:, :, 0]  # [members, 2, d]: noise @ w_scale, noise @ w_shift
+        return RandAutoencoder(enc=z[:, :sq].reshape(members, dim, dim),
+                               dec=z[:, sq:2 * sq].reshape(members, dim, dim),
+                               scale=mod[:, 0] + 1.0, shift=mod[:, 1])
+    if image_side * image_side != dim:
+        raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
+    maps, vectors, total = _bitmap_layout(kernel_sizes, image_side)
+    z = np.append(rng.normal(size=total), 0.0)
+    maps = z[maps]
+    noise, z_scale, z_shift = z[vectors]
+    # the dense branch's law from d normals per vector (module docstring);
+    # vecdot keeps the bits of np.linalg.norm of each row
+    r = 0.1 * np.sqrt(np.vecdot(noise, noise))[:, None]
+    return RandAutoencoder(enc=maps[:, 0], dec=maps[:, 1], scale=1.0 + r * z_scale,
+                           shift=r * z_shift)
+
+
 def make_autoencoder(dim: int, rng: np.random.Generator,
                      image_side: int | None = None,
                      kernel_size: int = KERNEL_SIZES[0]) -> RandAutoencoder:
     """Draw one throwaway autoencoder. Consumes rng in a fixed order."""
-    if image_side is None:
-        enc = rng.normal(size=(dim, dim))
-        dec = rng.normal(size=(dim, dim))
-        noise = rng.normal(size=dim)
-        w_scale = rng.normal(scale=0.1, size=(dim, dim))
-        w_shift = rng.normal(scale=0.1, size=(dim, dim))
-        return RandAutoencoder(enc=enc, dec=dec, scale=noise @ w_scale + 1.0,
-                               shift=noise @ w_shift)
-    if image_side * image_side != dim:
-        raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
-    enc = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
-    dec = conv_matrix(rng.normal(size=(kernel_size, kernel_size)), image_side)
-    noise = rng.normal(size=dim)
-    # the dense branch's law from d normals per vector (module docstring)
-    r = 0.1 * np.linalg.norm(noise)
-    z_scale = rng.normal(size=dim)
-    z_shift = rng.normal(size=dim)
-    return RandAutoencoder(enc=enc, dec=dec, scale=1.0 + r * z_scale, shift=r * z_shift)
+    return next(iter(_draw_stack(dim, rng, image_side, (kernel_size,))))
 
 
 def autoencode(ae: RandAutoencoder, x: np.ndarray) -> np.ndarray:
-    """Encode, normalize per sample, apply noise scale/shift, decode."""
-    h = ae.scale * instance_norm(x @ ae.enc) + ae.shift
+    """Encode, normalize per sample, apply noise scale/shift, decode: [n, d]
+    for one autoencoder, [members, n, d] for a stack, each member's products
+    one gemm with the bits of its own."""
+    h = ae.scale[..., None, :] * instance_norm(x @ ae.enc) + ae.shift[..., None, :]
     return h @ ae.dec
 
 
@@ -114,13 +157,15 @@ def draw_mix_weights(n_aug: int, rng: np.random.Generator) -> np.ndarray:
             return w
 
 
-def mix(x: np.ndarray, encoded: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Sigmoid of the weight-normalized blend of the input and its encodings."""
+def mix(x: np.ndarray, encoded: np.ndarray | list[np.ndarray],
+        weights: np.ndarray) -> np.ndarray:
+    """Sigmoid of the weight-normalized blend of the input and its encodings,
+    a [members, n, d] stack or a list of [n, d] arrays, added left to right."""
     if len(encoded) != len(weights) - 1:
         raise ValueError(f"randmix: {len(weights)} weights for {len(encoded)} encodings")
     blend = weights[0] * x
-    for w, enc in zip(weights[1:], encoded):
-        blend = blend + w * enc
+    for term in weights[1:, None, None] * encoded:
+        blend += term
     blend /= weights.sum()
     with np.errstate(over="ignore"):
         squashed = 1.0 / (1.0 + np.exp(-blend))
@@ -133,12 +178,13 @@ def gate(net, x: np.ndarray, r_con: float) -> np.ndarray:
     return nets.predict_probs(net, x).max(axis=1) >= r_con
 
 
-def draw_ensemble(dim: int, cfg: RandMixConfig, rng: np.random.Generator):
-    aes = [make_autoencoder(dim, rng, image_side=cfg.image_side,
-                            kernel_size=KERNEL_SIZES[i % len(KERNEL_SIZES)])
-           for i in range(cfg.n_aug)]
-    weights = draw_mix_weights(cfg.n_aug, rng)
-    return aes, weights
+def draw_ensemble(dim: int, cfg: RandMixConfig,
+                  rng: np.random.Generator) -> tuple[RandAutoencoder, np.ndarray]:
+    """cfg.n_aug autoencoders as one stack, member i of kernel size
+    KERNEL_SIZES[i % len(KERNEL_SIZES)] on bitmaps, then the mix weights."""
+    sizes = tuple(KERNEL_SIZES[i % len(KERNEL_SIZES)] for i in range(cfg.n_aug))
+    ensemble = _draw_stack(dim, rng, cfg.image_side, sizes)
+    return ensemble, draw_mix_weights(cfg.n_aug, rng)
 
 
 def augment_batch(net, x: np.ndarray, labels: np.ndarray, cfg: RandMixConfig,
@@ -150,9 +196,8 @@ def augment_batch(net, x: np.ndarray, labels: np.ndarray, cfg: RandMixConfig,
     """
     if stage_kind not in ("source", "target"):
         raise ValueError(f"randmix: unknown stage kind {stage_kind!r}")
-    aes, weights = draw_ensemble(x.shape[1], cfg, rng)
+    ensemble, weights = draw_ensemble(x.shape[1], cfg, rng)
     if stage_kind == "target":
         keep = gate(net, x, cfg.r_con)
         x, labels = x[keep], labels[keep]
-    encoded = [autoencode(ae, x) for ae in aes]
-    return mix(x, encoded, weights), labels.copy()
+    return mix(x, autoencode(ensemble, x), weights), labels.copy()

@@ -1,9 +1,11 @@
 """Shared test helpers: taped evaluation, finite-difference oracle, error
-measures and the OpenBLAS core numpy runs on."""
+measures, and the OpenBLAS core numpy runs on and whether it can run the
+Haswell kernels."""
 
 from __future__ import annotations
 
 import ctypes
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,14 @@ def blas_core() -> str | None:
             corename.argtypes, corename.restype = (), ctypes.c_char_p
             return corename().decode()
     return None
+
+
+def runs_openblas_haswell_kernels() -> bool:
+    """Whether numpy's BLAS is the bundled scipy-openblas on an x86-64 CPU
+    with AVX2, so OpenBLAS can be told to use its Haswell kernels."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return (platform.machine().lower() in ("x86_64", "amd64") and blas_core() is not None
+            and __cpu_features__.get("AVX2", False))
 
 
 # row widths that straddle numpy's pairwise-summation blocks

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import platform
 import sys
 import tracemalloc
 
@@ -9,7 +8,7 @@ import pytest
 
 from cdsl_lab import diffcore as dc
 from cdsl_lab import labeler, nets
-from conftest import blas_core
+from conftest import blas_core, runs_openblas_haswell_kernels
 from test_cli import fresh_python
 
 
@@ -97,14 +96,6 @@ def class_means_mismatches() -> list[str]:
 
 def test_class_means_are_per_class_row_means_bit_for_bit():
     assert class_means_mismatches() == []
-
-
-def runs_openblas_haswell_kernels() -> bool:
-    """Whether numpy's BLAS is the bundled scipy-openblas on an x86-64 CPU
-    with AVX2, so OpenBLAS can be told to use its Haswell kernels."""
-    from numpy._core._multiarray_umath import __cpu_features__
-    return (platform.machine().lower() in ("x86_64", "amd64") and blas_core() is not None
-            and __cpu_features__.get("AVX2", False))
 
 
 @pytest.mark.skipif(not runs_openblas_haswell_kernels(),

@@ -110,21 +110,57 @@ def test_snapshot_outputs_match_original():
     assert np.array_equal(nets.predict_probs(net, x), nets.predict_probs(frozen, x))
 
 
-def test_gradients_flow_to_every_parameter():
-    net = tiny_net()
-    x = np.random.default_rng(3).normal(size=(6, 3))
+def taped_gradients(net, x, weights) -> list[np.ndarray]:
+    """Each parameter's gradient of the mean row_dot of the scores with weights."""
     params = nets.parameters(net)
-    weights = np.random.default_rng(4).normal(size=(6, net.prototypes.shape[0]))
     def loss():
-        scores = dc.linear(nets.features(net, x), net.prototypes)
-        rows = dc.row_dot(scores, weights)
+        rows = dc.row_dot(dc.linear(nets.features(net, x), net.prototypes), weights)
         return dc.mean_gap(rows, np.zeros(rows.shape))
 
     out, tape = evaluate(loss)
-    dc.backward(tape, out, params=params)
-    assert all(p.grad is not None for p in params)
-    assert any(np.abs(p.grad).sum() > 0 for p in params)
     dc.zero_grads(params)
+    dc.backward(tape, out, params=params)
+    return [p.grad for p in params]
+
+
+def test_gradients_flow_to_every_parameter():
+    net = tiny_net()
+    x = np.random.default_rng(3).normal(size=(6, 3))
+    weights = np.random.default_rng(4).normal(size=(6, net.prototypes.shape[0]))
+    grads = taped_gradients(net, x, weights)
+    assert all(g is not None for g in grads)
+    assert any(np.abs(g).sum() > 0 for g in grads)
+
+
+def test_packed_parameters_view_one_buffer_in_parameter_order():
+    net = tiny_net(seed=5)
+    before = nets.param_hash(net)
+    flat = np.concatenate([t.values for t in nets.parameters(net)], axis=None)
+    packed = nets.pack_parameters(net)
+    assert packed.requires_grad and packed.values.tobytes() == flat.tobytes()
+    assert all(np.shares_memory(t.values, packed.values) for t in nets.parameters(net))
+    assert nets.param_hash(net) == before
+    frozen = nets.snapshot(net)
+    assert not any(np.shares_memory(t.values, packed.values)
+                   for t in nets.parameters(frozen))
+
+
+def test_packed_sgd_steps_equal_per_tensor_steps_bit_for_bit():
+    hyper = dict(learning_rate=0.05, momentum=0.9, weight_decay=0.0005)
+    loose, packed_net = tiny_net(seed=6), tiny_net(seed=6)
+    params = nets.parameters(loose)
+    velocities = [np.zeros_like(p.values) for p in params]
+    packed = nets.pack_parameters(packed_net)
+    velocity = np.zeros_like(packed.values)
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        x, weights = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+        taped_gradients(loose, x, weights)
+        dc.sgd_step(params, velocities, **hyper)
+        packed.grad = np.concatenate(taped_gradients(packed_net, x, weights), axis=None)
+        dc.sgd_step([packed], [velocity], **hyper)
+        assert nets.param_hash(packed_net) == nets.param_hash(loose)
+        assert velocity.tobytes() == np.concatenate(velocities, axis=None).tobytes()
 
 
 # (input_dim, classes, hidden, bottleneck, rows per block). The narrow net's

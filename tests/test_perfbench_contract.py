@@ -34,6 +34,18 @@ def test_every_traced_target_is_called_through_its_module(tmp_path):
     assert set(tracer.calls) == {name for _, _, name, _ in spans.targets()}
 
 
+def test_ensemble_and_update_spans_run_once_per_training_step():
+    """Each training step draws one stack, autoencodes and mixes it in one call
+    each and makes one SGD update, so these spans time whole steps."""
+    cfg = tiny_config()
+    with spans.installed(spans.Tracer()) as tracer:
+        result = protocol.run_cdsl(cfg)
+    steps = len(result.logs["train_log"])
+    assert steps == result.matrix.values.shape[0] * cfg.epochs * cfg.steps_per_epoch
+    for name in ("randmix.draw", "randmix.autoencode", "randmix.mix", "diffcore.sgd"):
+        assert tracer.calls[name] == steps, name
+
+
 def test_run_reaches_build_context_through_the_module(monkeypatch):
     class FirstStep(Exception):
         pass

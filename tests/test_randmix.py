@@ -1,7 +1,11 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import AWKWARD_WIDTHS, awkward_rows
+from conftest import AWKWARD_WIDTHS, awkward_rows, blas_core, runs_openblas_haswell_kernels
+from test_cli import fresh_python
 
 from cdsl_lab import nets, randmix
 
@@ -46,10 +50,14 @@ def test_constant_row_normalizes_to_zero_before_decoding():
 
 @pytest.mark.parametrize("width", AWKWARD_WIDTHS)
 def test_instance_norm_keeps_the_bits_of_ndarray_mean_and_var(width):
-    for x in awkward_rows(width):
-        mu = x.mean(axis=1, keepdims=True)
-        want = (x - mu) / np.sqrt(x.var(axis=1, keepdims=True) + randmix.NORM_EPS)
+    """On [n, d] rows, and on a [members, n, d] stack of them along its last axis."""
+    rows = awkward_rows(width)
+    for x in [*rows, np.stack(rows)]:
+        mu = x.mean(axis=-1, keepdims=True)
+        want = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + randmix.NORM_EPS)
         assert randmix.instance_norm(x).tobytes() == want.tobytes()
+    stacked = randmix.instance_norm(np.stack(rows))
+    assert stacked.tobytes() == np.stack([randmix.instance_norm(x) for x in rows]).tobytes()
 
 
 def test_mix_output_strictly_inside_unit_interval():
@@ -252,3 +260,65 @@ def test_bitmap_and_dense_noise_draws_share_one_law():
         assert b == pytest.approx(d, rel=0.05)
         assert d == pytest.approx(0.4, rel=0.05)  # 0.1 * sqrt(d)
     assert bitmap[2] == pytest.approx(dense[2], abs=0.1)
+
+
+# (dim, image_side) of the ensembles the stacked draw must match
+STACK_CASES = {"dense d=2": (2, None), "dense d=6": (6, None), "bitmap 8x8": (64, 8)}
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stack_mismatches() -> list[str]:
+    """Where a stacked ensemble differs in any bit from one made one member at
+    a time with make_autoencoder from the same Generator state: the members'
+    fields, the mix weights, the Generator state after the draw, each
+    member's encoding and the mix, over batches of 0, 1, 7 and 64 rows."""
+    bad = []
+    for case, (dim, side) in STACK_CASES.items():
+        for n_aug in (4, 6):  # 6 wraps around KERNEL_SIZES
+            for seed in range(3):
+                where = f"{case} n_aug={n_aug} seed {seed}"
+                cfg = randmix.RandMixConfig(n_aug=n_aug, image_side=side)
+                rng, one = np.random.default_rng([dim, seed]), np.random.default_rng([dim, seed])
+                stack, weights = randmix.draw_ensemble(dim, cfg, rng)
+                members = [randmix.make_autoencoder(
+                    dim, one, image_side=side,
+                    kernel_size=randmix.KERNEL_SIZES[i % len(randmix.KERNEL_SIZES)])
+                    for i in range(n_aug)]
+                checks = {"weights": same_bits(weights, randmix.draw_mix_weights(n_aug, one)),
+                          "generator state": rng.bit_generator.state == one.bit_generator.state,
+                          "member count": len(list(stack)) == n_aug}
+                for i, (got, want) in enumerate(zip(stack, members)):
+                    for field in ("enc", "dec", "scale", "shift"):
+                        checks[f"member {i} {field}"] = same_bits(getattr(got, field),
+                                                                  getattr(want, field))
+                for rows in (0, 1, 7, 64):
+                    x = np.random.default_rng([dim, seed, rows]).normal(size=(rows, dim))
+                    encoded = randmix.autoencode(stack, x)
+                    listed = [randmix.autoencode(ae, x) for ae in members]
+                    for i, want in enumerate(listed):
+                        checks[f"{rows} rows autoencode {i}"] = same_bits(encoded[i], want)
+                    checks[f"{rows} rows mix"] = same_bits(randmix.mix(x, encoded, weights),
+                                                           randmix.mix(x, listed, weights))
+                bad += [f"{where}: {name}" for name, ok in checks.items() if not ok]
+    return bad
+
+
+def test_stacked_ensemble_equals_one_member_at_a_time_bit_for_bit():
+    assert stack_mismatches() == []
+
+
+@pytest.mark.skipif(not runs_openblas_haswell_kernels(),
+                    reason="needs numpy's bundled OpenBLAS on an x86-64 CPU with AVX2")
+def test_stacked_ensemble_keeps_its_bits_on_the_haswell_kernels():
+    """The same check in a child interpreter whose OpenBLAS runs its Haswell
+    kernels, which round a BLAS product differently from other cores."""
+    proc = fresh_python(__file__, OPENBLAS_CORETYPE="Haswell")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"blas_core": "Haswell", "mismatches": []}
+
+
+if __name__ == "__main__":
+    json.dump({"blas_core": blas_core(), "mismatches": stack_mismatches()}, sys.stdout)
