@@ -79,10 +79,10 @@ def parse_item(text: str, where: str) -> tuple[str, object]:
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value document; # comments and blank lines allowed."""
+    """Flat key=value document in UTF-8; # comments and blank lines allowed."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"config {path}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

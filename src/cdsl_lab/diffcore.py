@@ -261,27 +261,23 @@ def standardize_rows(a) -> Tensor:
     return _record("standardize_rows", (a,), y, vjp)
 
 
-def sgd_step(params: list[Tensor], velocities: list[np.ndarray], *,
+def sgd_step(param: Tensor, velocity: np.ndarray, *,
              learning_rate: float, momentum: float, weight_decay: float) -> None:
-    """One momentum-SGD update of the parameters and their velocities (one
-    array per parameter), both in place: v <- m*v + (g + wd*p); p <- p - lr*v.
-    Every operation is elementwise, so a run passes one packed buffer
-    (`nets.pack_parameters`) and its one velocity, and each entry gets the
-    bits of the update of its own parameter."""
-    if len(velocities) != len(params):
-        raise DiffcoreError("sgd: velocities do not match parameter list")
-    for p, v in zip(params, velocities):
-        if p.grad is None:
-            raise DiffcoreError("sgd: parameter has no gradient; run backward first")
-        # one scratch array, first wd*p + g (the bits of g + wd*p) and then
-        # lr*v: a packed buffer's temporaries are large, and each one freed
-        # can trim the heap, so that the next step faults its pages back in
-        step = np.multiply(weight_decay, p.values)
-        step += p.grad
-        v *= momentum
-        v += step
-        np.multiply(learning_rate, v, out=step)
-        p.values -= step
+    """One momentum-SGD update of a parameter and its velocity, both in place:
+    v <- m*v + (g + wd*p); p <- p - lr*v. Every operation is elementwise, so
+    on a packed buffer (`nets.pack_parameters`) each entry gets the bits of
+    the update of its own parameter."""
+    if param.grad is None:
+        raise DiffcoreError("sgd: parameter has no gradient; run backward first")
+    # one scratch array, first wd*p + g (the bits of g + wd*p) and then lr*v:
+    # a packed buffer's temporaries are large, and each one freed can trim
+    # the heap, so that the next step faults its pages back in
+    step = np.multiply(weight_decay, param.values)
+    step += param.grad
+    velocity *= momentum
+    velocity += step
+    np.multiply(learning_rate, velocity, out=step)
+    param.values -= step
 
 
 @cache

@@ -107,10 +107,12 @@ def parameters(net: Network) -> list[Tensor]:
 
 def pack_parameters(net: Network) -> Tensor:
     """One trainable Tensor of every parameter's values, in `named_parameters`
-    order. Each parameter's values become a view of it, so one update of the
-    packed values moves every parameter."""
+    order, with a zero gradient of its own size. Each parameter's values
+    become a view of it, so one update of the packed values moves every
+    parameter."""
     params = parameters(net)
     packed = Tensor(np.concatenate([p.values for p in params], axis=None), requires_grad=True)
+    packed.grad = np.zeros_like(packed.values)
     offset = 0
     for p in params:
         p.values = packed.values[offset:offset + p.values.size].reshape(p.shape)

@@ -284,8 +284,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
     previous: nets.Network | None = None  # continual runs: frozen snapshot after the last stage
     mem = None if cfg.stationary else memory_mod.ExemplarMemory(cfg.memory_capacity)
     params = nets.parameters(model)
-    packed = nets.pack_parameters(model)  # every parameter's values view it
-    packed.grad = np.zeros_like(packed.values)  # refilled in place every step
+    packed = nets.pack_parameters(model)  # every parameter views it; grad refilled every step
     velocity = np.zeros_like(packed.values)
 
     eval_sets = [(te_x, te_y) if i == 0 else datasets[i]
@@ -304,7 +303,7 @@ def _run_stages(cfg: RunConfig, seq: synthdata.DomainSequence) -> RunResult:
         dc.zero_grads(params)
         dc.backward(tape, total, params=params)
         np.concatenate([p.grad for p in params], axis=None, out=packed.grad)
-        dc.sgd_step([packed], [velocity], learning_rate=cfg.learning_rate,
+        dc.sgd_step(packed, velocity, learning_rate=cfg.learning_rate,
                     momentum=cfg.momentum, weight_decay=cfg.weight_decay)
         logs["train_log"].append({"stage": stage, "epoch": epoch, "step": step, **losses})
 

@@ -10,10 +10,12 @@ as the matrix of its "same" convolution, so every autoencoder is two [d, d]
 matmuls.
 
 An ensemble is one `RandAutoencoder` whose fields carry a leading member axis.
-`draw_ensemble` takes every member's normals in one draw, in the order of
-drawing the members one at a time, `autoencode` runs the whole stack in one
-stacked product (one gemm per member, with the bits of its own) and `mix`
-blends the [members, n, d] result. Iterating the stack yields its members.
+`draw_ensemble` takes every member's normals in one draw, member after member
+(enc, dec, noise, then w_scale and w_shift for dense inputs or z_scale and
+z_shift for bitmaps), and then the mix weights. `autoencode` runs the whole
+stack in one stacked product (one gemm per member, with the bits of its own)
+and `mix` blends the [members, n, d] result. Iterating the stack yields its
+members.
 
 The noise scale and shift modulate the normalized code as in AdaIN. Dense
 autoencoders form them as `noise @ w_scale + 1` and `noise @ w_shift` with two
@@ -105,42 +107,6 @@ def _bitmap_layout(kernel_sizes: tuple[int, ...], side: int):
     return np.array(maps), vectors.reshape(-1, 3, dim).transpose(1, 0, 2).copy(), total
 
 
-def _draw_stack(dim: int, rng: np.random.Generator, image_side: int | None,
-                kernel_sizes: tuple[int, ...]) -> RandAutoencoder:
-    """len(kernel_sizes) autoencoders stacked, from one normal draw in the
-    one-at-a-time order: enc, dec, noise, w_scale, w_shift for each dense
-    member, enc, dec, noise, z_scale, z_shift for each bitmap member.
-    Dense members take no kernel size."""
-    members = len(kernel_sizes)
-    if image_side is None:
-        sq = dim * dim
-        z = rng.normal(size=(members, 4 * sq + dim))
-        noise = z[:, None, None, 2 * sq:2 * sq + dim]
-        w = 0.1 * z[:, 2 * sq + dim:].reshape(members, 2, dim, dim)  # w_scale, w_shift
-        mod = (noise @ w)[:, :, 0]  # [members, 2, d]: noise @ w_scale, noise @ w_shift
-        return RandAutoencoder(enc=z[:, :sq].reshape(members, dim, dim),
-                               dec=z[:, sq:2 * sq].reshape(members, dim, dim),
-                               scale=mod[:, 0] + 1.0, shift=mod[:, 1])
-    if image_side * image_side != dim:
-        raise ValueError(f"randmix: image_side {image_side} does not square to dim {dim}")
-    maps, vectors, total = _bitmap_layout(kernel_sizes, image_side)
-    z = np.append(rng.normal(size=total), 0.0)
-    maps = z[maps]
-    noise, z_scale, z_shift = z[vectors]
-    # the dense branch's law from d normals per vector (module docstring);
-    # vecdot keeps the bits of np.linalg.norm of each row
-    r = 0.1 * np.sqrt(np.vecdot(noise, noise))[:, None]
-    return RandAutoencoder(enc=maps[:, 0], dec=maps[:, 1], scale=1.0 + r * z_scale,
-                           shift=r * z_shift)
-
-
-def make_autoencoder(dim: int, rng: np.random.Generator,
-                     image_side: int | None = None,
-                     kernel_size: int = KERNEL_SIZES[0]) -> RandAutoencoder:
-    """Draw one throwaway autoencoder. Consumes rng in a fixed order."""
-    return next(iter(_draw_stack(dim, rng, image_side, (kernel_size,))))
-
-
 def autoencode(ae: RandAutoencoder, x: np.ndarray) -> np.ndarray:
     """Encode, normalize per sample, apply noise scale/shift, decode: [n, d]
     for one autoencoder, [members, n, d] for a stack, each member's products
@@ -181,10 +147,32 @@ def gate(net, x: np.ndarray, r_con: float) -> np.ndarray:
 def draw_ensemble(dim: int, cfg: RandMixConfig,
                   rng: np.random.Generator) -> tuple[RandAutoencoder, np.ndarray]:
     """cfg.n_aug autoencoders as one stack, member i of kernel size
-    KERNEL_SIZES[i % len(KERNEL_SIZES)] on bitmaps, then the mix weights."""
-    sizes = tuple(KERNEL_SIZES[i % len(KERNEL_SIZES)] for i in range(cfg.n_aug))
-    ensemble = _draw_stack(dim, rng, cfg.image_side, sizes)
-    return ensemble, draw_mix_weights(cfg.n_aug, rng)
+    KERNEL_SIZES[i % len(KERNEL_SIZES)] on bitmaps, then the mix weights, all
+    from rng in the order of the module docstring."""
+    members, side = cfg.n_aug, cfg.image_side
+    if side is None:
+        sq = dim * dim
+        z = rng.normal(size=(members, 4 * sq + dim))
+        noise = z[:, None, None, 2 * sq:2 * sq + dim]
+        w = 0.1 * z[:, 2 * sq + dim:].reshape(members, 2, dim, dim)  # w_scale, w_shift
+        mod = (noise @ w)[:, :, 0]  # [members, 2, d]: noise @ w_scale, noise @ w_shift
+        ensemble = RandAutoencoder(enc=z[:, :sq].reshape(members, dim, dim),
+                                   dec=z[:, sq:2 * sq].reshape(members, dim, dim),
+                                   scale=mod[:, 0] + 1.0, shift=mod[:, 1])
+    else:
+        if side * side != dim:
+            raise ValueError(f"randmix: image_side {side} does not square to dim {dim}")
+        sizes = tuple(KERNEL_SIZES[i % len(KERNEL_SIZES)] for i in range(members))
+        maps, vectors, total = _bitmap_layout(sizes, side)
+        z = np.append(rng.normal(size=total), 0.0)
+        maps = z[maps]
+        noise, z_scale, z_shift = z[vectors]
+        # the dense branch's law from d normals per vector (module docstring);
+        # vecdot keeps the bits of np.linalg.norm of each row
+        r = 0.1 * np.sqrt(np.vecdot(noise, noise))[:, None]
+        ensemble = RandAutoencoder(enc=maps[:, 0], dec=maps[:, 1],
+                                   scale=1.0 + r * z_scale, shift=r * z_shift)
+    return ensemble, draw_mix_weights(members, rng)
 
 
 def augment_batch(net, x: np.ndarray, labels: np.ndarray, cfg: RandMixConfig,

@@ -99,6 +99,14 @@ def test_missing_config_file_is_usage_error(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"epochs = 1 # \xff\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config {path}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("env_seed", ["31", "abc"])
 def test_seed_comes_from_the_file_and_set_alone(env_seed, tmp_path, monkeypatch):
     # no environment variable enters a config, a malformed one included
@@ -302,12 +310,11 @@ def test_run_fails_loudly_on_non_finite_parameters(tmp_path, capsys, monkeypatch
     # poison every parameter in the run's last step, which no loss check sees
     sgd_step, steps = diffcore.sgd_step, []
 
-    def poisoned(params, velocities, **hyper):
-        sgd_step(params, velocities, **hyper)
+    def poisoned(param, velocity, **hyper):
+        sgd_step(param, velocity, **hyper)
         steps.append(None)
         if len(steps) == 4 * 3:  # moons4 has 4 stages
-            for t in params:
-                t.values[...] = np.inf
+            param.values[...] = np.inf  # the packed buffer every parameter views
 
     monkeypatch.setattr(diffcore, "sgd_step", poisoned)
     out = tmp_path / "poisoned"

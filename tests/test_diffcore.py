@@ -354,8 +354,9 @@ def test_a_tape_left_by_an_exception_lets_the_next_one_record():
     assert total.item() == clean_total.item()
     dc.backward(tape, total, params=params)
     before = nets.param_hash(net)
-    dc.sgd_step(params, [np.zeros_like(p.values) for p in params],
-                learning_rate=0.1, momentum=0.9, weight_decay=0.0)
+    for p in params:
+        dc.sgd_step(p, np.zeros_like(p.values), learning_rate=0.1, momentum=0.9,
+                    weight_decay=0.0)
     assert nets.param_hash(net) != before
 
 
@@ -367,41 +368,33 @@ def test_sgd_two_steps_match_hand_derivation():
         return 2.0 * v  # d/dv of v^2
 
     th0 = 2.0
-    velocities = [np.zeros(1)]
+    velocity = np.zeros(1)
     theta.grad = np.array([grad_of(th0)])
-    dc.sgd_step([theta], velocities, **hyper)
+    dc.sgd_step(theta, velocity, **hyper)
     v1 = grad_of(th0) + 0.01 * th0
     th1 = th0 - 0.1 * v1
-    assert velocities[0][0] == v1  # updated in place
+    assert velocity[0] == v1  # updated in place
     assert theta.values[0] == th1
 
     theta.grad = np.array([grad_of(th1)])
-    dc.sgd_step([theta], velocities, **hyper)
+    dc.sgd_step(theta, velocity, **hyper)
     v2 = 0.9 * v1 + (grad_of(th1) + 0.01 * th1)
     th2 = th1 - 0.1 * v2
-    assert velocities[0][0] == v2
+    assert velocity[0] == v2
     assert theta.values[0] == th2
 
 
 def test_sgd_without_momentum_or_decay_is_plain_descent():
     p = dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.2, 0.4])
-    dc.sgd_step([p], [np.zeros(2)], learning_rate=0.5, momentum=0.0, weight_decay=0.0)
+    dc.sgd_step(p, np.zeros(2), learning_rate=0.5, momentum=0.0, weight_decay=0.0)
     assert np.array_equal(p.values, np.array([1.0 - 0.1, -2.0 - 0.2]))
 
 
 def test_sgd_requires_gradients():
     p = dc.Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(dc.DiffcoreError, match="gradient"):
-        dc.sgd_step([p], [np.zeros(2)], learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-
-
-def test_sgd_rejects_velocities_of_another_parameter_list():
-    p = dc.Tensor(np.ones(2), requires_grad=True)
-    p.grad = np.ones(2)
-    with pytest.raises(dc.DiffcoreError, match="velocities"):
-        dc.sgd_step([p], [np.zeros(2), np.zeros(2)],
-                    learning_rate=0.1, momentum=0.9, weight_decay=0.0)
+        dc.sgd_step(p, np.zeros(2), learning_rate=0.1, momentum=0.9, weight_decay=0.0)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])

@@ -138,6 +138,7 @@ def test_packed_parameters_view_one_buffer_in_parameter_order():
     flat = np.concatenate([t.values for t in nets.parameters(net)], axis=None)
     packed = nets.pack_parameters(net)
     assert packed.requires_grad and packed.values.tobytes() == flat.tobytes()
+    assert packed.grad.tobytes() == np.zeros_like(flat).tobytes()
     assert all(np.shares_memory(t.values, packed.values) for t in nets.parameters(net))
     assert nets.param_hash(net) == before
     frozen = nets.snapshot(net)
@@ -156,9 +157,10 @@ def test_packed_sgd_steps_equal_per_tensor_steps_bit_for_bit():
     for _ in range(6):
         x, weights = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
         taped_gradients(loose, x, weights)
-        dc.sgd_step(params, velocities, **hyper)
+        for p, v in zip(params, velocities):
+            dc.sgd_step(p, v, **hyper)
         packed.grad = np.concatenate(taped_gradients(packed_net, x, weights), axis=None)
-        dc.sgd_step([packed], [velocity], **hyper)
+        dc.sgd_step(packed, velocity, **hyper)
         assert nets.param_hash(packed_net) == nets.param_hash(loose)
         assert velocity.tobytes() == np.concatenate(velocities, axis=None).tobytes()
 

@@ -19,21 +19,27 @@ def tiny_net(seed=0, input_dim=4, classes=3):
     return nets.build_network(input_dim, classes, rng, hidden=(8,), bottleneck=(6, 4))
 
 
+def member(dim, rng, index=0, image_side=None) -> randmix.RandAutoencoder:
+    """Member `index` of a default-size ensemble drawn from rng."""
+    stack, _ = randmix.draw_ensemble(dim, randmix.RandMixConfig(image_side=image_side), rng)
+    return list(stack)[index]
+
+
 def test_autoencoder_preserves_outer_shape_dense_and_conv():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 6))
-    ae = randmix.make_autoencoder(6, rng)
+    ae = member(6, rng)
     assert randmix.autoencode(ae, x).shape == (5, 6)
 
     imgs = rng.normal(size=(3, 64))
-    conv = randmix.make_autoencoder(64, rng, image_side=8, kernel_size=7)
+    conv = member(64, rng, index=1, image_side=8)  # a 7x7 kernel
     assert randmix.autoencode(conv, imgs).shape == (3, 64)
 
 
 def test_autoencode_matches_hand_rolled_formula():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 5))
-    ae = randmix.make_autoencoder(5, rng)
+    ae = member(5, rng)
     got = randmix.autoencode(ae, x)
 
     e = x @ ae.enc
@@ -87,7 +93,7 @@ def test_mix_weight_sum_never_near_zero():
 
 BAD_INPUT_CASES = [
     ("image_side 7 does not square to dim 64",
-     lambda rng: randmix.make_autoencoder(64, rng, image_side=7)),
+     lambda rng: randmix.draw_ensemble(64, randmix.RandMixConfig(image_side=7), rng)),
     ("3 weights for 4 encodings",
      lambda rng: randmix.mix(np.ones((2, 4)), [np.ones((2, 4))] * 4, np.ones(3))),
     ("unknown stage kind 'replay'",
@@ -209,42 +215,14 @@ def test_conv_matrix_matches_entry_by_entry_construction(k, side):
         assert np.array_equal(randmix.conv_matrix(w, side), want)
 
 
-@pytest.mark.parametrize("kernel_size", [*CHECKED_KERNEL_SIZES, None])
-def test_make_autoencoder_draws_in_a_fixed_order(kernel_size):
-    """Dense: enc, dec, noise, w_scale, w_shift. Bitmap: enc, dec, noise, z_scale,
-    z_shift. Replaying the draws rebuilds every field."""
-    rng = np.random.default_rng(31)
-    if kernel_size is None:
-        dim = 6
-        ae = randmix.make_autoencoder(dim, np.random.default_rng(31))
-        enc = rng.normal(size=(dim, dim))
-        dec = rng.normal(size=(dim, dim))
-        noise = rng.normal(size=dim)
-        w_scale = rng.normal(scale=0.1, size=(dim, dim))
-        w_shift = rng.normal(scale=0.1, size=(dim, dim))
-        scale, shift = noise @ w_scale + 1.0, noise @ w_shift
-    else:
-        dim = 64
-        ae = randmix.make_autoencoder(dim, np.random.default_rng(31), image_side=8,
-                                      kernel_size=kernel_size)
-        enc = randmix.conv_matrix(rng.normal(size=(kernel_size, kernel_size)), 8)
-        dec = randmix.conv_matrix(rng.normal(size=(kernel_size, kernel_size)), 8)
-        noise = rng.normal(size=dim)
-        r = 0.1 * np.sqrt(noise @ noise)
-        z_scale = rng.normal(size=dim)
-        z_shift = rng.normal(size=dim)
-        scale, shift = 1.0 + r * z_scale, r * z_shift
-    assert np.array_equal(ae.enc, enc)
-    assert np.array_equal(ae.dec, dec)
-    assert np.array_equal(ae.scale, scale)
-    assert np.array_equal(ae.shift, shift)
-
-
 def noise_statistics(image_side: int | None, count: int = 2000) -> tuple[float, float, float]:
     """Per-entry std of scale - 1 and of shift over `count` 16-d autoencoders,
-    and the correlation of |scale - 1|^2 with |shift|^2 across them."""
+    drawn as ensembles of the default size, and the correlation of
+    |scale - 1|^2 with |shift|^2 across them."""
     rng = np.random.default_rng(7)
-    aes = [randmix.make_autoencoder(16, rng, image_side=image_side) for _ in range(count)]
+    cfg = randmix.RandMixConfig(image_side=image_side)
+    aes = [ae for _ in range(count // cfg.n_aug)
+           for ae in randmix.draw_ensemble(16, cfg, rng)[0]]
     scale = np.array([ae.scale for ae in aes]) - 1.0
     shift = np.array([ae.shift for ae in aes])
     corr = np.corrcoef((scale ** 2).sum(axis=1), (shift ** 2).sum(axis=1))[0, 1]
@@ -262,7 +240,7 @@ def test_bitmap_and_dense_noise_draws_share_one_law():
     assert bitmap[2] == pytest.approx(dense[2], abs=0.1)
 
 
-# (dim, image_side) of the ensembles the stacked draw must match
+# (dim, image_side) of the ensembles the replayed draw must match
 STACK_CASES = {"dense d=2": (2, None), "dense d=6": (6, None), "bitmap 8x8": (64, 8)}
 
 
@@ -270,11 +248,42 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def replayed_ensemble(dim: int, image_side: int | None, n_aug: int,
+                      rng: np.random.Generator) -> tuple[list, np.ndarray]:
+    """An ensemble's members and mix weights rebuilt from plain rng.normal calls
+    in the documented order. Per member, dense: enc, dec, noise, w_scale,
+    w_shift; bitmap: two kernels through conv_matrix, then noise, z_scale,
+    z_shift. Then the mix weights, redrawn while their sum is near zero."""
+    members = []
+    for i in range(n_aug):
+        if image_side is None:
+            enc = rng.normal(size=(dim, dim))
+            dec = rng.normal(size=(dim, dim))
+            noise = rng.normal(size=dim)
+            w_scale = rng.normal(scale=0.1, size=(dim, dim))
+            w_shift = rng.normal(scale=0.1, size=(dim, dim))
+            scale, shift = noise @ w_scale + 1.0, noise @ w_shift
+        else:
+            k = randmix.KERNEL_SIZES[i % len(randmix.KERNEL_SIZES)]
+            enc = randmix.conv_matrix(rng.normal(size=(k, k)), image_side)
+            dec = randmix.conv_matrix(rng.normal(size=(k, k)), image_side)
+            noise = rng.normal(size=dim)
+            r = 0.1 * np.sqrt(noise @ noise)
+            z_scale = rng.normal(size=dim)
+            z_shift = rng.normal(size=dim)
+            scale, shift = 1.0 + r * z_scale, r * z_shift
+        members.append(randmix.RandAutoencoder(enc, dec, scale, shift))
+    weights = rng.normal(size=n_aug + 1)
+    while abs(weights.sum()) < randmix.WEIGHT_SUM_FLOOR:
+        weights = rng.normal(size=n_aug + 1)
+    return members, weights
+
+
 def stack_mismatches() -> list[str]:
-    """Where a stacked ensemble differs in any bit from one made one member at
-    a time with make_autoencoder from the same Generator state: the members'
-    fields, the mix weights, the Generator state after the draw, each
-    member's encoding and the mix, over batches of 0, 1, 7 and 64 rows."""
+    """Where a drawn ensemble differs in any bit from its replay from the same
+    Generator state: the members' fields, the mix weights, the Generator state
+    after the draw, each member's encoding and the mix, over batches of 0, 1,
+    7 and 64 rows."""
     bad = []
     for case, (dim, side) in STACK_CASES.items():
         for n_aug in (4, 6):  # 6 wraps around KERNEL_SIZES
@@ -283,11 +292,8 @@ def stack_mismatches() -> list[str]:
                 cfg = randmix.RandMixConfig(n_aug=n_aug, image_side=side)
                 rng, one = np.random.default_rng([dim, seed]), np.random.default_rng([dim, seed])
                 stack, weights = randmix.draw_ensemble(dim, cfg, rng)
-                members = [randmix.make_autoencoder(
-                    dim, one, image_side=side,
-                    kernel_size=randmix.KERNEL_SIZES[i % len(randmix.KERNEL_SIZES)])
-                    for i in range(n_aug)]
-                checks = {"weights": same_bits(weights, randmix.draw_mix_weights(n_aug, one)),
+                members, want_weights = replayed_ensemble(dim, side, n_aug, one)
+                checks = {"weights": same_bits(weights, want_weights),
                           "generator state": rng.bit_generator.state == one.bit_generator.state,
                           "member count": len(list(stack)) == n_aug}
                 for i, (got, want) in enumerate(zip(stack, members)):
@@ -313,7 +319,7 @@ def test_stacked_ensemble_equals_one_member_at_a_time_bit_for_bit():
 @pytest.mark.skipif(not runs_openblas_haswell_kernels(),
                     reason="needs numpy's bundled OpenBLAS on an x86-64 CPU with AVX2")
 def test_stacked_ensemble_keeps_its_bits_on_the_haswell_kernels():
-    """The same check in a child interpreter whose OpenBLAS runs its Haswell
+    """The replay check in a child interpreter whose OpenBLAS runs its Haswell
     kernels, which round a BLAS product differently from other cores."""
     proc = fresh_python(__file__, OPENBLAS_CORETYPE="Haswell")
     assert proc.returncode == 0, proc.stderr
